@@ -96,6 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_degrees(max_dim, k_max) -> None:
+    try:
+        T.check_degrees(int(max_dim), int(k_max))
+    except T.TowerError as exc:
+        raise CliError(str(exc), EXIT_USAGE)
+
+
 def make_tower(args) -> T.Tower:
     if getattr(args, "config", None):
         cfg = T.load_config(args.config)
@@ -105,8 +112,10 @@ def make_tower(args) -> T.Tower:
         cfg.setdefault("k_max", args.k_max)
         cfg.setdefault("tolerance", args.tolerance)
         cfg.setdefault("max_elements", args.max_elements)
+        _check_degrees(cfg["max_dim"], cfg["k_max"])
         return T.tower_from_config(cfg, base_dir=os.path.dirname(args.config) or ".")
     if getattr(args, "space", None):
+        _check_degrees(args.max_dim, args.k_max)
         mode = T.RELAXED if args.relaxed else None
         return T.build_tower(args.space, args.depth, max_dim=args.max_dim,
                              k_max=args.k_max, mode=mode, seed=args.seed,
@@ -213,7 +222,7 @@ def cmd_homology(args) -> int:
             for k in range(tower.k_max + 1):
                 r = induced_bonding_rank(tower, n, n + 1, k, args.field)
                 fh.write(f"rank H_{k}(q_{n}_{n + 1}),"
-                         f"{'capped' if r is None else r}\n")
+                         f"{'undefined' if r is None else r}\n")
     if args.out:
         fh.close()
         print(f"wrote {args.out}")
@@ -224,18 +233,26 @@ def cmd_homology(args) -> int:
 
 def induced_bonding_rank(tower: T.Tower, n: int, m: int, k: int,
                          field_spec: str = "q"):
-    """Rank of a bonding map on degree-k homology of the order complexes.
+    """Rank of the bonding map q_{n,m} on degree-k homology.
 
-    Returns None when some image payload falls outside the stored
-    enumeration of the lower level (cardinality cap).
+    The rank is computed on the Rips complexes of levels m and n through
+    the selection vertex map s(v) = min q_{n,m}({v}).  For every element C
+    of level m, s(C) is a subset of q_{n,m}(C), so s(C) >= q_{n,m}(C) in
+    the reverse-inclusion order of the face posets.  Comparable maps into
+    a finite space are homotopic, and the face poset of a complex is weakly
+    equivalent to the complex (McCord 1966; Barmak, Algebraic Topology of
+    Finite Topological Spaces, LNM 2032), so s and q_{n,m} induce the same
+    map on homology.  That argument needs q_{n,m} to be a map between the
+    terms: returns None when the bonding is not well defined or has an
+    empty image.
     """
-    assignment, report = tower.bonding_element_map(n, m)
-    if report.capped_images or report.empty_images:
+    _, report = tower.bonding_element_map(n, m)
+    if report.empty_images or not report.well_defined:
         return None
-    src = tower.term(m).space().order_complex(max_chain=tower.k_max + 2)
-    dst = tower.term(n).space().order_complex(max_chain=tower.k_max + 2)
-    vmap = {i: assignment[i] for i in range(len(assignment))}
-    return H.induced_rank(src, dst, vmap, k, field_spec)
+    src = tower.term(m).complex
+    select = {v: min(tower.bond(n, m, frozenset((v,))))
+              for (v,) in src.simplices(0)}
+    return H.induced_rank(src, tower.term(n).complex, select, k, field_spec)
 
 
 def cmd_verify(args) -> int:

@@ -149,10 +149,9 @@ def induced_rank(src: SimplicialComplex, dst: SimplicialComplex,
     """Rank of H_k of the map induced by a vertex map."""
     rank_fn, _ = parse_field(field_spec)
     fk = chain_map(src, dst, vertex_map, k)[k]
-    dx = L.to_sparse_columns(src.boundary_matrix(k))
-    dy1 = L.to_sparse_columns(dst.boundary_matrix(k + 1))
-    return L.induced_map_rank(dy1, fk, dx, rows_y_k=len(dst.simplices(k)),
-                              rank_fn=rank_fn)
+    return L.induced_map_rank(dst.boundary_sparse(k + 1), fk,
+                              src.boundary_sparse(k),
+                              rows_y_k=len(dst.simplices(k)), rank_fn=rank_fn)
 
 
 def homology_basis_of(cx: SimplicialComplex, k: int) -> L.SparseHomology:

@@ -136,6 +136,14 @@ def build_term(sample: M.MetricSample, max_dim: int, threshold_factor: float = 4
     return term
 
 
+def check_degrees(max_dim: int, k_max: int) -> None:
+    """H_k_max needs the stored (k_max+1)-simplices, or it is overcounted."""
+    if max_dim < k_max + 1:
+        raise TowerError(
+            f"max_dim={max_dim} must be at least k_max + 1 = {k_max + 1}, "
+            f"or H_{k_max} and the induced ranks in it are overcounted")
+
+
 @dataclass
 class BondingReport:
     well_defined: bool
@@ -158,6 +166,7 @@ class Tower:
         eps = [s.epsilon for s in samples]
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise TowerError("epsilons must strictly decrease")
+        check_degrees(max_dim, k_max)
         self.mode = mode
         self.max_dim = max_dim
         self.k_max = k_max
@@ -254,10 +263,6 @@ class Tower:
                 for n in range(1, len(self))]
 
     # -- homotopy certificates ---------------------------------------------
-
-    def union_admissible(self, n: int, a: frozenset, b: frozenset) -> bool:
-        """True when a union b is an element of level n (diameter bound)."""
-        return self.term(n).is_element(a | b, self.tol)
 
     def union_homotopy_certificate(self, n: int, source: list[frozenset],
                                    f: Callable[[frozenset], frozenset],

@@ -88,6 +88,27 @@ def test_homology_induced(tmp_path, capsys):
     assert "rank H_1(q_2_3),0" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["--space", "circle", "--max-dim", "1"],
+    ["--space", "two_squares", "--max-dim", "2", "--k-max", "2"],
+])
+def test_homology_max_dim_below_k_max_plus_one(argv, capsys):
+    code, out, err = run(["homology", "--depth", "3"] + argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: max_dim=") and err.count("\n") == 1
+
+
+def test_config_max_dim_below_k_max_plus_one(tmp_path, capsys):
+    cfg = {"mode": "relaxed", "max_dim": 1, "k_max": 1,
+           "levels": [{"points": [[0.0], [1.0]], "epsilon": 1.0}]}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(["homology", "--config", str(p)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "k_max + 1" in err
+
+
 def test_verify_ok_with_thread(capsys):
     code, out, err = run(["verify", "--space", "circle", "--depth", "3",
                           "--thread", "0.7"], capsys)

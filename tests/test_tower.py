@@ -116,6 +116,15 @@ def test_schedule_enforcement_toggle():
     assert tw.schedule_problems
 
 
+def test_max_dim_must_exceed_k_max():
+    # without 2-simplices every 1-cycle of the Rips complex survives
+    with pytest.raises(T.TowerError, match="k_max"):
+        T.build_tower("circle", 3, max_dim=1, k_max=1)
+    with pytest.raises(T.TowerError, match="k_max"):
+        T.build_tower("two_squares", 3, max_dim=2, k_max=2)
+    assert T.build_tower("circle", 2, max_dim=2, k_max=1).max_dim == 2
+
+
 def test_resource_cap():
     with pytest.raises(T.ResourceCap):
         T.build_tower("circle", 3, max_dim=3, max_elements=100)
