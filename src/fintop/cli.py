@@ -96,9 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _check_degrees(max_dim, k_max) -> None:
+def _check_tower_args(max_dim, k_max, tol) -> None:
     try:
         T.check_degrees(int(max_dim), int(k_max))
+        T.check_tolerance(float(tol))
     except T.TowerError as exc:
         raise CliError(str(exc), EXIT_USAGE)
 
@@ -112,10 +113,10 @@ def make_tower(args) -> T.Tower:
         cfg.setdefault("k_max", args.k_max)
         cfg.setdefault("tolerance", args.tolerance)
         cfg.setdefault("max_elements", args.max_elements)
-        _check_degrees(cfg["max_dim"], cfg["k_max"])
+        _check_tower_args(cfg["max_dim"], cfg["k_max"], cfg["tolerance"])
         return T.tower_from_config(cfg, base_dir=os.path.dirname(args.config) or ".")
     if getattr(args, "space", None):
-        _check_degrees(args.max_dim, args.k_max)
+        _check_tower_args(args.max_dim, args.k_max, args.tolerance)
         mode = T.RELAXED if args.relaxed else None
         return T.build_tower(args.space, args.depth, max_dim=args.max_dim,
                              k_max=args.k_max, mode=mode, seed=args.seed,
@@ -192,11 +193,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    tower = make_tower(args)
     try:
         H.parse_field(args.field)
     except H.HomologyError as exc:
         raise CliError(str(exc), EXIT_USAGE)
+    tower = make_tower(args)
     rows = []
     torsion_notes = []
     comps = []
@@ -255,8 +256,31 @@ def induced_bonding_rank(tower: T.Tower, n: int, m: int, k: int,
     return H.induced_rank(src, tower.term(n).complex, select, k, field_spec)
 
 
+def _thread_point(spec: str, ctx: M.MetricContext):
+    """The point a --thread value names: an angle on the geodesic circle,
+    else a vector with one coordinate per Euclidean dimension."""
+    if ctx.kind == "explicit":
+        raise CliError("--thread needs a euclidean or circle space", EXIT_USAGE)
+    try:
+        coords = [float(v) for v in spec.split(",")]
+    except ValueError:
+        raise CliError(f"--thread {spec!r}: coordinates must be numbers",
+                       EXIT_USAGE)
+    if not all(np.isfinite(coords)):
+        raise CliError(f"--thread {spec!r}: coordinates must be finite",
+                       EXIT_USAGE)
+    circle = ctx.kind == "circle_geodesic"
+    need = 1 if circle else ctx.dimension
+    if len(coords) != need:
+        raise CliError(f"--thread {spec!r}: {len(coords)} coordinates given, "
+                       f"the space needs {need}", EXIT_USAGE)
+    return coords[0] if circle else np.array(coords)
+
+
 def cmd_verify(args) -> int:
     tower = make_tower(args)
+    if args.thread is not None:
+        x = _thread_point(args.thread, tower.term(1).sample.context)
     failures = 0
     for p in tower.schedule_problems:
         print(f"FAIL schedule: {p}")
@@ -278,10 +302,7 @@ def cmd_verify(args) -> int:
             failures += 1
         print(f"{tag} square at level {n}: union diameter {fmt(worst)} < "
               f"{fmt(tower.term(n).threshold)}")
-    if args.thread:
-        coords = [float(v) for v in args.thread.split(",")]
-        ctx = tower.term(1).sample.context
-        x = coords[0] if ctx.kind == "circle_geodesic" else np.array(coords)
+    if args.thread is not None:
         th = Lim.canonical_thread(tower, x, tol=args.tolerance)
         rep = Lim.verify_thread(tower, th, tol=args.tolerance)
         checks = [("compatible", rep.compatible),

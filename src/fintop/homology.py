@@ -33,7 +33,9 @@ def parse_field(spec: str):
     if s == "z":
         return L.rank_q, ("z", None)
     if s.startswith("p:"):
-        p = int(s[2:])
+        p = int(s[2:]) if s[2:].isdecimal() else 0
+        if not L.is_prime(p):
+            raise HomologyError(f"field {spec!r}: p must be a prime")
         return (lambda m: L.rank_gfp(m, p)), ("p", p)
     raise HomologyError(f"unknown field {spec!r} (use q, z, or p:PRIME)")
 
@@ -176,17 +178,7 @@ def induced_matrix(src: SimplicialComplex, dst: SimplicialComplex,
     fk = chain_map(src, dst, vertex_map, k)[k]
     basis_x = homology_basis_of(src, k)
     basis_y = homology_basis_of(dst, k)
-    cols = []
-    for z in basis_x.reps:
-        image: dict = {}
-        for j, coeff in z.items():
-            for r, v in fk[j].items():
-                nv = image.get(r, Fraction(0)) + coeff * v
-                if nv:
-                    image[r] = nv
-                else:
-                    image.pop(r, None)
-        cols.append(basis_y.express(image))
+    cols = [basis_y.express(compose_sparse(fk, [z])[0]) for z in basis_x.reps]
     # rows indexed by the target basis, columns by the source basis
     return [[cols[j][i] for j in range(len(cols))]
             for i in range(basis_y.betti)]

@@ -1,10 +1,11 @@
 """Exact linear algebra over Q, GF(p) and Z.
 
-Boundary matrices are sparse and integral, so ranks are computed by a
-column reduction with lowest-row pivots, integer cross-multiplication and
-gcd normalization (no floating point anywhere).  Dense Fraction routines
-cover the small systems needed for homology bases and induced-map
-matrices, and a Smith normal form provides integer torsion.
+Every rank and homology basis comes from one column reduction with
+lowest-row pivots (`_reduce`) and a field object, called once per column
+or elimination, never per entry: fraction-free integers with gcd
+normalization for ranks over Q and Z, mod p for GF(p), and Fraction for
+homology bases and coordinates in them.  No floating point is used
+anywhere.  A Smith normal form gives integer torsion.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-SparseCol = dict  # row index -> nonzero int coefficient
+SparseCol = dict  # row index -> nonzero coefficient
 
 
 def to_sparse_columns(matrix: np.ndarray) -> list[SparseCol]:
@@ -24,6 +25,10 @@ def to_sparse_columns(matrix: np.ndarray) -> list[SparseCol]:
     for r, c in zip(rows.tolist(), cols.tolist()):
         out[c][r] = int(matrix[r, c])
     return out
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % k for k in range(2, int(p ** 0.5) + 1))
 
 
 def _normalize(col: SparseCol) -> None:
@@ -35,76 +40,143 @@ def _normalize(col: SparseCol) -> None:
             col[r] //= g
 
 
-def _eliminate(col: SparseCol, pivot_col: SparseCol, low: int) -> None:
-    """Clear the `low` entry of col using pivot_col (same lowest row)."""
-    a = col[low]
-    b = pivot_col[low]
-    g = gcd(a, b)
-    ca, cb = b // g, a // g
-    for r in list(col):
-        if r not in pivot_col:
-            col[r] *= ca
-    for r, v in pivot_col.items():
-        nv = ca * col.get(r, 0) - cb * v
+def _sub_multiple(vec: SparseCol, lam, other: SparseCol) -> None:
+    """vec -= lam * other, dropping entries that become zero."""
+    for r, v in other.items():
+        nv = vec.get(r, 0) - lam * v
         if nv:
-            col[r] = nv
+            vec[r] = nv
         else:
-            col.pop(r, None)
-    _normalize(col)
+            vec.pop(r, None)
+
+
+class _Integers:
+    """Fraction-free integer elimination, for ranks over Q (and Z)."""
+
+    @staticmethod
+    def entries(col: SparseCol) -> SparseCol:
+        return dict(col)
+
+    @staticmethod
+    def make_pivot(col: SparseCol, low: int) -> None:
+        _normalize(col)
+
+    @staticmethod
+    def eliminate(col: SparseCol, pivot_col: SparseCol, low: int) -> None:
+        """col := (b/g) col - (a/g) pivot_col, then divide by its content."""
+        a, b = col[low], pivot_col[low]
+        g = gcd(a, b)
+        ca = b // g
+        if ca != 1:
+            for r in col:
+                col[r] *= ca
+        _sub_multiple(col, a // g, pivot_col)
+        _normalize(col)
+
+
+class _ModP:
+    """Arithmetic in GF(p); pivot columns are scaled to a lowest entry 1."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def entries(self, col: SparseCol) -> SparseCol:
+        p = self.p
+        return {r: v % p for r, v in col.items() if v % p}
+
+    def make_pivot(self, col: SparseCol, low: int) -> None:
+        p = self.p
+        inv = pow(col[low], -1, p)
+        for r in col:
+            col[r] = col[r] * inv % p
+
+    def eliminate(self, col: SparseCol, pivot_col: SparseCol, low: int) -> None:
+        p = self.p
+        factor = col[low]
+        for r, v in pivot_col.items():
+            nv = (col.get(r, 0) - factor * v) % p
+            if nv:
+                col[r] = nv
+            else:
+                col.pop(r, None)
+
+
+class _Rationals:
+    """Fraction arithmetic; the only field that mirrors row operations on v."""
+
+    @staticmethod
+    def entries(col: SparseCol) -> SparseCol:
+        return {r: Fraction(v) for r, v in col.items()}
+
+    @staticmethod
+    def make_pivot(col: SparseCol, low: int) -> None:
+        """Pivot columns stay as reduced, so bases keep their coefficients."""
+
+    @staticmethod
+    def eliminate(col: SparseCol, pivot_col: SparseCol, low: int,
+                  v: Optional[SparseCol] = None, pivot_v=None) -> None:
+        lam = col[low] / pivot_col[low]
+        _sub_multiple(col, lam, pivot_col)
+        if v is not None:
+            _sub_multiple(v, lam, pivot_v)
+
+
+def _reduce(col: SparseCol, pivots: dict, field, v: Optional[SparseCol] = None,
+            pivot_vs: Optional[dict] = None) -> Optional[int]:
+    """Reduce col in place against pivots {lowest row -> column}.
+
+    With v (Fraction field only), each row operation on col is applied to
+    v too, using pivot_vs {lowest row -> vector} in place of the pivots.
+    Returns the lowest row of the reduced column, None if it vanished.
+    """
+    eliminate = field.eliminate
+    while col:
+        low = max(col)
+        pivot_col = pivots.get(low)
+        if pivot_col is None:
+            return low
+        if v is None:
+            eliminate(col, pivot_col, low)
+        else:
+            eliminate(col, pivot_col, low, v, pivot_vs[low])
+    return None
+
+
+def _extend_echelon(cols: list[SparseCol], pivots: dict, field,
+                    vs: Optional[list] = None, pivot_vs=None) -> list[int]:
+    """Reduce the columns in turn, adding the nonzero ones to pivots.
+
+    Returns the lowest rows of the added columns.  With vs, vs[i] follows
+    the row operations on cols[i] (see `_reduce`).
+    """
+    lows = []
+    for i, col in enumerate(cols):
+        v = None if vs is None else vs[i]
+        low = _reduce(col, pivots, field, v, pivot_vs)
+        if low is not None:
+            field.make_pivot(col, low)
+            pivots[low] = col
+            if v is not None:
+                pivot_vs[low] = v
+            lows.append(low)
+    return lows
+
+
+def _rank(matrix, field) -> int:
+    cols = matrix if isinstance(matrix, list) else to_sparse_columns(np.asarray(matrix))
+    return len(_extend_echelon([field.entries(c) for c in cols], {}, field))
 
 
 def rank_q(matrix) -> int:
     """Exact rank over the rationals of an integer matrix (dense or sparse)."""
-    cols = matrix if isinstance(matrix, list) else to_sparse_columns(np.asarray(matrix))
-    return _reduce_columns([dict(c) for c in cols])
-
-
-def _reduce_columns(cols: list[SparseCol]) -> int:
-    pivot_of_low: dict[int, SparseCol] = {}
-    rank = 0
-    for col in cols:
-        while col:
-            low = max(col)
-            other = pivot_of_low.get(low)
-            if other is None:
-                _normalize(col)
-                pivot_of_low[low] = col
-                rank += 1
-                break
-            _eliminate(col, other, low)
-    return rank
+    return _rank(matrix, _Integers)
 
 
 def rank_gfp(matrix, p: int) -> int:
     """Rank over GF(p)."""
-    if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    cols = matrix if isinstance(matrix, list) else to_sparse_columns(np.asarray(matrix))
-    reduced = []
-    for c in cols:
-        rc = {r: v % p for r, v in c.items() if v % p}
-        reduced.append(rc)
-    pivot_of_low: dict[int, SparseCol] = {}
-    rank = 0
-    for col in reduced:
-        while col:
-            low = max(col)
-            other = pivot_of_low.get(low)
-            if other is None:
-                inv = pow(col[low], -1, p)
-                for r in list(col):
-                    col[r] = col[r] * inv % p
-                pivot_of_low[low] = col
-                rank += 1
-                break
-            factor = col[low]
-            for r, v in other.items():
-                nv = (col.get(r, 0) - factor * v) % p
-                if nv:
-                    col[r] = nv
-                else:
-                    col.pop(r, None)
-    return rank
+    return _rank(matrix, _ModP(p))
 
 
 # ---------------------------------------------------------------------------
@@ -168,239 +240,33 @@ def smith_normal_form(matrix: np.ndarray) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# dense Fraction machinery
-# ---------------------------------------------------------------------------
-
-def frac_matrix(matrix) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in np.atleast_2d(np.asarray(matrix))]
-
-
-def rref(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (in place) and the pivot column list."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
-
-
-def nullspace(matrix) -> list[list[Fraction]]:
-    """Basis of the rational kernel, one vector per list."""
-    arr = np.atleast_2d(np.asarray(matrix))
-    m, n = arr.shape
-    if n == 0:
-        return []
-    if m == 0:
-        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    a, pivots = rref(frac_matrix(arr))
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(v)
-    return basis
-
-
-def solve_in_span(columns: list[list[Fraction]], target: list[Fraction]
-                  ) -> Optional[list[Fraction]]:
-    """Coefficients expressing target as a combination of the columns, or None."""
-    n = len(target)
-    k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    aug, pivots = rref(aug)
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = aug[r][k]
-    return coeffs
-
-
-class Echelon:
-    """Incrementally maintained echelon basis of a rational span."""
-
-    def __init__(self):
-        self.pivots: dict[int, list[Fraction]] = {}   # pivot row -> vector
-
-    def reduce(self, v: list[Fraction]) -> list[Fraction]:
-        v = list(v)
-        for row in sorted(self.pivots):
-            if v[row] != 0:
-                coeff = v[row]
-                piv = self.pivots[row]
-                for i in range(len(v)):
-                    if piv[i] != 0:
-                        v[i] -= coeff * piv[i]
-        return v
-
-    def add(self, v: list[Fraction]) -> bool:
-        """Insert v if independent of the span; True when it was new."""
-        v = self.reduce(v)
-        lead = next((i for i, x in enumerate(v) if x != 0), None)
-        if lead is None:
-            return False
-        inv = 1 / v[lead]
-        self.pivots[lead] = [x * inv for x in v]
-        return True
-
-    def basis(self) -> list[list[Fraction]]:
-        return [self.pivots[r] for r in sorted(self.pivots)]
-
-
-def homology_basis(boundary_k, boundary_k1) -> list[list[Fraction]]:
-    """Cycle representatives of a basis of H_k = ker d_k / im d_{k+1}.
-
-    boundary_k : C_k -> C_{k-1};  boundary_k1 : C_{k+1} -> C_k.
-    """
-    cycles = nullspace(boundary_k)
-    ech = Echelon()
-    for col in _image_columns(boundary_k1):
-        ech.add(col)
-    reps = []
-    for z in cycles:
-        if ech.add(z):
-            reps.append(z)
-    return reps
-
-
-def _image_columns(boundary_k1) -> list[list[Fraction]]:
-    bk1 = np.atleast_2d(np.asarray(boundary_k1))
-    if not bk1.size:
-        return []
-    return [frac_col(bk1[:, j]) for j in range(bk1.shape[1])]
-
-
-def _independent(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
-    ech = Echelon()
-    out: list[list[Fraction]] = []
-    for v in vectors:
-        if any(v) and ech.add(v):
-            out.append(v)
-    return out
-
-
-def frac_col(array) -> list[Fraction]:
-    return [Fraction(int(v)) for v in array]
-
-
-def express_in_homology(boundary_k1, basis: list[list[Fraction]],
-                        cycle: list[Fraction]) -> list[Fraction]:
-    """Coordinates of a cycle's homology class in the given basis."""
-    image = _independent(_image_columns(boundary_k1))
-    coeffs = solve_in_span(image + basis, cycle)
-    if coeffs is None:
-        raise ValueError("vector is not a cycle modulo boundaries")
-    return coeffs[len(image):]
-
-
-# ---------------------------------------------------------------------------
 # sparse homology bases with coefficient tracking
 # ---------------------------------------------------------------------------
-
-def _frac_sparse(col: SparseCol) -> dict:
-    return {r: Fraction(v) for r, v in col.items()}
-
-
-def _reduce_against(vec: dict, echelon: dict,
-                    coeffs: Optional[dict] = None) -> dict:
-    """Eliminate vec's lowest entries using an echelon {low -> column}.
-
-    Columns are Fraction-valued sparse dicts whose keys are distinct lowest
-    rows.  When coeffs is given, multipliers used against columns present
-    in it are accumulated (for expressing vec in those columns).
-    """
-    while vec:
-        low = max(vec)
-        piv = echelon.get(low)
-        if piv is None:
-            break
-        lam = vec[low] / piv[low]
-        for r, v in piv.items():
-            nv = vec.get(r, Fraction(0)) - lam * v
-            if nv:
-                vec[r] = nv
-            else:
-                vec.pop(r, None)
-        if coeffs is not None and low in coeffs:
-            coeffs[low] += lam
-    return vec
-
 
 class SparseHomology:
     """Basis of H_k = ker d_k / im d_{k+1} from sparse integer boundaries.
 
     Reduces d_{k+1} by lowest-row pivots to get an image echelon, reduces
     d_k with V-tracking to get a kernel basis, and keeps the kernel vectors
-    that stay independent modulo the image as class representatives.
-    `express` writes any cycle in those representatives.
+    that stay independent modulo the image (and each other) as class
+    representatives; the echelon columns they reduce to are the basis
+    itself.  `express` writes any cycle in those representatives, tracking
+    a unit vector for each and a zero vector for each image column.
     """
 
     def __init__(self, boundary_k: list[SparseCol],
                  boundary_k1: list[SparseCol]):
-        self.image: dict[int, dict] = {}       # low row -> reduced column
-        for col in boundary_k1:
-            vec = _reduce_against(_frac_sparse(col), self.image)
-            if vec:
-                self.image[max(vec)] = vec
-        # kernel of d_k via column reduction with V tracking
-        cols = [_frac_sparse(c) for c in boundary_k]
+        field = _Rationals
+        self._echelon: dict[int, dict] = {}     # low row -> reduced column
+        _extend_echelon([field.entries(c) for c in boundary_k1], self._echelon, field)
+        self._units: dict[int, dict] = {low: {} for low in self._echelon}
+        cols = [field.entries(c) for c in boundary_k]
         vs = [{j: Fraction(1)} for j in range(len(cols))]
-        pivot_of_low: dict[int, int] = {}
-        kernel: list[dict] = []
-        for j, col in enumerate(cols):
-            while col:
-                low = max(col)
-                p = pivot_of_low.get(low)
-                if p is None:
-                    pivot_of_low[low] = j
-                    break
-                lam = col[low] / cols[p][low]
-                for r, v in cols[p].items():
-                    nv = col.get(r, Fraction(0)) - lam * v
-                    if nv:
-                        col[r] = nv
-                    else:
-                        col.pop(r, None)
-                for r, v in vs[p].items():
-                    nv = vs[j].get(r, Fraction(0)) - lam * v
-                    if nv:
-                        vs[j][r] = nv
-                    else:
-                        vs[j].pop(r, None)
-            if not col:
-                kernel.append(vs[j])
-        # representatives: kernel vectors reduced modulo the image and each
-        # other, so the stored echelon columns are the basis itself
-        self.reps: list[dict] = []
-        self._rep_echelon: dict[int, dict] = {}
-        self._rep_of_low: dict[int, int] = {}
-        merged = dict(self.image)
-        for z in kernel:
-            vec = _reduce_against(dict(z), merged)
-            if vec:
-                low = max(vec)
-                merged[low] = vec
-                self._rep_echelon[low] = vec
-                self._rep_of_low[low] = len(self.reps)
-                self.reps.append(vec)
+        _extend_echelon(cols, {}, field, vs, {})
+        kernel = [v for v, col in zip(vs, cols) if not col]
+        lows = _extend_echelon(kernel, self._echelon, field)
+        self.reps: list[dict] = [self._echelon[low] for low in lows]
+        self._units.update((low, {i: Fraction(1)}) for i, low in enumerate(lows))
 
     @property
     def betti(self) -> int:
@@ -408,17 +274,11 @@ class SparseHomology:
 
     def express(self, cycle: SparseCol) -> list[Fraction]:
         """Coordinates of a cycle's class in the representative basis."""
-        vec = _frac_sparse(cycle)
-        merged = dict(self.image)
-        merged.update(self._rep_echelon)
-        coeffs = {low: Fraction(0) for low in self._rep_echelon}
-        vec = _reduce_against(vec, merged, coeffs)
-        if vec:
+        vec, v = _Rationals.entries(cycle), {}
+        # vec - sum(coordinate_i * rep_i) is a boundary, and v = -coordinates
+        if _reduce(vec, self._echelon, _Rationals, v, self._units) is not None:
             raise ValueError("vector is not a cycle modulo boundaries")
-        out = [Fraction(0)] * len(self.reps)
-        for low, lam in coeffs.items():
-            out[self._rep_of_low[low]] = lam
-        return out
+        return [-v.get(i, Fraction(0)) for i in range(len(self.reps))]
 
 
 # ---------------------------------------------------------------------------

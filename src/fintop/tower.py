@@ -16,6 +16,7 @@ space.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -138,10 +139,18 @@ def build_term(sample: M.MetricSample, max_dim: int, threshold_factor: float = 4
 
 def check_degrees(max_dim: int, k_max: int) -> None:
     """H_k_max needs the stored (k_max+1)-simplices, or it is overcounted."""
+    if k_max < 0:
+        raise TowerError(f"k_max={k_max} must be at least 0")
     if max_dim < k_max + 1:
         raise TowerError(
             f"max_dim={max_dim} must be at least k_max + 1 = {k_max + 1}, "
             f"or H_{k_max} and the induced ranks in it are overcounted")
+
+
+def check_tolerance(tol: float) -> None:
+    """Distance ties within tol resolve by mode; tol < 0 would flip them."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise TowerError(f"tolerance={tol} must be finite and at least 0")
 
 
 @dataclass
@@ -167,6 +176,7 @@ class Tower:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise TowerError("epsilons must strictly decrease")
         check_degrees(max_dim, k_max)
+        check_tolerance(tol)
         self.mode = mode
         self.max_dim = max_dim
         self.k_max = k_max

@@ -77,6 +77,20 @@ def test_homology_bad_field(capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("field", ["p:x", "p:", "p:1", "p:4", "p:-3"])
+def test_homology_field_must_be_prime(field, capsys, monkeypatch):
+    def no_tower(args):
+        pytest.fail("the tower was built before the field was checked")
+
+    monkeypatch.setattr(cli, "make_tower", no_tower)
+    code, out, err = run(["homology", "--space", "circle", "--depth", "2",
+                          "--field", field], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "prime" in err
+
+
 def test_homology_induced(tmp_path, capsys):
     out_path = tmp_path / "betti.csv"
     code, out, err = run(["homology", "--space", "circle", "--depth", "3",
@@ -116,6 +130,53 @@ def test_verify_ok_with_thread(capsys):
     assert "ok schedule" in out
     assert "ok thread compatible" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("space, thread, message", [
+    ("circle", "abc", "must be numbers"),
+    ("circle", "0.5,", "must be numbers"),
+    ("circle", "1,2", "the space needs 1"),
+    ("circle", "nan", "must be finite"),
+    ("two_squares", "1,2,3", "the space needs 2"),
+    ("two_squares", "0.5,inf", "must be finite"),
+])
+def test_verify_thread_must_be_a_point(space, thread, message, capsys):
+    code, out, err = run(["verify", "--space", space, "--depth", "2",
+                          "--thread", thread], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: --thread") and err.count("\n") == 1
+    assert message in err
+
+
+def test_verify_thread_on_explicit_metric(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("0,1,2\n1,0,1\n2,1,0\n")
+    cfg = {"mode": "relaxed",
+           "context": {"kind": "explicit", "matrix_file": str(matrix)},
+           "levels": [{"points": [0, 2], "epsilon": 1.0},
+                      {"points": [0, 1, 2], "epsilon": 0.4}]}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(["verify", "--config", str(p), "--thread", "1"],
+                         capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: --thread needs a euclidean or circle space\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k-max", "-1"], "k_max=-1"),
+    (["--tolerance", "-1"], "tolerance=-1"),
+    (["--tolerance", "nan"], "tolerance=nan"),
+])
+def test_negative_k_max_and_tolerance_rejected(argv, message, capsys):
+    code, out, err = run(["homology", "--space", "circle", "--depth", "2"]
+                         + argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_verify_validation_failure(tmp_path, capsys):

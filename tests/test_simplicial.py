@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fintop import linalg as L
 from fintop import metric as M
@@ -122,21 +125,58 @@ def test_smith_normal_form_klein_bottle_style():
 
 
 def test_nullspace_and_span():
-    ns = L.nullspace(np.array([[1, 1, 0], [0, 0, 1]]))
-    assert len(ns) == 1
-    from fractions import Fraction
-    v = ns[0]
-    assert v[0] + v[1] == 0 and v[2] == 0
-    assert L.solve_in_span([[Fraction(1), Fraction(0)]], [Fraction(3), Fraction(0)]) == [3]
-    assert L.solve_in_span([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)]) is None
+    # no boundaries: the homology basis is a kernel basis of the matrix
+    mat = L.to_sparse_columns(np.array([[1, 1, 0], [0, 0, 1]]))
+    hb = L.SparseHomology(mat, [])
+    assert hb.betti == 1
+    v = hb.reps[0]
+    assert v.get(0, 0) + v.get(1, 0) == 0 and v.get(0, 0) != 0
+    assert v.get(2, 0) == 0
+    assert all(isinstance(x, Fraction) for x in v.values())
+    # express inverts the span: 3 * v has coordinate 3
+    assert hb.express({r: 3 * x for r, x in v.items()}) == [3]
+    with pytest.raises(ValueError, match="not a cycle"):
+        hb.express({2: 1})
 
 
 def test_homology_basis_circle_complex():
     cx = triangle_boundary()
-    d1 = cx.boundary_matrix(1)
-    d2 = cx.boundary_matrix(2)  # empty
-    basis = L.homology_basis(d1, d2)
-    assert len(basis) == 1
+    d1, d2 = cx.boundary_sparse(1), cx.boundary_sparse(2)  # d2 is empty
+    hb = L.SparseHomology(d1, d2)
+    assert hb.betti == 1
+    z = hb.reps[0]
+    # a cycle: d1 z = 0, and it uses every edge of the triangle
+    assert all(sum(z.get(j, 0) * col.get(r, 0) for j, col in enumerate(d1)) == 0
+               for r in range(3))
+    assert sorted(z) == [0, 1, 2]
+    # round trip: the class of -2 z is -2 times the basis class
+    assert hb.express({j: -2 * x for j, x in z.items()}) == [Fraction(-2)]
+    # a single edge is not a 1-cycle
+    with pytest.raises(ValueError, match="not a cycle"):
+        hb.express({0: 1})
+    # filled in, the edge cycle is a boundary: H_1 = 0, its class is zero
+    filled = S.SimplicialComplex([(0, 1, 2)])
+    hb = L.SparseHomology(filled.boundary_sparse(1), filled.boundary_sparse(2))
+    assert hb.betti == 0
+    assert hb.express(filled.boundary_sparse(2)[0]) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda rows: st.lists(
+    st.lists(st.integers(-6, 6), min_size=rows, max_size=rows),
+    min_size=1, max_size=5)))
+def test_ranks_agree_with_smith_normal_form(columns):
+    mat = np.array(columns, dtype=int).T
+    invariants = L.smith_normal_form(mat)
+    assert L.rank_q(mat) == len(invariants)
+    for p in (2, 3, 5):
+        assert L.rank_gfp(mat, p) == sum(1 for d in invariants if d % p)
+
+
+def test_rank_gfp_rejects_non_prime():
+    for p in (0, 1, 4, 9, -3):
+        with pytest.raises(ValueError, match="not prime"):
+            L.rank_gfp(np.array([[1]]), p)
 
 
 def test_induced_map_rank_identity_circle():

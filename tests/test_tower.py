@@ -125,6 +125,17 @@ def test_max_dim_must_exceed_k_max():
     assert T.build_tower("circle", 2, max_dim=2, k_max=1).max_dim == 2
 
 
+@pytest.mark.parametrize("kw, match", [
+    ({"k_max": -1}, "k_max=-1"),
+    ({"tol": -1.0}, "tolerance"),
+    ({"tol": float("nan")}, "tolerance"),
+    ({"tol": float("inf")}, "tolerance"),
+])
+def test_negative_degree_and_bad_tolerance_rejected(kw, match):
+    with pytest.raises(T.TowerError, match=match):
+        T.build_tower("circle", 2, **kw)
+
+
 def test_resource_cap():
     with pytest.raises(T.ResourceCap):
         T.build_tower("circle", 3, max_dim=3, max_elements=100)
