@@ -96,10 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _check_tower_args(max_dim, k_max, tol) -> None:
+def _check_tower_args(settings: dict) -> None:
+    """Exit 1 on tower settings that are not numbers or that Tower rejects."""
     try:
-        T.check_degrees(int(max_dim), int(k_max))
-        T.check_tolerance(float(tol))
+        nums = T.config_settings(settings)
+        T.check_degrees(nums["max_dim"], nums["k_max"])
+        T.check_tolerance(nums["tolerance"])
     except T.TowerError as exc:
         raise CliError(str(exc), EXIT_USAGE)
 
@@ -109,14 +111,12 @@ def make_tower(args) -> T.Tower:
         cfg = T.load_config(args.config)
         if args.relaxed:
             cfg["mode"] = T.RELAXED
-        cfg.setdefault("max_dim", args.max_dim)
-        cfg.setdefault("k_max", args.k_max)
-        cfg.setdefault("tolerance", args.tolerance)
-        cfg.setdefault("max_elements", args.max_elements)
-        _check_tower_args(cfg["max_dim"], cfg["k_max"], cfg["tolerance"])
+        for key in T.CONFIG_SETTINGS:
+            cfg.setdefault(key, getattr(args, key))
+        _check_tower_args(cfg)
         return T.tower_from_config(cfg, base_dir=os.path.dirname(args.config) or ".")
     if getattr(args, "space", None):
-        _check_tower_args(args.max_dim, args.k_max, args.tolerance)
+        _check_tower_args(vars(args))
         mode = T.RELAXED if args.relaxed else None
         return T.build_tower(args.space, args.depth, max_dim=args.max_dim,
                              k_max=args.k_max, mode=mode, seed=args.seed,

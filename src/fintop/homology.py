@@ -65,16 +65,16 @@ def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
         cx = elementary_collapse(cx)
     rank_fn, (tag, p) = parse_field(field_spec)
     counts = [len(cx.simplices(d)) for d in range(k_max + 2)]
-    boundaries = [cx.boundary_sparse(d) for d in range(k_max + 2)]
-    ranks = [0] + [rank_fn(b) for b in boundaries[1:]]
-    betti = [counts[d] - ranks[d] - ranks[d + 1] for d in range(k_max + 1)]
+    boundaries = [cx.boundary_sparse(d) for d in range(1, k_max + 2)]
     torsion = None
     if tag == "z":
-        torsion = []
-        for d in range(k_max + 1):
-            inv = (L.smith_normal_form(cx.boundary_matrix(d + 1))
-                   if counts[d + 1] else [])
-            torsion.append([v for v in inv if v > 1])
+        # one reduction per boundary: the rank is the number of invariants
+        invariants = [L.smith_normal_form(b) for b in boundaries]
+        ranks = [0] + [len(inv) for inv in invariants]
+        torsion = [[v for v in inv if v > 1] for inv in invariants]
+    else:
+        ranks = [0] + [rank_fn(b) for b in boundaries]
+    betti = [counts[d] - ranks[d] - ranks[d + 1] for d in range(k_max + 1)]
     label = {"q": "Q", "z": "Z", "p": f"GF({p})"}[tag]
     return HomologyResult(betti=betti, field=label, torsion=torsion,
                           f_vector=original_f)

@@ -3,9 +3,11 @@
 Every rank and homology basis comes from one column reduction with
 lowest-row pivots (`_reduce`) and a field object, called once per column
 or elimination, never per entry: fraction-free integers with gcd
-normalization for ranks over Q and Z, mod p for GF(p), and Fraction for
-homology bases and coordinates in them.  No floating point is used
-anywhere.  A Smith normal form gives integer torsion.
+normalization for ranks over Q, mod p for GF(p), Fraction for homology
+bases and coordinates in them, and unimodular integer column operations
+for the Smith normal form, which gives ranks and torsion over Z.  Only
+the pivots whose low entries are not units go on to a dense Smith form.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -121,6 +123,56 @@ class _Rationals:
             _sub_multiple(v, lam, pivot_v)
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0, for a, b not both 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+class _Unimodular:
+    """Integer column operations of determinant +-1, for Smith invariants.
+
+    No column is divided by its content, as that would change the
+    invariants; a pivot column may be replaced in place instead.
+    """
+
+    @staticmethod
+    def entries(col: SparseCol) -> SparseCol:
+        return dict(col)
+
+    @staticmethod
+    def make_pivot(col: SparseCol, low: int) -> None:
+        """Pivot columns keep their entries; their low entries may be non-units."""
+
+    @staticmethod
+    def eliminate(col: SparseCol, pivot_col: SparseCol, low: int) -> None:
+        """Zero col[low] against the pivot's low entry b.
+
+        If b divides a = col[low], col -= (a // b) pivot_col.  Otherwise the
+        pair (col, pivot_col) becomes ((b/g) col - (a/g) pivot_col,
+        s col + t pivot_col) with s a + t b = g = gcd(a, b), a matrix of
+        determinant -1, and the pivot keeps its place with low entry g.
+        """
+        a, b = col[low], pivot_col[low]
+        if a % b == 0:
+            _sub_multiple(col, a // b, pivot_col)
+            return
+        g, s, t = _xgcd(a, b)
+        new_col = {r: (b // g) * v for r, v in col.items()}
+        _sub_multiple(new_col, a // g, pivot_col)
+        new_pivot = {r: s * v for r, v in col.items()}   # s != 0: b does not divide a
+        _sub_multiple(new_pivot, -t, pivot_col)
+        col.clear()
+        col.update(new_col)
+        pivot_col.clear()
+        pivot_col.update(new_pivot)
+
+
 def _reduce(col: SparseCol, pivots: dict, field, v: Optional[SparseCol] = None,
             pivot_vs: Optional[dict] = None) -> Optional[int]:
     """Reduce col in place against pivots {lowest row -> column}.
@@ -162,9 +214,13 @@ def _extend_echelon(cols: list[SparseCol], pivots: dict, field,
     return lows
 
 
+def _columns(matrix) -> list[SparseCol]:
+    """Sparse columns of a numpy array; a list is taken as sparse columns."""
+    return matrix if isinstance(matrix, list) else to_sparse_columns(np.asarray(matrix))
+
+
 def _rank(matrix, field) -> int:
-    cols = matrix if isinstance(matrix, list) else to_sparse_columns(np.asarray(matrix))
-    return len(_extend_echelon([field.entries(c) for c in cols], {}, field))
+    return len(_extend_echelon([field.entries(c) for c in _columns(matrix)], {}, field))
 
 
 def rank_q(matrix) -> int:
@@ -180,11 +236,47 @@ def rank_gfp(matrix, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (small dense integer matrices)
+# Smith normal form (sparse unimodular reduction, dense non-unit residue)
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(matrix: np.ndarray) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
+def smith_normal_form(matrix) -> list[int]:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    Takes a numpy array or a list of sparse columns.  Unimodular column
+    operations (`_Unimodular`) bring the columns to echelon form without
+    changing the invariants.  A pivot whose low entry is a unit splits off
+    an invariant 1: the other pivots can be cleared in its row by column
+    operations, and then its own column by row operations.  The non-unit
+    pivots, cleared in the unit rows, are the residue that `_smith_dense`
+    reduces; usually there is none.
+    """
+    pivots: dict = {}
+    _extend_echelon([_Unimodular.entries(c) for c in _columns(matrix)], pivots,
+                    _Unimodular)
+    units = {low: col for low, col in pivots.items() if abs(col[low]) == 1}
+    unit_rows = sorted(units, reverse=True)
+    residue = []
+    for low, col in pivots.items():
+        if low in units:
+            continue
+        # descending, as clearing row r only touches rows below r
+        for r in unit_rows:
+            if r < low and r in col:
+                _sub_multiple(col, col[r] * units[r][r], units[r])
+        residue.append(col)
+    if not residue:
+        return [1] * len(units)
+    rows = sorted(set().union(*residue))
+    return [1] * len(units) + _smith_dense(
+        [[col.get(r, 0) for col in residue] for r in rows])
+
+
+def _smith_dense(matrix) -> list[int]:
+    """Smith invariants of a dense integer matrix by row and column operations.
+
+    Used on the non-unit residue of `smith_normal_form`, and by the tests
+    as its reference.
+    """
     a = [[int(v) for v in row] for row in np.atleast_2d(np.asarray(matrix))]
     m = len(a)
     n = len(a[0]) if m else 0

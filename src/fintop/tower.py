@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -516,48 +517,78 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _config_context(cfg: dict, pts: np.ndarray) -> M.MetricContext:
+#: numeric tower settings of a config, with their types and defaults
+CONFIG_SETTINGS = {"max_dim": (int, 3), "k_max": (int, 1),
+                   "tolerance": (float, 1e-9),
+                   "max_elements": (int, DEFAULT_MAX_ELEMENTS)}
+
+
+def _config_number(table: dict, key: str, kind: Callable, default=None,
+                  where: str = ""):
+    """table[key] (default if absent) as kind; TowerError names a bad value."""
+    value = table.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise TowerError(f"{where}{key}={value!r} is not a number") from None
+
+
+def config_settings(cfg: dict) -> dict:
+    """The numbers of a config: the CONFIG_SETTINGS, defaults filled in, and
+    "epsilon", each level's value or None where the level gives none."""
+    out = {key: _config_number(cfg, key, kind, default)
+           for key, (kind, default) in CONFIG_SETTINGS.items()}
+    out["epsilon"] = [_config_number(lvl, "epsilon", float, where=f"level {i + 1}: ")
+                      if "epsilon" in lvl else None
+                      for i, lvl in enumerate(cfg.get("levels", []))]
+    return out
+
+
+def _config_context(cfg: dict, pts: np.ndarray, base_dir) -> M.MetricContext:
     spec = cfg.get("context")
     if spec is None or spec.get("kind") == "euclidean":
         return M.euclidean(pts.shape[1] if pts.ndim > 1 else 1)
     if spec["kind"] == "circle_geodesic":
         return M.circle_geodesic()
     if spec["kind"] == "explicit":
-        return M.load_matrix_csv(spec["matrix_file"])
+        return M.load_matrix_csv(os.path.join(base_dir, spec["matrix_file"]))
     raise TowerError(f"unknown context kind {spec.get('kind')!r}")
 
 
 def tower_from_config(cfg: dict, base_dir=".") -> Tower:
-    import os
+    """Tower from a config; its file names are relative to base_dir."""
+    settings = config_settings(cfg)
     samples = []
     for i, lvl in enumerate(cfg["levels"]):
+        eps = settings["epsilon"][i]
         if "generator" in lvl:
             name, n = lvl["generator"], lvl.get("level", i + 1)
             if name not in GENERATORS:
                 raise TowerError(f"unknown generator {name!r}")
             s = GENERATORS[name](n)
-            if "epsilon" in lvl and not np.isclose(lvl["epsilon"], s.epsilon):
+            if eps is not None and not np.isclose(eps, s.epsilon):
                 raise TowerError(
                     f"level {i + 1}: epsilon {lvl['epsilon']} does not match "
                     f"the generator value {s.epsilon}")
         elif "points_file" in lvl or "points" in lvl:
+            if eps is None:
+                raise TowerError(f"level {i + 1}: needs epsilon")
             if "points_file" in lvl:
                 pts = M.load_points_csv(os.path.join(base_dir, lvl["points_file"]))
             else:
                 pts = np.asarray(lvl["points"], dtype=float)
-            ctx = _config_context(cfg, pts)
+            ctx = _config_context(cfg, pts, base_dir)
             if ctx.kind == "circle_geodesic":
                 pts = pts.ravel()
-            s = M.MetricSample(ctx, pts, epsilon=float(lvl["epsilon"]),
+            s = M.MetricSample(ctx, pts, epsilon=eps,
                                gamma=lvl.get("gamma"),
                                gamma_exact=bool(lvl.get("gamma_exact", False)))
         else:
             raise TowerError(f"level {i + 1}: needs generator, points or points_file")
         samples.append(s)
-    return Tower(samples, mode=cfg["mode"], max_dim=int(cfg.get("max_dim", 3)),
-                 k_max=int(cfg.get("k_max", 1)),
-                 tol=float(cfg.get("tolerance", 1e-9)),
-                 max_elements=int(cfg.get("max_elements", DEFAULT_MAX_ELEMENTS)),
+    return Tower(samples, mode=cfg["mode"], max_dim=settings["max_dim"],
+                 k_max=settings["k_max"], tol=settings["tolerance"],
+                 max_elements=settings["max_elements"],
                  label=cfg.get("label", "config"))
 
 

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 
 import pytest
 
 from fintop import cli
+from fintop import tower as T
 
 
 def run(argv, capsys):
@@ -163,6 +165,54 @@ def test_verify_thread_on_explicit_metric(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err == "error: --thread needs a euclidean or circle space\n"
+
+
+def test_config_matrix_file_is_relative_to_the_config(tmp_path, monkeypatch,
+                                                      capsys):
+    # geodesic distances of 8 equispaced points on the circle
+    step = 2 * math.pi / 8
+    rows = [",".join(repr(step * min(abs(i - j), 8 - abs(i - j)))
+                     for j in range(8)) for i in range(8)]
+    confdir = tmp_path / "conf"
+    confdir.mkdir()
+    (confdir / "m.csv").write_text("\n".join(rows) + "\n")
+    cfg = {"mode": "relaxed",
+           "context": {"kind": "explicit", "matrix_file": "m.csv"},
+           "levels": [{"points": list(range(8)), "epsilon": 0.3}]}
+    (confdir / "cfg.json").write_text(json.dumps(cfg))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    code, out, err = run(["homology", "--config",
+                          os.path.join("..", "conf", "cfg.json")], capsys)
+    assert code == cli.EXIT_OK, err
+    assert out.splitlines()[1:3] == ["H_0,1", "H_1,1"]
+
+
+@pytest.mark.parametrize("key", ["max_dim", "k_max", "tolerance",
+                                 "max_elements", "epsilon"])
+def test_config_value_must_be_a_number(key, tmp_path, capsys):
+    cfg = {"mode": "relaxed",
+           "levels": [{"points": [[0.0], [1.0]], "epsilon": 1.0}]}
+    (cfg["levels"][0] if key == "epsilon" else cfg)[key] = "x"
+    with pytest.raises(T.TowerError, match=f"{key}='x' is not a number"):
+        T.tower_from_config(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(["homology", "--config", str(p)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{key}='x'" in err
+
+
+def test_config_points_level_needs_epsilon(tmp_path, capsys):
+    cfg = {"mode": "relaxed", "levels": [{"points": [[0.0], [1.0]]}]}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(["homology", "--config", str(p)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert err == "error: level 1: needs epsilon\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -46,6 +46,24 @@ def test_betti_rp2_field_dependence():
     assert rz.torsion == [[], [2], []]
 
 
+def test_betti_rp2_subdivision_torsion():
+    # every entry of d2 is +-1; the invariant 2 appears only in reduction
+    cx = S.barycentric_subdivision(projective_plane())
+    for collapse in (True, False):
+        rz = H.betti_numbers(cx, 2, "z", collapse=collapse)
+        assert rz.betti == [1, 0, 0]
+        assert rz.torsion == [[], [2], []]
+
+
+def test_integer_homology_uses_no_dense_boundary(monkeypatch):
+    def dense(self, dim):
+        raise AssertionError("dense boundary matrix on the integer path")
+    monkeypatch.setattr(S.SimplicialComplex, "boundary_matrix", dense)
+    rz = H.betti_numbers(projective_plane(), 2, "z")
+    assert rz.betti == [1, 0, 0]
+    assert rz.torsion == [[], [2], []]
+
+
 def test_betti_collapse_agrees():
     s3 = M.circle_sample(3)
     cx = S.vietoris_rips(s3.pairwise(), 4 * s3.epsilon, max_dim=2)

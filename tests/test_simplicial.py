@@ -124,6 +124,38 @@ def test_smith_normal_form_klein_bottle_style():
     assert L.smith_normal_form(np.zeros((2, 2), dtype=int)) == []
 
 
+@pytest.mark.parametrize("rows, invariants", [
+    # two non-unit pivots with distinct low rows: the whole residue is dense
+    ([[2, 0], [0, 3]], [1, 6]),
+    # low entry 3 against a pivot with low entry 2: the extended gcd
+    # replaces the pivot by one with low entry 1
+    ([[2, 3]], [1]),
+    # the same, leaving the column with low entry -3 as the residue
+    ([[1, 0], [2, 3]], [1, 3]),
+    # the residue column is cleared in the unit pivot's row before the
+    # dense form; left as it is, the first case would give [1, 1], and
+    # with the unit row dropped uncleared, the second [1, 2]
+    ([[1, 1], [0, 2]], [1, 2]),
+    ([[1, 0], [1, 1], [0, 2]], [1, 1]),
+])
+def test_smith_normal_form_unimodular_branches(rows, invariants):
+    mat = np.array(rows)
+    assert L._smith_dense(mat) == invariants
+    assert L.smith_normal_form(mat) == invariants
+    assert L.smith_normal_form(L.to_sparse_columns(mat)) == invariants
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda rows: st.lists(
+    st.lists(st.integers(-6, 6), min_size=rows, max_size=rows),
+    min_size=1, max_size=7)))
+def test_smith_normal_form_matches_dense_oracle(columns):
+    mat = np.array(columns, dtype=int).T
+    expected = L._smith_dense(mat)
+    assert L.smith_normal_form(mat) == expected
+    assert L.smith_normal_form(L.to_sparse_columns(mat)) == expected
+
+
 def test_nullspace_and_span():
     # no boundaries: the homology basis is a kernel basis of the matrix
     mat = L.to_sparse_columns(np.array([[1, 1, 0], [0, 0, 1]]))
