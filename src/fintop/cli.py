@@ -108,7 +108,10 @@ def _check_tower_args(settings: dict) -> None:
 
 def make_tower(args) -> T.Tower:
     if getattr(args, "config", None):
-        cfg = T.load_config(args.config)
+        try:
+            cfg = T.load_config(args.config)
+        except T.TowerError as exc:
+            raise CliError(str(exc), EXIT_USAGE)
         if args.relaxed:
             cfg["mode"] = T.RELAXED
         for key in T.CONFIG_SETTINGS:
@@ -209,7 +212,8 @@ def cmd_homology(args) -> int:
         except H.HomologyError as exc:
             raise CliError(str(exc), EXIT_RESOURCE)
         rows.append(res.betti)
-        comps.append(H.component_count(term.sample.pairwise(), term.threshold))
+        comps.append(H.component_count(term.sample.pairwise(), term.threshold,
+                                       tower.tol))
         if res.torsion and any(res.torsion):
             torsion_notes.append(f"level {n}: torsion {res.torsion}")
     fh = _open_out(args)
@@ -303,8 +307,8 @@ def cmd_verify(args) -> int:
         print(f"{tag} square at level {n}: union diameter {fmt(worst)} < "
               f"{fmt(tower.term(n).threshold)}")
     if args.thread is not None:
-        th = Lim.canonical_thread(tower, x, tol=args.tolerance)
-        rep = Lim.verify_thread(tower, th, tol=args.tolerance)
+        th = Lim.canonical_thread(tower, x, tol=tower.tol)
+        rep = Lim.verify_thread(tower, th, tol=tower.tol)
         checks = [("compatible", rep.compatible),
                   ("element-bounds", all(rep.element_levels)),
                   ("convergence", rep.convergence_ok),

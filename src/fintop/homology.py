@@ -18,6 +18,7 @@ import numpy as np
 
 from . import linalg as L
 from .finite_space import FiniteSpace
+from .metric import DEFAULT_TOL
 from .simplicial import SimplicialComplex, elementary_collapse
 
 
@@ -185,8 +186,8 @@ def induced_matrix(src: SimplicialComplex, dst: SimplicialComplex,
 
 
 def component_count(pairwise: np.ndarray, threshold: float,
-                    strict: bool = True) -> int:
+                    tol: float = DEFAULT_TOL) -> int:
     """Connected components of the threshold graph (union-find oracle)."""
     from .simplicial import connected_components, rips_graph
-    adj = rips_graph(pairwise, threshold, strict=strict)
+    adj = rips_graph(pairwise, threshold, tol)
     return connected_components(pairwise.shape[0], adj)

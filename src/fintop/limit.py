@@ -102,11 +102,8 @@ def verify_thread(tower: Tower, thread: Thread, x=None,
         dh = M.hausdorff_distance(ctx, [x], pts)
         convergence.append(dh)
         bound = 2 * tower.epsilon(n)
-        if not dh < bound - tol * max(1.0, bound):
-            conv_ok = False
-        worst = max(M.distance(ctx, x, p) for p in pts)
-        if not worst < bound:
-            ball_ok = False
+        conv_ok &= M.below(dh, bound, tol)
+        ball_ok &= M.below(max(M.distance(ctx, x, p) for p in pts), bound, tol)
     inter_ok = True
     for n in range(1, len(thread) + 1):
         gamma = tower.term(n).sample.gamma
@@ -116,8 +113,7 @@ def verify_thread(tower: Tower, thread: Thread, x=None,
         pn = _level_points(tower, n, thread.levels[n - 1])
         for m in range(n + 1, len(thread) + 1):
             pm = _level_points(tower, m, thread.levels[m - 1])
-            if not M.hausdorff_distance(ctx, pn, pm) < bound:
-                inter_ok = False
+            inter_ok &= M.below(M.hausdorff_distance(ctx, pn, pm), bound, tol)
     return ThreadReport(compatible=compatible, element_levels=element_levels,
                         convergence=convergence, convergence_ok=conv_ok,
                         ball_bound_ok=ball_ok, inter_level_ok=inter_ok,

@@ -2,18 +2,17 @@
 
 Every rank and homology basis comes from one column reduction with
 lowest-row pivots (`_reduce`) and a field object, called once per column
-or elimination, never per entry: fraction-free integers with gcd
-normalization for ranks over Q, mod p for GF(p), Fraction for homology
-bases and coordinates in them, and unimodular integer column operations
-for the Smith normal form, which gives ranks and torsion over Z.  Only
-the pivots whose low entries are not units go on to a dense Smith form.
+or elimination, never per entry: unimodular integer column operations
+for ranks over Q and for the Smith normal form, which gives ranks and
+torsion over Z; mod p for GF(p); Fraction for homology bases and
+coordinates in them.  Only the pivots whose low entries are not units go
+on to a dense Smith form.
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,15 +32,6 @@ def is_prime(p: int) -> bool:
     return p >= 2 and all(p % k for k in range(2, int(p ** 0.5) + 1))
 
 
-def _normalize(col: SparseCol) -> None:
-    g = 0
-    for v in col.values():
-        g = gcd(g, v)
-    if g > 1:
-        for r in col:
-            col[r] //= g
-
-
 def _sub_multiple(vec: SparseCol, lam, other: SparseCol) -> None:
     """vec -= lam * other, dropping entries that become zero."""
     for r, v in other.items():
@@ -50,30 +40,6 @@ def _sub_multiple(vec: SparseCol, lam, other: SparseCol) -> None:
             vec[r] = nv
         else:
             vec.pop(r, None)
-
-
-class _Integers:
-    """Fraction-free integer elimination, for ranks over Q (and Z)."""
-
-    @staticmethod
-    def entries(col: SparseCol) -> SparseCol:
-        return dict(col)
-
-    @staticmethod
-    def make_pivot(col: SparseCol, low: int) -> None:
-        _normalize(col)
-
-    @staticmethod
-    def eliminate(col: SparseCol, pivot_col: SparseCol, low: int) -> None:
-        """col := (b/g) col - (a/g) pivot_col, then divide by its content."""
-        a, b = col[low], pivot_col[low]
-        g = gcd(a, b)
-        ca = b // g
-        if ca != 1:
-            for r in col:
-                col[r] *= ca
-        _sub_multiple(col, a // g, pivot_col)
-        _normalize(col)
 
 
 class _ModP:
@@ -224,8 +190,12 @@ def _rank(matrix, field) -> int:
 
 
 def rank_q(matrix) -> int:
-    """Exact rank over the rationals of an integer matrix (dense or sparse)."""
-    return _rank(matrix, _Integers)
+    """Exact rank over the rationals of an integer matrix (dense or sparse).
+
+    Unimodular column operations keep the rank over Q, so the Smith
+    reduction's field object serves here too.
+    """
+    return _rank(matrix, _Unimodular)
 
 
 def rank_gfp(matrix, p: int) -> int:

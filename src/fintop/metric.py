@@ -26,8 +26,15 @@ class MetricError(ValueError):
     pass
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def below(d, radius: float, tol: float, closed: bool = False):
+    """Whether distance d lies in the open (or closed) ball of the radius.
+
+    The one tie rule of the library: a distance within relative tolerance
+    tol of the radius is outside an open ball and inside a closed one.
+    Works elementwise on numpy arrays.
+    """
+    slack = tol * max(1.0, abs(radius))
+    return d <= radius + slack if closed else d < radius - slack
 
 
 @dataclass(frozen=True)
@@ -113,26 +120,25 @@ def _points_array(ctx: MetricContext, points) -> np.ndarray:
     return np.asarray(points, dtype=int)
 
 
-def points_distance_matrix(ctx: MetricContext, points: np.ndarray) -> np.ndarray:
+def cross_distances(ctx: MetricContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The len(A) x len(B) matrix of distances between two point arrays."""
     if ctx.kind == "euclidean":
-        diff = points[:, None, :] - points[None, :, :]
+        diff = A[:, None, :] - B[None, :, :]
         return np.sqrt((diff * diff).sum(axis=-1))
     if ctx.kind == "circle_geodesic":
-        d = np.abs(points[:, None] - points[None, :]) % TWO_PI
+        d = np.abs(np.ravel(A)[:, None] - np.ravel(B)[None, :]) % TWO_PI
         return np.minimum(d, TWO_PI - d)
-    return ctx.matrix[np.ix_(points, points)]
+    return ctx.matrix[np.ix_(np.ravel(A), np.ravel(B))]
+
+
+def points_distance_matrix(ctx: MetricContext, points: np.ndarray) -> np.ndarray:
+    """The n x n matrix of distances within one point array."""
+    return cross_distances(ctx, points, points)
 
 
 def distances_from(ctx: MetricContext, points: np.ndarray, x) -> np.ndarray:
     """Distances from an external point x to each point of `points`."""
-    if ctx.kind == "euclidean":
-        x = np.asarray(x, dtype=float)
-        return np.sqrt(((points - x[None, :]) ** 2).sum(axis=1))
-    if ctx.kind == "circle_geodesic":
-        xv = float(np.asarray(x, dtype=float).ravel()[0])
-        d = np.abs(points - xv) % TWO_PI
-        return np.minimum(d, TWO_PI - d)
-    return ctx.matrix[int(x), points]
+    return cross_distances(ctx, np.asarray([x]), points)[0]
 
 
 @dataclass
@@ -184,20 +190,10 @@ def ball_query(sample: MetricSample, x, radius: float, mode: str = "open",
     """
     if radius < 0:
         raise MetricError("radius must be nonnegative")
+    if mode not in ("open", "closed"):
+        raise MetricError(f"unknown ball mode {mode!r}")
     d = distances_from(sample.context, sample.points, x)
-    out = []
-    for i, di in enumerate(d):
-        if _close(di, radius, tol):
-            inside = mode == "closed"
-        elif mode == "open":
-            inside = di < radius
-        elif mode == "closed":
-            inside = di <= radius
-        else:
-            raise MetricError(f"unknown ball mode {mode!r}")
-        if inside:
-            out.append(i)
-    return out
+    return np.flatnonzero(below(d, radius, tol, closed=mode == "closed")).tolist()
 
 
 def hausdorff_distance(ctx: MetricContext, C: Sequence, D: Sequence) -> float:
@@ -206,14 +202,7 @@ def hausdorff_distance(ctx: MetricContext, C: Sequence, D: Sequence) -> float:
     D = _points_array(ctx, D)
     if len(C) == 0 or len(D) == 0:
         raise MetricError("hausdorff_distance needs nonempty sets")
-    if ctx.kind == "euclidean":
-        diff = C[:, None, :] - D[None, :, :]
-        m = np.sqrt((diff * diff).sum(axis=-1))
-    elif ctx.kind == "circle_geodesic":
-        m = np.abs(C[:, None] - D[None, :]) % TWO_PI
-        m = np.minimum(m, TWO_PI - m)
-    else:
-        m = ctx.matrix[np.ix_(C, D)]
+    m = cross_distances(ctx, C, D)
     return float(max(m.min(axis=1).max(), m.min(axis=0).max()))
 
 
@@ -231,15 +220,8 @@ def coverage_radius(sample: MetricSample, reference=None) -> float:
     worst = 0.0
     step = max(1, 2_000_000 // max(1, len(sample)))
     for start in range(0, len(ref), step):
-        chunk = ref[start:start + step]
-        if sample.context.kind == "euclidean":
-            diff = chunk[:, None, :] - sample.points[None, :, :]
-            m = np.sqrt((diff * diff).sum(axis=-1))
-        elif sample.context.kind == "circle_geodesic":
-            m = np.abs(chunk[:, None] - sample.points[None, :]) % TWO_PI
-            m = np.minimum(m, TWO_PI - m)
-        else:
-            m = sample.context.matrix[np.ix_(chunk, sample.points)]
+        m = cross_distances(sample.context, ref[start:start + step],
+                            sample.points)
         worst = max(worst, float(m.min(axis=1).max()))
     return worst
 

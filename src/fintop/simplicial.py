@@ -13,6 +13,8 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .metric import DEFAULT_TOL, below
+
 
 class SimplicialError(ValueError):
     pass
@@ -106,31 +108,23 @@ class SimplicialComplex:
 # Vietoris-Rips
 # ---------------------------------------------------------------------------
 
-def rips_graph(pairwise: np.ndarray, threshold: float, strict: bool = True,
-               tol: float = 1e-9) -> list[list[int]]:
-    """Neighbor lists of the graph whose edges have diameter below threshold.
+def rips_graph(pairwise: np.ndarray, threshold: float,
+               tol: float = DEFAULT_TOL) -> list[list[int]]:
+    """Neighbor lists of the graph whose edges have length below threshold.
 
-    Strict mode keeps pairs with d < threshold (tolerance-resolved); otherwise
-    d <= threshold.
+    An edge needs d < threshold, with ties resolved outside (`metric.below`).
+    Only the upper triangle of the matrix is read: the neighbors of i are
+    the rows of column i above the diagonal, then the columns of row i
+    right of it.
     """
-    n = pairwise.shape[0]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    scaled = tol * max(1.0, threshold)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = pairwise[i, j]
-            if abs(d - threshold) <= scaled:
-                keep = not strict
-            else:
-                keep = d < threshold if strict else d <= threshold
-            if keep:
-                adj[i].append(j)
-                adj[j].append(i)
-    return adj
+    inside = below(pairwise, threshold, tol)
+    return [np.flatnonzero(inside[:i, i]).tolist()
+            + (i + 1 + np.flatnonzero(inside[i, i + 1:])).tolist()
+            for i in range(len(inside))]
 
 
 def vietoris_rips(pairwise: np.ndarray, threshold: float, max_dim: int,
-                  strict: bool = True, tol: float = 1e-9,
+                  tol: float = DEFAULT_TOL,
                   max_simplices: Optional[int] = None) -> SimplicialComplex:
     """Vietoris-Rips complex up to dimension max_dim by clique expansion.
 
@@ -138,7 +132,7 @@ def vietoris_rips(pairwise: np.ndarray, threshold: float, max_dim: int,
     (each k-simplex from a (k-1)-simplex plus a common lower neighbor).
     """
     n = pairwise.shape[0]
-    adj = rips_graph(pairwise, threshold, strict=strict, tol=tol)
+    adj = rips_graph(pairwise, threshold, tol)
     nbr = [set(a) for a in adj]
     cx = SimplicialComplex()
     count = 0

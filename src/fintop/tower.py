@@ -55,7 +55,6 @@ def validate_schedule(samples: list[M.MetricSample], mode: str,
     problems = []
     for n in range(len(samples) - 1):
         eps, nxt = samples[n].epsilon, samples[n + 1].epsilon
-        slack = tol * max(1.0, eps)
         if mode == STRICT:
             gamma = samples[n].gamma
             if gamma is None:
@@ -64,7 +63,7 @@ def validate_schedule(samples: list[M.MetricSample], mode: str,
             bound = (eps - gamma) / 2
         else:
             bound = eps / 2
-        if not nxt < bound - slack:
+        if not M.below(nxt, bound, tol):
             problems.append(
                 f"level {n + 2}: eps={nxt:.6g} must be below "
                 f"{bound:.6g} ({mode} schedule)")
@@ -99,13 +98,8 @@ class Term:
 
     def is_element(self, payload: frozenset, tol: float = 1e-9) -> bool:
         """Diameter test, independent of the cardinality-capped enumeration."""
-        if not payload:
-            return False
-        d = self.diameter(payload)
-        thr = self.threshold
-        if abs(d - thr) <= tol * max(1.0, thr):
-            return False
-        return d < thr
+        return bool(payload) and M.below(self.diameter(payload),
+                                         self.threshold, tol)
 
     def space(self) -> FiniteSpace:
         """Finite T0 space on the stored elements.
@@ -127,7 +121,7 @@ def build_term(sample: M.MetricSample, max_dim: int, threshold_factor: float = 4
                max_elements: int = DEFAULT_MAX_ELEMENTS) -> Term:
     try:
         cx = vietoris_rips(sample.pairwise(), threshold_factor * sample.epsilon,
-                           max_dim=max_dim, strict=True, tol=tol,
+                           max_dim=max_dim, tol=tol,
                            max_simplices=max_elements)
     except Exception as exc:
         raise ResourceCap(str(exc)) from exc
@@ -321,8 +315,8 @@ class Tower:
 def nearest_point_set(sample: M.MetricSample, x, tol: float = 1e-9) -> frozenset:
     """Indices of sample points realizing d(x, A) up to relative tolerance."""
     d = M.distances_from(sample.context, sample.points, x)
-    lo = float(d.min())
-    return frozenset(int(i) for i in np.nonzero(d <= lo + tol * max(1.0, lo))[0])
+    nearest = M.below(d, float(d.min()), tol, closed=True)
+    return frozenset(np.flatnonzero(nearest).tolist())
 
 
 class NearestPointTower(Tower):
@@ -509,8 +503,15 @@ def build_tower(space: str, depth: int, max_dim: int = 3, k_max: int = 1,
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise TowerError(f"cannot read config {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise TowerError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise TowerError(f"config {path} must be a JSON object")
     for key in ("mode", "levels"):
         if key not in cfg:
             raise TowerError(f"config is missing {key!r}")
@@ -528,9 +529,12 @@ def _config_number(table: dict, key: str, kind: Callable, default=None,
     """table[key] (default if absent) as kind; TowerError names a bad value."""
     value = table.get(key, default)
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise TowerError(f"{where}{key}={value!r} is not a number") from None
+    if kind is int and isinstance(value, float) and number != value:
+        raise TowerError(f"{where}{key}={value!r} is not an integer")
+    return number
 
 
 def config_settings(cfg: dict) -> dict:

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
 from fintop import cli
+from fintop import limit as Lim
 from fintop import tower as T
 
 
@@ -192,18 +194,71 @@ def test_config_matrix_file_is_relative_to_the_config(tmp_path, monkeypatch,
 @pytest.mark.parametrize("key", ["max_dim", "k_max", "tolerance",
                                  "max_elements", "epsilon"])
 def test_config_value_must_be_a_number(key, tmp_path, capsys):
-    cfg = {"mode": "relaxed",
-           "levels": [{"points": [[0.0], [1.0]], "epsilon": 1.0}]}
-    (cfg["levels"][0] if key == "epsilon" else cfg)[key] = "x"
-    with pytest.raises(T.TowerError, match=f"{key}='x' is not a number"):
-        T.tower_from_config(cfg)
+    bad = {"x": "is not a number"}
+    if T.CONFIG_SETTINGS.get(key, (float,))[0] is int:
+        # refused, not truncated to 2
+        bad[2.5] = "is not an integer"
+    for value, message in bad.items():
+        cfg = {"mode": "relaxed",
+               "levels": [{"points": [[0.0], [1.0]], "epsilon": 1.0}]}
+        (cfg["levels"][0] if key == "epsilon" else cfg)[key] = value
+        with pytest.raises(T.TowerError,
+                           match=re.escape(f"{key}={value!r} {message}")):
+            T.tower_from_config(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code, out, err = run(["homology", "--config", str(p)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{key}={value!r}" in err
+
+
+def test_verify_thread_uses_the_tower_tolerance(tmp_path, capsys, monkeypatch):
+    cfg = {"mode": "relaxed", "tolerance": 0.001,
+           "levels": [{"points": [[0.0], [1.0]], "epsilon": 1.0},
+                      {"points": [[0.0], [0.5], [1.0]], "epsilon": 0.4}]}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
+    seen = []
+    for name in ("canonical_thread", "verify_thread"):
+        def spy(*args, _real=getattr(Lim, name), **kwargs):
+            seen.append(kwargs["tol"])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(Lim, name, spy)
+    code, out, err = run(["verify", "--config", str(p), "--thread", "0.2"],
+                         capsys)
+    assert code == cli.EXIT_OK, out
+    assert seen == [0.001, 0.001]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"mode": "relaxed", "levels": [', "is not valid JSON"),
+    ("[1, 2]", "must be a JSON object"),
+    (None, "cannot read config"),
+], ids=["truncated", "not-an-object", "missing"])
+def test_config_file_must_be_a_json_object(text, message, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    if text is not None:
+        p.write_text(text)
     code, out, err = run(["homology", "--config", str(p)], capsys)
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"{key}='x'" in err
+    assert message in err and str(p) in err
+
+
+def test_components_use_the_tower_tolerance(tmp_path, capsys):
+    # 3.999999 is within the relative tolerance 0.001 of the threshold
+    # 4 * epsilon, so neither the complex nor the threshold graph has the edge
+    cfg = {"mode": "relaxed", "tolerance": 0.001,
+           "levels": [{"points": [[0.0], [3.999999]], "epsilon": 1.0}]}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(["homology", "--config", str(p)], capsys)
+    assert code == cli.EXIT_OK, err
+    assert out.splitlines()[1] == "H_0,2"
+    assert out.splitlines()[-1] == "components,2"
 
 
 def test_config_points_level_needs_epsilon(tmp_path, capsys):

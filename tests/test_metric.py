@@ -143,3 +143,51 @@ def test_points_csv_roundtrip(tmp_path):
     assert np.allclose(back, pts)
     with pytest.raises(M.MetricError):
         M.load_points_csv(p, dimension=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 50.0), st.sampled_from([0.0, 1e-9, 1e-3]), st.booleans(),
+       st.lists(st.floats(0.0, 100.0), max_size=6))
+def test_below_resolves_ties_alike_on_scalars_and_arrays(radius, tol, closed, extra):
+    slack = tol * max(1.0, radius)
+    lo, hi = radius - slack, radius + slack
+    planted = [radius, lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+               np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf)]
+    d = np.array(planted + extra)
+    got = M.below(d, radius, tol, closed=closed)
+    assert got.shape == d.shape
+    assert got.tolist() == [M.below(float(v), radius, tol, closed=closed) for v in d]
+    # a tie at the radius is outside an open ball and inside a closed one
+    assert got[0] == closed
+    if closed:
+        assert got[2] and got[5] and not got[6]
+    else:
+        assert not got[1] and got[3] and not got[4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.floats(1.0, 2.0), st.sampled_from([0.0, 1e-9, 1e-3]),
+       st.sampled_from(["open", "closed"]), st.randoms(use_true_random=False))
+def test_ball_query_matches_per_pair_loop(n, radius, tol, mode, rnd):
+    # off-diagonal entries in [1, 2] always satisfy the triangle inequality
+    slack = tol * max(1.0, radius)
+    ties = [np.clip(t, 1.0, 2.0) for t in (radius, radius - slack, radius + slack)]
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = m[j, i] = rnd.choice(ties) if rnd.random() < 0.5 \
+                else rnd.uniform(1.0, 2.0)
+    sample = M.MetricSample(M.explicit(m), np.arange(n), epsilon=1.0)
+    for x in range(n):
+        expected = [i for i in range(n)
+                    if M.below(float(m[x, i]), radius, tol, closed=mode == "closed")]
+        assert M.ball_query(sample, x, radius, mode=mode, tol=tol) == expected
+
+
+def test_pairwise_of_column_circle_points_is_square():
+    angles = 2 * math.pi * np.arange(5) / 5
+    column = M.MetricSample(M.circle_geodesic(), angles.reshape(-1, 1), 1.0)
+    flat = M.MetricSample(M.circle_geodesic(), angles, 1.0)
+    assert column.pairwise().shape == (5, 5)
+    assert np.array_equal(column.pairwise(), flat.pairwise())
+    assert M.ball_query(column, column.points[0], 1.3, mode="open") == [0, 1, 4]

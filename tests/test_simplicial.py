@@ -31,11 +31,11 @@ def test_boundary_squares_to_zero():
 
 def test_rips_circle_levels_2_and_3():
     s2 = M.circle_sample(2)
-    cx2 = S.vietoris_rips(s2.pairwise(), 4 * s2.epsilon, max_dim=3, strict=True)
+    cx2 = S.vietoris_rips(s2.pairwise(), 4 * s2.epsilon, max_dim=3)
     # 4*eps_2 = 2*pi exceeds every geodesic distance: full simplex on 4 points
     assert cx2.f_vector() == [4, 6, 4, 1]
     s3 = M.circle_sample(3)
-    cx3 = S.vietoris_rips(s3.pairwise(), 4 * s3.epsilon, max_dim=3, strict=True)
+    cx3 = S.vietoris_rips(s3.pairwise(), 4 * s3.epsilon, max_dim=3)
     # 4*eps_3 spans 4 grid gaps: windows of <= 4 consecutive points
     assert cx3.f_vector() == [32, 32 * 3, 32 * 3, 32]
     n0, n1, n2 = (len(cx3.simplices(d)) for d in range(3))
@@ -44,12 +44,32 @@ def test_rips_circle_levels_2_and_3():
     assert (n0 - r1, n1 - r1 - r2) == (1, 1)   # a circle
 
 
-def test_rips_strict_vs_closed_threshold():
+def test_rips_threshold_is_strict():
     pw = np.array([[0.0, 1.0], [1.0, 0.0]])
-    strict = S.vietoris_rips(pw, 1.0, max_dim=1, strict=True)
-    closed = S.vietoris_rips(pw, 1.0, max_dim=1, strict=False)
-    assert strict.f_vector() == [2]
-    assert closed.f_vector() == [2, 1]
+    assert S.vietoris_rips(pw, 1.0, max_dim=1).f_vector() == [2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.floats(0.5, 20.0), st.sampled_from([0.0, 1e-9, 1e-3]),
+       st.randoms(use_true_random=False))
+def test_rips_graph_matches_per_pair_loop(n, threshold, tol, rnd):
+    """Ties planted at the threshold and at threshold -+ slack, and one ulp
+    to either side, resolve as `metric.below` does on each pair alone."""
+    slack = tol * max(1.0, threshold)
+    ties = [threshold, threshold - slack, threshold + slack]
+    ties += [np.nextafter(t, side) for t in ties for side in (0.0, np.inf)]
+    pw = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = rnd.choice(ties) if rnd.random() < 0.6 else rnd.uniform(0, 2 * threshold)
+            pw[i, j] = pw[j, i] = d
+    expected = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if M.below(float(pw[i, j]), threshold, tol):
+                expected[i].append(j)
+                expected[j].append(i)
+    assert S.rips_graph(pw, threshold, tol) == expected
 
 
 def test_rips_full_simplex():
@@ -199,7 +219,7 @@ def test_homology_basis_circle_complex():
     min_size=1, max_size=5)))
 def test_ranks_agree_with_smith_normal_form(columns):
     mat = np.array(columns, dtype=int).T
-    invariants = L.smith_normal_form(mat)
+    invariants = L._smith_dense(mat)
     assert L.rank_q(mat) == len(invariants)
     for p in (2, 3, 5):
         assert L.rank_gfp(mat, p) == sum(1 for d in invariants if d % p)
