@@ -44,26 +44,26 @@ class CliError(Exception):
         self.code = code
 
 
-def _add_common(p: argparse.ArgumentParser, space: bool = True) -> None:
-    if space:
-        p.add_argument("--space", choices=["circle", "cantor", "interval",
-                                           "two_squares"],
-                       help="named generator space")
-        p.add_argument("--config", help="tower config JSON")
-        p.add_argument("--depth", type=int, default=3,
-                       help="number of levels for --space (default 3)")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--space", choices=["circle", "cantor", "interval",
+                                       "two_squares"],
+                   help="named generator space")
+    p.add_argument("--config", help="tower config JSON")
+    p.add_argument("--depth", type=int, default=3,
+                   help="number of levels for --space (default 3)")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--tolerance", type=float, default=1e-9,
+    # no defaults here: _tower_settings ranks a given flag above the config
+    p.add_argument("--tolerance", type=float,
                    help="relative tolerance for distance comparisons")
-    p.add_argument("--max-dim", type=int, default=3,
+    p.add_argument("--max-dim", type=int,
                    help="largest stored element cardinality minus one")
-    p.add_argument("--k-max", type=int, default=1,
+    p.add_argument("--k-max", type=int,
                    help="top homology degree")
     p.add_argument("--relaxed", action="store_true",
                    help="use the halved-epsilon schedule without gamma")
     p.add_argument("--seed", type=int, default=7,
                    help="seed for randomized generators")
-    p.add_argument("--max-elements", type=int, default=T.DEFAULT_MAX_ELEMENTS,
+    p.add_argument("--max-elements", type=int,
                    help="resource cap on stored simplices per level")
 
 
@@ -96,14 +96,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _check_tower_args(settings: dict) -> None:
-    """Exit 1 on tower settings that are not numbers or that Tower rejects."""
+def _tower_settings(args, cfg: dict) -> dict:
+    """The tower settings: a flag given on the command line, else the
+    config's value, else the default in CONFIG_SETTINGS.
+
+    Exit 1 on settings that are not numbers or that Tower rejects, and on a
+    --depth or --seed that no named space can take.
+    """
+    if args.depth < 1:
+        raise CliError(f"--depth {args.depth} must be at least 1", EXIT_USAGE)
+    if args.seed < 0:
+        raise CliError(f"--seed {args.seed} must be at least 0", EXIT_USAGE)
+    given = {key: getattr(args, key) for key in T.CONFIG_SETTINGS
+             if getattr(args, key) is not None}
     try:
-        nums = T.config_settings(settings)
+        nums = T.config_settings({**cfg, **given})
         T.check_degrees(nums["max_dim"], nums["k_max"])
         T.check_tolerance(nums["tolerance"])
     except T.TowerError as exc:
         raise CliError(str(exc), EXIT_USAGE)
+    return {key: nums[key] for key in T.CONFIG_SETTINGS}
 
 
 def make_tower(args) -> T.Tower:
@@ -112,18 +124,17 @@ def make_tower(args) -> T.Tower:
             cfg = T.load_config(args.config)
         except T.TowerError as exc:
             raise CliError(str(exc), EXIT_USAGE)
+        cfg.update(_tower_settings(args, cfg))
         if args.relaxed:
             cfg["mode"] = T.RELAXED
-        for key in T.CONFIG_SETTINGS:
-            cfg.setdefault(key, getattr(args, key))
-        _check_tower_args(cfg)
         return T.tower_from_config(cfg, base_dir=os.path.dirname(args.config) or ".")
     if getattr(args, "space", None):
-        _check_tower_args(vars(args))
+        nums = _tower_settings(args, {})
         mode = T.RELAXED if args.relaxed else None
-        return T.build_tower(args.space, args.depth, max_dim=args.max_dim,
-                             k_max=args.k_max, mode=mode, seed=args.seed,
-                             max_elements=args.max_elements, tol=args.tolerance)
+        return T.build_tower(args.space, args.depth, max_dim=nums["max_dim"],
+                             k_max=nums["k_max"], mode=mode, seed=args.seed,
+                             max_elements=nums["max_elements"],
+                             tol=nums["tolerance"])
     raise CliError("one of --space or --config is required", EXIT_USAGE)
 
 
@@ -134,14 +145,14 @@ def _open_out(args):
 def cmd_generate(args) -> int:
     if not args.space:
         raise CliError("generate needs --space", EXIT_USAGE)
+    settings = _tower_settings(args, {})
+    samples, mode = T.space_samples(args.space, args.depth, args.seed)
+    if args.relaxed:
+        mode = T.RELAXED
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     levels = []
-    for n in range(1, args.depth + 1):
-        if args.space == "two_squares":
-            sample = M.two_squares_sample(n, 336 * 4 ** (n - 1), args.seed)
-        else:
-            sample = T.GENERATORS[args.space](n)
+    for n, sample in enumerate(samples, start=1):
         fname = f"{args.space}_level{n}.csv"
         M.save_points_csv(os.path.join(outdir, fname), sample.points,
                           header=f"{args.space} level {n} "
@@ -153,15 +164,8 @@ def cmd_generate(args) -> int:
         levels.append(entry)
         for w in sample.warnings:
             print(f"warning: level {n}: {w}", file=sys.stderr)
-    mode = T.RELAXED if (args.relaxed or args.space in ("cantor", "two_squares")) \
-        else T.STRICT
-    if args.space == "circle":
-        context = {"kind": "circle_geodesic"}
-    else:
-        context = {"kind": "euclidean"}
-    cfg = {"mode": mode, "max_dim": args.max_dim, "k_max": args.k_max,
-           "tolerance": args.tolerance, "label": args.space,
-           "context": context, "levels": levels}
+    cfg = {"mode": mode, **settings, "label": args.space,
+           "context": {"kind": samples[0].context.kind}, "levels": levels}
     cfg_path = os.path.join(outdir, f"{args.space}_tower.json")
     with open(cfg_path, "w") as fh:
         json.dump(cfg, fh, indent=2)
@@ -208,7 +212,7 @@ def cmd_homology(args) -> int:
         term = tower.term(n)
         try:
             res = H.betti_numbers(term.complex, tower.k_max, args.field,
-                                  max_simplices=args.max_elements)
+                                  max_simplices=tower.max_elements)
         except H.HomologyError as exc:
             raise CliError(str(exc), EXIT_RESOURCE)
         rows.append(res.betti)

@@ -103,7 +103,8 @@ def verify_thread(tower: Tower, thread: Thread, x=None,
         convergence.append(dh)
         bound = 2 * tower.epsilon(n)
         conv_ok &= M.below(dh, bound, tol)
-        ball_ok &= M.below(max(M.distance(ctx, x, p) for p in pts), bound, tol)
+        ball = M.ball_images(tower.term(n).sample, [x], bound, tol)[0]
+        ball_ok &= thread.levels[n - 1] <= ball
     inter_ok = True
     for n in range(1, len(thread) + 1):
         gamma = tower.term(n).sample.gamma

@@ -21,19 +21,25 @@ TWO_PI = 2.0 * math.pi
 #: default relative tolerance for distance comparisons
 DEFAULT_TOL = 1e-9
 
+#: entries in one block of a distance sweep, which bounds its memory
+BLOCK_ENTRIES = 2_000_000
+
 
 class MetricError(ValueError):
     pass
 
 
-def below(d, radius: float, tol: float, closed: bool = False):
+def below(d, radius, tol: float, closed: bool = False):
     """Whether distance d lies in the open (or closed) ball of the radius.
 
     The one tie rule of the library: a distance within relative tolerance
     tol of the radius is outside an open ball and inside a closed one.
-    Works elementwise on numpy arrays.
+    Works elementwise on numpy arrays, with radius broadcast against d.
     """
-    slack = tol * max(1.0, abs(radius))
+    # a scalar radius keeps Python arithmetic, so scalar results keep their type
+    scale = np.maximum(1.0, np.abs(radius)) if np.ndim(radius) \
+        else max(1.0, abs(radius))
+    slack = tol * scale
     return d <= radius + slack if closed else d < radius - slack
 
 
@@ -181,6 +187,35 @@ class MetricSample:
         return self.points[i]
 
 
+def _distance_blocks(sample: MetricSample, centres: np.ndarray):
+    """(rows, distances from centres[rows] to the sample), in row blocks of
+    at most BLOCK_ENTRIES entries."""
+    step = max(1, BLOCK_ENTRIES // max(1, len(sample)))
+    for start in range(0, len(centres), step):
+        rows = slice(start, start + step)
+        yield rows, cross_distances(sample.context, centres[rows], sample.points)
+
+
+def ball_images(sample: MetricSample, centres, radius, tol: float = DEFAULT_TOL,
+                closed: bool = False) -> list[frozenset]:
+    """For each centre, the indices of the sample points in its ball.
+
+    radius is one number, one value per centre, or None for each centre's
+    distance to the sample; the closed ball of that radius is the centre's
+    nearest-point set.  Membership is decided by `below`.
+    """
+    if radius is not None and np.any(np.asarray(radius) < 0):
+        raise MetricError("radius must be nonnegative")
+    centres = np.asarray(centres)
+    images = []
+    for rows, d in _distance_blocks(sample, centres):
+        r = d.min(axis=1, keepdims=True) if radius is None \
+            else np.broadcast_to(radius, len(centres))[rows, None]
+        images.extend(frozenset(np.flatnonzero(row).tolist())
+                      for row in below(d, r, tol, closed))
+    return images
+
+
 def ball_query(sample: MetricSample, x, radius: float, mode: str = "open",
                tol: float = DEFAULT_TOL) -> list[int]:
     """Indices of sample points within `radius` of x.
@@ -188,12 +223,9 @@ def ball_query(sample: MetricSample, x, radius: float, mode: str = "open",
     Distances within relative tolerance of the radius are resolved by the
     mode flag: open excludes them, closed includes them.
     """
-    if radius < 0:
-        raise MetricError("radius must be nonnegative")
     if mode not in ("open", "closed"):
         raise MetricError(f"unknown ball mode {mode!r}")
-    d = distances_from(sample.context, sample.points, x)
-    return np.flatnonzero(below(d, radius, tol, closed=mode == "closed")).tolist()
+    return sorted(ball_images(sample, [x], radius, tol, closed=mode == "closed")[0])
 
 
 def hausdorff_distance(ctx: MetricContext, C: Sequence, D: Sequence) -> float:
@@ -217,13 +249,7 @@ def coverage_radius(sample: MetricSample, reference=None) -> float:
             return sample.gamma
         raise MetricError("no reference points and no exact gamma available")
     ref = _points_array(sample.context, reference)
-    worst = 0.0
-    step = max(1, 2_000_000 // max(1, len(sample)))
-    for start in range(0, len(ref), step):
-        m = cross_distances(sample.context, ref[start:start + step],
-                            sample.points)
-        worst = max(worst, float(m.min(axis=1).max()))
-    return worst
+    return max(float(d.min(axis=1).max()) for _, d in _distance_blocks(sample, ref))
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +435,17 @@ def load_points_csv(path, dimension: Optional[int] = None) -> np.ndarray:
             rows.append([float(v) for v in line.replace(",", " ").split()])
     if not rows:
         raise MetricError(f"no points in {path}")
-    arity = len(rows[0])
-    if any(len(r) != arity for r in rows):
-        raise MetricError(f"inconsistent coordinate arity in {path}")
-    if dimension is not None and arity != dimension:
-        raise MetricError(f"expected dimension {dimension}, file has {arity}")
-    return np.array(rows)
+    pts = point_rows(rows, path)
+    if dimension is not None and pts.shape[1] != dimension:
+        raise MetricError(f"expected dimension {dimension}, file has {pts.shape[1]}")
+    return pts
+
+
+def point_rows(rows: list, where) -> np.ndarray:
+    """Points given as rows of coordinates, or as single numbers, as one array."""
+    if len({np.shape(r) for r in rows}) > 1:
+        raise MetricError(f"inconsistent coordinate arity in {where}")
+    return np.array(rows, dtype=float)
 
 
 def save_points_csv(path, points: np.ndarray, header: str = "") -> None:

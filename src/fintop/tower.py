@@ -157,6 +157,14 @@ class BondingReport:
     capped_images: int        # images outside the stored enumeration
 
 
+def _union(images) -> frozenset:
+    """The union of image sets: how every map between levels acts on a payload."""
+    acc: set = set()
+    for img in images:
+        acc |= img
+    return frozenset(acc)
+
+
 class Tower:
     """A finite tower of terms with composable bonding maps."""
 
@@ -175,6 +183,7 @@ class Tower:
         self.mode = mode
         self.max_dim = max_dim
         self.k_max = k_max
+        self.max_elements = max_elements
         self.tol = tol
         self.threshold_factor = threshold_factor
         self.label = label
@@ -183,8 +192,8 @@ class Tower:
             raise TowerError("; ".join(self.schedule_problems))
         self.terms = [build_term(s, max_dim, threshold_factor, tol, max_elements)
                       for s in samples]
-        # vertex images of bondings between consecutive levels, filled lazily
-        self._vertex_maps: dict[tuple, list[frozenset]] = {}
+        # vertex images of the bondings from level n+1 to n, filled lazily
+        self._vertex_maps: dict[int, list[frozenset]] = {}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -202,18 +211,16 @@ class Tower:
 
     # -- bonding maps ------------------------------------------------------
 
+    def _point_images(self, low: M.MetricSample, points) -> list[frozenset]:
+        """One-step bonding images of points: their open eps_n-balls in low."""
+        return M.ball_images(low, points, low.epsilon, self.tol)
+
     def _vertex_images(self, n: int) -> list[frozenset]:
         """Images under the one-step bonding of the singletons of level n+1."""
-        key = (n, n + 1)
-        if key not in self._vertex_maps:
-            low = self.term(n).sample
-            high = self.term(n + 1).sample
-            images = []
-            for x in high.points:
-                ball = M.ball_query(low, x, low.epsilon, mode="open", tol=self.tol)
-                images.append(frozenset(ball))
-            self._vertex_maps[key] = images
-        return self._vertex_maps[key]
+        if n not in self._vertex_maps:
+            self._vertex_maps[n] = self._point_images(
+                self.term(n).sample, self.term(n + 1).sample.points)
+        return self._vertex_maps[n]
 
     def bond(self, n: int, m: int, payload: frozenset) -> frozenset:
         """q_{n,m}: payload at level m down to level n (n <= m)."""
@@ -222,10 +229,7 @@ class Tower:
         current = payload
         for level in range(m - 1, n - 1, -1):
             images = self._vertex_images(level)
-            acc: set = set()
-            for v in current:
-                acc |= images[v]
-            current = frozenset(acc)
+            current = _union(images[v] for v in current)
             if not current:
                 break
         return current
@@ -251,7 +255,7 @@ class Tower:
                 continue
             d = dst.diameter(img)
             worst = max(worst, d)
-            if not dst.is_element(img, self.tol):
+            if not M.below(d, dst.threshold, self.tol):
                 ok = False
             idx = dst.index.get(img)
             if idx is None:
@@ -287,8 +291,9 @@ class Tower:
             u = f(c) | g(c)
             if not u:
                 return False, float("inf")
-            worst = max(worst, term.diameter(u))
-            if not term.is_element(u, self.tol):
+            d = term.diameter(u)
+            worst = max(worst, d)
+            if not M.below(d, term.threshold, self.tol):
                 ok = False
         return ok, worst
 
@@ -314,9 +319,7 @@ class Tower:
 
 def nearest_point_set(sample: M.MetricSample, x, tol: float = 1e-9) -> frozenset:
     """Indices of sample points realizing d(x, A) up to relative tolerance."""
-    d = M.distances_from(sample.context, sample.points, x)
-    nearest = M.below(d, float(d.min()), tol, closed=True)
-    return frozenset(np.flatnonzero(nearest).tolist())
+    return M.ball_images(sample, [x], None, tol, closed=True)[0]
 
 
 class NearestPointTower(Tower):
@@ -326,14 +329,9 @@ class NearestPointTower(Tower):
         kw.setdefault("threshold_factor", 2)
         super().__init__(samples, **kw)
 
-    def _vertex_images(self, n: int) -> list[frozenset]:
-        key = (n, n + 1)
-        if key not in self._vertex_maps:
-            low = self.term(n).sample
-            high = self.term(n + 1).sample
-            self._vertex_maps[key] = [nearest_point_set(low, x, self.tol)
-                                      for x in high.points]
-        return self._vertex_maps[key]
+    def _point_images(self, low: M.MetricSample, points) -> list[frozenset]:
+        """One-step bonding images of points: their nearest-point sets in low."""
+        return M.ball_images(low, points, None, self.tol, closed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +363,8 @@ def comparison_map(coarse: Tower, fine: Tower, n: int, l: int,
                    payload: frozenset) -> frozenset:
     """Send a payload of fine level l into coarse level n by open eps_n-balls."""
     low = coarse.term(n).sample
-    pts = fine.term(l).sample.points
-    acc: set = set()
-    for v in payload:
-        acc |= set(M.ball_query(low, pts[v], low.epsilon, mode="open",
-                                tol=coarse.tol))
-    return frozenset(acc)
+    pts = fine.term(l).sample.points[list(payload)]
+    return _union(M.ball_images(low, pts, low.epsilon, coarse.tol))
 
 
 def two_tower_comparison(coarse: Tower, fine: Tower, depth: int,
@@ -385,12 +379,8 @@ def two_tower_comparison(coarse: Tower, fine: Tower, depth: int,
     for n in range(1, depth + 1):
         l = match_level(coarse, fine, n, constant)
         dst = coarse.term(n)
-        ok = True
-        for payload in fine.term(l).elements:
-            img = comparison_map(coarse, fine, n, l, payload)
-            if not img or not dst.is_element(img, coarse.tol):
-                ok = False
-                break
+        ok = all(dst.is_element(comparison_map(coarse, fine, n, l, c), coarse.tol)
+                 for c in fine.term(l).elements)
         square_ok, worst = True, 0.0
         if n < depth:
             l_next = match_level(coarse, fine, n + 1, constant)
@@ -425,10 +415,8 @@ def gamma_map(low: M.MetricSample, points, payload: frozenset,
     """Union of closed gamma_n-balls around the payload, at the lower level."""
     if low.gamma is None:
         raise TowerError("gamma map needs a coverage radius at the lower level")
-    acc: set = set()
-    for v in payload:
-        acc |= set(M.ball_query(low, points[v], low.gamma, mode="closed", tol=tol))
-    return frozenset(acc)
+    pts = np.asarray(points)[list(payload)]
+    return _union(M.ball_images(low, pts, low.gamma, tol, closed=True))
 
 
 def variant_comparison(reverse: Tower, nearest: NearestPointTower,
@@ -474,31 +462,31 @@ GENERATORS = {
 }
 
 
-def build_tower(space: str, depth: int, max_dim: int = 3, k_max: int = 1,
-                mode: Optional[str] = None, seed: int = 7,
-                counts: Optional[list[int]] = None,
-                net_factor: float = 0.75,
-                max_elements: int = DEFAULT_MAX_ELEMENTS,
-                tol: float = 1e-9) -> Tower:
-    """Tower over a named space.
+def space_samples(space: str, depth: int,
+                  seed: int = 7) -> tuple[list[M.MetricSample], str]:
+    """The samples of levels 1..depth of a named space and its default mode.
 
     The middle-thirds space needs the relaxed schedule from level 7 on, so
-    its default mode is relaxed; the others default to strict.
+    it defaults to relaxed, as do the two-squares samples; the others
+    default to strict.
     """
     if space in GENERATORS:
         samples = [GENERATORS[space](n) for n in range(1, depth + 1)]
-        if mode is None:
-            mode = RELAXED if space == "cantor" else STRICT
-    elif space == "two_squares":
-        if counts is None:
-            counts = [120 * 4 ** (n - 1) for n in range(1, depth + 1)]
-        samples = [M.two_squares_sample(n, counts[n - 1], seed, net_factor)
-                   for n in range(1, depth + 1)]
-        if mode is None:
-            mode = RELAXED
-    else:
-        raise TowerError(f"unknown space {space!r}")
-    return Tower(samples, mode=mode, max_dim=max_dim, k_max=k_max, tol=tol,
+        return samples, RELAXED if space == "cantor" else STRICT
+    if space == "two_squares":
+        return [M.two_squares_sample(n, 120 * 4 ** (n - 1), seed)
+                for n in range(1, depth + 1)], RELAXED
+    raise TowerError(f"unknown space {space!r}")
+
+
+def build_tower(space: str, depth: int, max_dim: int = 3, k_max: int = 1,
+                mode: Optional[str] = None, seed: int = 7,
+                max_elements: int = DEFAULT_MAX_ELEMENTS,
+                tol: float = 1e-9) -> Tower:
+    """Tower over a named space, in its default mode unless one is given."""
+    samples, default_mode = space_samples(space, depth, seed)
+    return Tower(samples, mode=default_mode if mode is None else mode,
+                 max_dim=max_dim, k_max=k_max, tol=tol,
                  max_elements=max_elements, label=space)
 
 
@@ -580,7 +568,7 @@ def tower_from_config(cfg: dict, base_dir=".") -> Tower:
             if "points_file" in lvl:
                 pts = M.load_points_csv(os.path.join(base_dir, lvl["points_file"]))
             else:
-                pts = np.asarray(lvl["points"], dtype=float)
+                pts = M.point_rows(lvl["points"], f"level {i + 1} points")
             ctx = _config_context(cfg, pts, base_dir)
             if ctx.kind == "circle_geodesic":
                 pts = pts.ravel()

@@ -7,6 +7,7 @@ import pytest
 
 from fintop import cli
 from fintop import limit as Lim
+from fintop import metric as M
 from fintop import tower as T
 
 
@@ -44,6 +45,66 @@ def test_generate_and_build_roundtrip(tmp_path, capsys):
     dump = json.loads(dump_path.read_text())
     assert len(dump["levels"]) == 3
     assert len(dump["levels"][2]["elements"]) == 256
+
+
+def test_generate_writes_the_tower_that_space_builds(tmp_path, capsys):
+    code, out, err = run(["generate", "--space", "two_squares", "--depth", "3",
+                          "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_OK, err
+    cfg_path = str(tmp_path / "two_squares_tower.json")
+    generated = T.tower_from_config(T.load_config(cfg_path), base_dir=str(tmp_path))
+    built = T.build_tower("two_squares", 3)
+    assert generated.mode == built.mode == T.RELAXED
+    assert [t.complex.f_vector() for t in generated.terms] == \
+        [t.complex.f_vector() for t in built.terms]
+    tables = []
+    for source in (["--config", cfg_path], ["--space", "two_squares"]):
+        code, out, err = run(["homology", "--depth", "3", "--induced"] + source,
+                             capsys)
+        assert code == cli.EXIT_OK, err
+        tables.append(out)
+    assert tables[0] == tables[1]
+
+
+def test_flags_override_the_config(tmp_path, capsys):
+    cfg = {"mode": "strict", "max_dim": 2, "k_max": 1, "tolerance": 0.001,
+           "max_elements": 500,
+           "levels": [{"points": [[0.0], [1.0]], "epsilon": 1.0, "gamma": 0.5},
+                      {"points": [[0.0], [0.5], [1.0]], "epsilon": 0.2}]}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+
+    def tower(*flags):
+        args = cli.build_parser().parse_args(["homology", "--config", str(p),
+                                              *flags])
+        tw = cli.make_tower(args)
+        return (tw.mode, tw.max_dim, tw.k_max, tw.tol, tw.max_elements)
+
+    assert tower() == ("strict", 2, 1, 0.001, 500)
+    assert tower("--max-dim", "3", "--k-max", "2", "--tolerance", "1e-6",
+                 "--max-elements", "900", "--relaxed") == \
+        ("relaxed", 3, 2, 1e-6, 900)
+    del cfg["max_dim"], cfg["tolerance"], cfg["max_elements"]
+    p.write_text(json.dumps(cfg))
+    assert tower("--k-max", "1") == ("strict", 3, 1, 1e-9, T.DEFAULT_MAX_ELEMENTS)
+    code, out, err = run(["homology", "--config", str(p), "--k-max", "2"], capsys)
+    assert code == cli.EXIT_OK, err
+    assert out.splitlines()[3] == "H_2,0,0"
+
+
+@pytest.mark.parametrize("command", ["generate", "build", "homology", "verify"])
+@pytest.mark.parametrize("argv, message", [
+    (["--depth", "0"], "--depth 0 must be at least 1"),
+    (["--seed", "-5"], "--seed -5 must be at least 0"),
+])
+def test_depth_and_seed_are_checked_first(command, argv, message, tmp_path,
+                                          capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = run([command, "--space", "two_squares", "--depth", "1",
+                          "--out", str(out_dir)] + argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_build_dot_export(tmp_path, capsys):
@@ -268,6 +329,19 @@ def test_config_points_level_needs_epsilon(tmp_path, capsys):
     code, out, err = run(["homology", "--config", str(p)], capsys)
     assert code == cli.EXIT_VALIDATION
     assert err == "error: level 1: needs epsilon\n"
+
+
+def test_config_points_must_have_one_arity(tmp_path, capsys):
+    cfg = {"mode": "relaxed",
+           "levels": [{"points": [[0.0, 0.0], [1.0]], "epsilon": 1.0}]}
+    with pytest.raises(M.MetricError,
+                       match="inconsistent coordinate arity in level 1 points"):
+        T.tower_from_config(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(["homology", "--config", str(p)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert err == "error: inconsistent coordinate arity in level 1 points\n"
 
 
 @pytest.mark.parametrize("argv, message", [

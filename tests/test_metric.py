@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -182,6 +183,69 @@ def test_ball_query_matches_per_pair_loop(n, radius, tol, mode, rnd):
         expected = [i for i in range(n)
                     if M.below(float(m[x, i]), radius, tol, closed=mode == "closed")]
         assert M.ball_query(sample, x, radius, mode=mode, tol=tol) == expected
+
+
+def _planted(d: float, tol: float) -> list:
+    """Radii r that put the distance d at r, at r - slack and at r + slack,
+    with slack = tol * max(1, r), and the radii one ulp to either side."""
+    radii = [d]
+    for sign in (1, -1):
+        r = d / (1 - sign * tol)
+        radii.append(r if r >= 1 else d + sign * tol)
+    return [max(0.0, v) for r in radii
+            for v in (np.nextafter(r, -np.inf), r, np.nextafter(r, np.inf))]
+
+
+def _kernel_case(kind: str, n: int, tol: float, rnd):
+    """A sample of kind with n points, and centres that hit its distances."""
+    if kind == "explicit":
+        # off-diagonal entries in [1, 2] always satisfy the triangle inequality
+        ties = [float(np.clip(t, 1.0, 2.0)) for t in _planted(rnd.uniform(1, 2), tol)]
+        m = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i, j] = m[j, i] = rnd.choice(ties) if rnd.random() < 0.5 \
+                    else rnd.uniform(1.0, 2.0)
+        sample = M.MetricSample(M.explicit(m), np.arange(n), epsilon=1.0)
+        return sample, np.array([rnd.randrange(n) for _ in range(rnd.randint(1, 5))])
+    if kind == "circle":
+        grid = [2 * math.pi * k / 16 for k in range(16)]
+        pts = rnd.sample(grid, n)
+        centres = [rnd.choice(grid + [rnd.uniform(-7, 7)]) for _ in range(5)]
+        return M.MetricSample(M.circle_geodesic(), pts, epsilon=1.0), np.array(centres)
+    grid = [(0.25 * i, 0.25 * j) for i in range(5) for j in range(5)]
+    pts = rnd.sample(grid, n)
+    centres = [rnd.choice(grid + [(rnd.uniform(-1, 2), rnd.uniform(-1, 2))])
+               for _ in range(rnd.randint(1, 5))]
+    return M.MetricSample(M.euclidean(2), pts, epsilon=1.0), np.array(centres)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["euclidean", "circle", "explicit"]), st.integers(1, 8),
+       st.sampled_from([0.0, 1e-9, 1e-3]), st.booleans(),
+       st.sampled_from(["one radius", "per centre", "nearest"]),
+       st.sampled_from([M.BLOCK_ENTRIES, 1]), st.randoms(use_true_random=False))
+def test_ball_images_match_a_per_point_loop(kind, n, tol, closed, radius,
+                                            block_entries, rnd):
+    sample, centres = _kernel_case(kind, n, tol, rnd)
+    rows = [M.distances_from(sample.context, sample.points, c) for c in centres]
+    if radius == "nearest":
+        radii, arg, closed = [float(d.min()) for d in rows], None, True
+    else:
+        radii = [rnd.choice(_planted(float(rnd.choice(d)), tol)) for d in rows]
+        if radius == "one radius":
+            radii = [radii[0]] * len(rows)
+        arg = radii[0] if radius == "one radius" else np.array(radii)
+    expected = [frozenset(i for i, v in enumerate(d)
+                          if M.below(float(v), r, tol, closed=closed))
+                for d, r in zip(rows, radii)]
+    # a budget of one entry sweeps the centres one block per row
+    with mock.patch.object(M, "BLOCK_ENTRIES", block_entries):
+        assert M.ball_images(sample, centres, arg, tol, closed=closed) == expected
+    if radius == "one radius":
+        mode = "closed" if closed else "open"
+        assert [set(M.ball_query(sample, c, arg, mode, tol))
+                for c in centres] == expected
 
 
 def test_pairwise_of_column_circle_points_is_square():
