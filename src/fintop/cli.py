@@ -24,6 +24,7 @@ from . import finite_space as F
 from . import homology as H
 from . import limit as Lim
 from . import metric as M
+from . import simplicial as S
 from . import tower as T
 
 EXIT_OK = 0
@@ -216,8 +217,7 @@ def cmd_homology(args) -> int:
         except H.HomologyError as exc:
             raise CliError(str(exc), EXIT_RESOURCE)
         rows.append(res.betti)
-        comps.append(H.component_count(term.sample.pairwise(), term.threshold,
-                                       tower.tol))
+        comps.append(_component_count(term.complex))
         if res.torsion and any(res.torsion):
             torsion_notes.append(f"level {n}: torsion {res.torsion}")
     fh = _open_out(args)
@@ -238,6 +238,14 @@ def cmd_homology(args) -> int:
     for note in torsion_notes:
         print(note, file=sys.stderr)
     return EXIT_OK
+
+
+def _component_count(cx) -> int:
+    """Connected components of a complex's stored 1-skeleton."""
+    adj = [[] for _ in cx.simplices(0)]
+    for i, j in cx.simplices(1):
+        adj[i].append(j)
+    return S.connected_components(len(adj), adj)
 
 
 def induced_bonding_rank(tower: T.Tower, n: int, m: int, k: int,

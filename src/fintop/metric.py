@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -127,10 +128,22 @@ def _points_array(ctx: MetricContext, points) -> np.ndarray:
 
 
 def cross_distances(ctx: MetricContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The len(A) x len(B) matrix of distances between two point arrays."""
+    """The len(A) x len(B) matrix of distances between two point arrays.
+
+    Euclidean squares are summed one coordinate at a time into one
+    len(A) x len(B) array, in coordinate order.  That is the order of
+    numpy's reduction over a last axis shorter than 8, so up to dimension 7
+    every distance is bitwise that of sqrt(((A - B) ** 2).sum(axis=-1)).
+    """
     if ctx.kind == "euclidean":
-        diff = A[:, None, :] - B[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
+        A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+        acc = A[:, 0, None] - B[None, :, 0]
+        acc *= acc
+        for k in range(1, A.shape[1]):
+            d = A[:, k, None] - B[None, :, k]
+            d *= d
+            acc += d
+        return np.sqrt(acc, out=acc)
     if ctx.kind == "circle_geodesic":
         d = np.abs(np.ravel(A)[:, None] - np.ravel(B)[None, :]) % TWO_PI
         return np.minimum(d, TWO_PI - d)
@@ -164,6 +177,9 @@ class MetricSample:
         self.points = _points_array(self.context, self.points)
         if self.epsilon <= 0:
             raise MetricError("epsilon must be positive")
+        if self.gamma is not None and not isinstance(self.gamma, numbers.Real):
+            raise MetricError(f"{self.label or 'sample'}: "
+                              f"gamma={self.gamma!r} is not a number")
         n = len(self.points)
         pw = self.pairwise()
         off = pw[~np.eye(n, dtype=bool)] if n > 1 else np.array([1.0])
@@ -357,6 +373,8 @@ def farthest_point_net(points: np.ndarray, separation: float,
 
     Deterministic: starts from index 0, ties broken by lowest index.
     """
+    if not separation > 0:
+        raise MetricError(f"separation={separation} must be positive")
     if ctx is None:
         ctx = euclidean(points.shape[1])
     n = len(points)
@@ -369,7 +387,7 @@ def farthest_point_net(points: np.ndarray, separation: float,
         if dist[i] < separation:
             break
         chosen.append(i)
-        dist = np.minimum(dist, distances_from(ctx, points, points[i]))
+        np.minimum(dist, distances_from(ctx, points, points[i]), out=dist)
     return np.array(sorted(chosen), dtype=int)
 
 
@@ -428,11 +446,15 @@ def load_points_csv(path, dimension: Optional[int] = None) -> np.ndarray:
     """One point per line, decimal coordinates; '#' lines are comments."""
     rows = []
     with open(path, newline="") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(v) for v in line.replace(",", " ").split()])
+            try:
+                rows.append([float(v) for v in line.replace(",", " ").split()])
+            except ValueError:
+                raise MetricError(
+                    f"non-numeric coordinate in {path}, line {lineno}") from None
     if not rows:
         raise MetricError(f"no points in {path}")
     pts = point_rows(rows, path)
@@ -445,7 +467,13 @@ def point_rows(rows: list, where) -> np.ndarray:
     """Points given as rows of coordinates, or as single numbers, as one array."""
     if len({np.shape(r) for r in rows}) > 1:
         raise MetricError(f"inconsistent coordinate arity in {where}")
-    return np.array(rows, dtype=float)
+    try:
+        pts = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise MetricError(f"non-numeric coordinate in {where}") from None
+    if not np.isfinite(pts).all():
+        raise MetricError(f"non-finite coordinate in {where}")
+    return pts
 
 
 def save_points_csv(path, points: np.ndarray, header: str = "") -> None:

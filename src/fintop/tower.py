@@ -98,8 +98,8 @@ class Term:
 
     def is_element(self, payload: frozenset, tol: float = 1e-9) -> bool:
         """Diameter test, independent of the cardinality-capped enumeration."""
-        return bool(payload) and M.below(self.diameter(payload),
-                                         self.threshold, tol)
+        return bool(payload) and bool(M.below(self.diameter(payload),
+                                              self.threshold, tol))
 
     def space(self) -> FiniteSpace:
         """Finite T0 space on the stored elements.
@@ -148,7 +148,7 @@ def check_tolerance(tol: float) -> None:
         raise TowerError(f"tolerance={tol} must be finite and at least 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BondingReport:
     well_defined: bool
     worst_diameter: float
@@ -194,6 +194,8 @@ class Tower:
                       for s in samples]
         # vertex images of the bondings from level n+1 to n, filled lazily
         self._vertex_maps: dict[int, list[frozenset]] = {}
+        # bonding_element_map results per (n, m), filled lazily
+        self._element_maps: dict[tuple[int, int], tuple[tuple, BondingReport]] = {}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -239,7 +241,14 @@ class Tower:
 
         Entries are None when the image payload is not in the stored
         enumeration of level n (cardinality cap); the report counts them.
+        Computed once per (n, m); each call returns a fresh list.
         """
+        if (n, m) not in self._element_maps:
+            self._element_maps[(n, m)] = self._element_map(n, m)
+        assignment, report = self._element_maps[(n, m)]
+        return list(assignment), report
+
+    def _element_map(self, n: int, m: int) -> tuple[tuple, BondingReport]:
         src = self.term(m)
         dst = self.term(n)
         out: list[Optional[int]] = []
@@ -261,10 +270,10 @@ class Tower:
             if idx is None:
                 capped += 1
             out.append(idx)
-        report = BondingReport(well_defined=ok, worst_diameter=worst,
+        report = BondingReport(well_defined=ok, worst_diameter=float(worst),
                                bound=dst.threshold, empty_images=empty,
                                capped_images=capped)
-        return out, report
+        return tuple(out), report
 
     def verify_bondings(self) -> list[BondingReport]:
         """Well-definedness of every consecutive bonding map."""
@@ -295,7 +304,7 @@ class Tower:
             worst = max(worst, d)
             if not M.below(d, term.threshold, self.tol):
                 ok = False
-        return ok, worst
+        return ok, float(worst)
 
     def projection_square_certificate(self, n: int) -> tuple[bool, float]:
         """One-step against two-step bonding from level n+2 down to n.
@@ -574,7 +583,8 @@ def tower_from_config(cfg: dict, base_dir=".") -> Tower:
                 pts = pts.ravel()
             s = M.MetricSample(ctx, pts, epsilon=eps,
                                gamma=lvl.get("gamma"),
-                               gamma_exact=bool(lvl.get("gamma_exact", False)))
+                               gamma_exact=bool(lvl.get("gamma_exact", False)),
+                               label=f"level {i + 1}")
         else:
             raise TowerError(f"level {i + 1}: needs generator, points or points_file")
         samples.append(s)

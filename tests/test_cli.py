@@ -6,6 +6,7 @@ import re
 import pytest
 
 from fintop import cli
+from fintop import homology as H
 from fintop import limit as Lim
 from fintop import metric as M
 from fintop import tower as T
@@ -342,6 +343,45 @@ def test_config_points_must_have_one_arity(tmp_path, capsys):
     code, out, err = run(["homology", "--config", str(p)], capsys)
     assert code == cli.EXIT_VALIDATION
     assert err == "error: inconsistent coordinate arity in level 1 points\n"
+
+
+@pytest.mark.parametrize("level, points_file, message", [
+    ({"points": [["a"], [1.0]]}, None,
+     "non-numeric coordinate in level 1 points"),
+    ({"points": [[0.0], [None]]}, None,
+     "non-finite coordinate in level 1 points"),
+    ({"points_file": "pts.csv"}, "0.0\n# comment\nabc\n",
+     "non-numeric coordinate in {dir}/pts.csv, line 3"),
+    ({"points": [[0.0], [1.0]], "gamma": "x"}, None,
+     "level 1: gamma='x' is not a number"),
+], ids=["inline-points", "inline-null", "csv-cell", "gamma"])
+def test_config_values_must_be_numeric(level, points_file, message, tmp_path,
+                                       capsys):
+    cfg = {"mode": "relaxed", "levels": [dict(level, epsilon=1.0)]}
+    if points_file is not None:
+        (tmp_path / "pts.csv").write_text(points_file)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    message = message.format(dir=tmp_path)
+    with pytest.raises(M.MetricError, match=re.escape(message)):
+        T.tower_from_config(cfg, base_dir=str(tmp_path))
+    for command in ("homology", "verify"):
+        code, out, err = run([command, "--config", str(p)], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("space, depth", [("circle", 4), ("cantor", 6),
+                                          ("two_squares", 3)])
+def test_components_row_counts_the_threshold_graph(space, depth, capsys):
+    code, out, err = run(["homology", "--space", space, "--depth", str(depth)],
+                         capsys)
+    assert code == cli.EXIT_OK, err
+    tw = T.build_tower(space, depth)
+    want = [H.component_count(t.sample.pairwise(), t.threshold, tw.tol)
+            for t in tw.terms]
+    assert out.splitlines()[-1] == "components," + ",".join(map(str, want))
 
 
 @pytest.mark.parametrize("argv, message", [

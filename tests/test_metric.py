@@ -255,3 +255,83 @@ def test_pairwise_of_column_circle_points_is_square():
     assert column.pairwise().shape == (5, 5)
     assert np.array_equal(column.pairwise(), flat.pairwise())
     assert M.ball_query(column, column.points[0], 1.3, mode="open") == [0, 1, 4]
+
+
+def _broadcast_distances(A, B):
+    """The earlier Euclidean kernel: one len(A) x len(B) x d difference
+    array, reduced over its last axis."""
+    diff = A[:, None, :] - B[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+_COORDINATE = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, s: s * m, st.floats(1e-3, 1e3), st.sampled_from([-1.0, 1.0])))
+
+
+@st.composite
+def _point_arrays(draw):
+    """Two point arrays of one dimension 1..7 whose coordinates repeat."""
+    dim = draw(st.integers(1, 7))
+    pool = draw(st.lists(_COORDINATE, min_size=1, max_size=4))
+    coordinate = st.one_of(st.sampled_from(pool), _COORDINATE)
+    rows = st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                    min_size=1, max_size=6)
+    A = draw(rows)
+    B = draw(rows) + draw(st.lists(st.sampled_from(A), max_size=2))
+    return np.array(A), np.array(B)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_arrays())
+def test_cross_distances_are_bitwise_the_broadcast_formula(arrays):
+    A, B = arrays
+    ctx = M.euclidean(A.shape[1])
+    for a, b in ((A, B), (B, A), (A, A)):
+        got = M.cross_distances(ctx, a, b)
+        want = _broadcast_distances(a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _net_by_loop(points: list, separation: float) -> list:
+    """Farthest-point net, one pick at a time: the point farthest from the
+    picks so far, lowest index first on ties, until it is closer than the
+    separation."""
+    def dist(p, q):
+        return math.sqrt(sum((a - b) * (a - b) for a, b in zip(p, q)))
+    chosen = [0]
+    while True:
+        gaps = [min(dist(p, points[c]) for c in chosen) for p in points]
+        best = max(range(len(points)), key=lambda i: (gaps[i], -i))
+        if gaps[best] < separation:
+            return sorted(chosen)
+        chosen.append(best)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.randoms(use_true_random=False))
+def test_farthest_point_net_matches_a_per_pick_loop(dim, n, rnd):
+    # grid points repeat distances, so picks and the stopping rule hit ties
+    points = [[float(rnd.randint(0, 3)) for _ in range(dim)] for _ in range(n)]
+    distances = {math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+                 for p in points for q in points}
+    separation = rnd.choice(sorted((distances - {0.0}) | {0.5, 10.0}))
+    got = M.farthest_point_net(np.array(points), separation)
+    assert got.tolist() == _net_by_loop(points, separation)
+
+
+def test_farthest_point_net_breaks_ties_by_lowest_index():
+    # 1, 2 and 3 are at distance 2 from 0: 1 is picked first, then 2;
+    # 3 repeats 1 and is never picked; 4 is at distance 1 from the picks
+    points = np.array([[0.0], [2.0], [-2.0], [2.0], [1.0]])
+    assert M.farthest_point_net(points, 1.0).tolist() == [0, 1, 2, 4]
+    assert M.farthest_point_net(points, 2.0).tolist() == [0, 1, 2]
+    assert M.farthest_point_net(points, 2.5).tolist() == [0]
+
+
+@pytest.mark.parametrize("separation", [0.0, -1.0, float("nan")])
+def test_farthest_point_net_needs_a_positive_separation(separation):
+    # no separation at most 0 ends the picks: every gap is at least 0
+    with pytest.raises(M.MetricError, match="separation"):
+        M.farthest_point_net(np.zeros((3, 2)), separation)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fintop import limit as L
 from fintop import metric as M
 from fintop import tower as T
 
@@ -251,3 +253,53 @@ def test_cantor_tower_components_match_oracle():
     got = [H.component_count(t.sample.pairwise(), 4 * t.sample.epsilon)
            for t in tw.terms]
     assert got == [1, 1, 2, 4, 8, 32]
+
+
+def test_bonding_element_map_is_kept_and_returned_fresh():
+    tw = circle_tower(3)
+    first, report = tw.bonding_element_map(2, 3)
+    again, report_again = tw.bonding_element_map(2, 3)
+    assert again == first and again is not first
+    assert report_again == report
+    first[0] = -1
+    first.append(99)
+    assert tw.bonding_element_map(2, 3)[0] == again
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.well_defined = False
+
+
+def test_dump_after_verify_computes_each_bonding_once(monkeypatch):
+    tw = circle_tower(4)
+    calls = []
+
+    def counted(self, n, m, payload, _real=T.Tower.bond):
+        calls.append((n, m))
+        return _real(self, n, m, payload)
+
+    monkeypatch.setattr(T.Tower, "bond", counted)
+    reports = tw.verify_bondings()
+    data = T.dump_tower(tw)
+    # one bond call per stored element of each upper level, all in the first pass
+    assert sorted(set(calls)) == [(1, 2), (2, 3), (3, 4)]
+    assert len(calls) == sum(len(tw.term(m).elements) for m in (2, 3, 4))
+    assert [lvl["bonding_well_defined"] for lvl in data["levels"][1:]] == \
+        [r.well_defined for r in reports]
+
+
+@pytest.mark.parametrize("space, depth", [("circle", 4), ("two_squares", 3)])
+def test_reports_are_plain_python_and_dump_as_json(space, depth):
+    tw = T.build_tower(space, depth, max_dim=3, k_max=1)
+    term = tw.term(depth)
+    for payload in (frozenset(), frozenset([0]), term.elements[-1]):
+        assert type(term.is_element(payload)) is bool
+    for rep in tw.verify_bondings():
+        assert type(rep.worst_diameter) is float
+        json.dumps(dataclasses.asdict(rep))
+    for n in range(1, depth - 1):
+        ok, worst = tw.projection_square_certificate(n)
+        assert type(ok) is bool and type(worst) is float
+    probes = [0.7, 2.0] if space == "circle" else M.two_squares_points(4, 103)
+    for x in probes:
+        rep = L.verify_thread(tw, L.canonical_thread(tw, x))
+        assert all(type(v) is bool for v in rep.element_levels)
+        json.dumps(dataclasses.asdict(rep))
