@@ -150,9 +150,22 @@ def cross_distances(ctx: MetricContext, A: np.ndarray, B: np.ndarray) -> np.ndar
     return ctx.matrix[np.ix_(np.ravel(A), np.ravel(B))]
 
 
+def _distance_blocks(ctx: MetricContext, centres: np.ndarray, points: np.ndarray):
+    """(rows, distances from centres[rows] to the points), in row blocks of
+    at most BLOCK_ENTRIES entries."""
+    step = max(1, BLOCK_ENTRIES // max(1, len(points)))
+    for start in range(0, len(centres), step):
+        rows = slice(start, start + step)
+        yield rows, cross_distances(ctx, centres[rows], points)
+
+
 def points_distance_matrix(ctx: MetricContext, points: np.ndarray) -> np.ndarray:
-    """The n x n matrix of distances within one point array."""
-    return cross_distances(ctx, points, points)
+    """The n x n matrix of distances within one point array, filled one row
+    block at a time, so the kernel's temporaries stay within a block."""
+    out = np.empty((len(points), len(points)))
+    for rows, d in _distance_blocks(ctx, points, points):
+        out[rows] = d
+    return out
 
 
 def distances_from(ctx: MetricContext, points: np.ndarray, x) -> np.ndarray:
@@ -180,10 +193,9 @@ class MetricSample:
         if self.gamma is not None and not isinstance(self.gamma, numbers.Real):
             raise MetricError(f"{self.label or 'sample'}: "
                               f"gamma={self.gamma!r} is not a number")
-        n = len(self.points)
-        pw = self.pairwise()
-        off = pw[~np.eye(n, dtype=bool)] if n > 1 else np.array([1.0])
-        if n > 1 and off.min() <= 0:
+        # the n diagonal distances are 0, so only they may be 0 when the
+        # points are distinct
+        if np.count_nonzero(self.pairwise() <= 0) > len(self.points):
             raise MetricError("sample points must be pairwise distinct")
         if self.gamma is not None and self.gamma >= self.epsilon:
             self.warnings.append(
@@ -203,15 +215,6 @@ class MetricSample:
         return self.points[i]
 
 
-def _distance_blocks(sample: MetricSample, centres: np.ndarray):
-    """(rows, distances from centres[rows] to the sample), in row blocks of
-    at most BLOCK_ENTRIES entries."""
-    step = max(1, BLOCK_ENTRIES // max(1, len(sample)))
-    for start in range(0, len(centres), step):
-        rows = slice(start, start + step)
-        yield rows, cross_distances(sample.context, centres[rows], sample.points)
-
-
 def ball_images(sample: MetricSample, centres, radius, tol: float = DEFAULT_TOL,
                 closed: bool = False) -> list[frozenset]:
     """For each centre, the indices of the sample points in its ball.
@@ -224,7 +227,7 @@ def ball_images(sample: MetricSample, centres, radius, tol: float = DEFAULT_TOL,
         raise MetricError("radius must be nonnegative")
     centres = np.asarray(centres)
     images = []
-    for rows, d in _distance_blocks(sample, centres):
+    for rows, d in _distance_blocks(sample.context, centres, sample.points):
         r = d.min(axis=1, keepdims=True) if radius is None \
             else np.broadcast_to(radius, len(centres))[rows, None]
         images.extend(frozenset(np.flatnonzero(row).tolist())
@@ -265,7 +268,8 @@ def coverage_radius(sample: MetricSample, reference=None) -> float:
             return sample.gamma
         raise MetricError("no reference points and no exact gamma available")
     ref = _points_array(sample.context, reference)
-    return max(float(d.min(axis=1).max()) for _, d in _distance_blocks(sample, ref))
+    return max(float(d.min(axis=1).max())
+               for _, d in _distance_blocks(sample.context, ref, sample.points))
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,11 @@ def test_cross_distances_are_bitwise_the_broadcast_formula(arrays):
         want = _broadcast_distances(a, b)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    # the pairwise matrix is filled in row blocks, here one row per block
+    for budget in (M.BLOCK_ENTRIES, 1):
+        with mock.patch.object(M, "BLOCK_ENTRIES", budget):
+            got = M.points_distance_matrix(ctx, B)
+        assert got.tobytes() == _broadcast_distances(B, B).tobytes()
 
 
 def _net_by_loop(points: list, separation: float) -> list:
