@@ -337,6 +337,6 @@ def test_farthest_point_net_breaks_ties_by_lowest_index():
 
 @pytest.mark.parametrize("separation", [0.0, -1.0, float("nan")])
 def test_farthest_point_net_needs_a_positive_separation(separation):
-    # no separation at most 0 ends the picks: every gap is at least 0
+    # a separation at most 0 would never end the picks: every gap is >= 0
     with pytest.raises(M.MetricError, match="separation"):
         M.farthest_point_net(np.zeros((3, 2)), separation)
