@@ -293,6 +293,15 @@ def _thread_point(spec: str, ctx: M.MetricContext):
     return coords[0] if circle else np.array(coords)
 
 
+def _witness(tower: T.Tower, m: int, rep: T.BondingReport) -> str:
+    """The element of level m that a failed bonding report names."""
+    i = rep.worst_element
+    image = ("empty image" if rep.empty_images
+             else f"image diameter {fmt(rep.worst_diameter)}")
+    return (f"; witness: level {m} element {i} "
+            f"{sorted(tower.term(m).elements[i])}, {image}")
+
+
 def cmd_verify(args) -> int:
     tower = make_tower(args)
     if args.thread is not None:
@@ -305,19 +314,24 @@ def cmd_verify(args) -> int:
         print(f"ok schedule: {tower.mode} inequalities hold on "
               f"{len(tower)} levels")
     for n, rep in enumerate(tower.verify_bondings(), start=1):
-        tag = "ok" if rep.well_defined else "FAIL"
-        if not rep.well_defined:
+        line = (f"bonding {n + 1}->{n}: worst diameter "
+                f"{fmt(rep.worst_diameter)} < {fmt(rep.bound)}, "
+                f"empty={rep.empty_images}, capped={rep.capped_images}")
+        if rep.well_defined:
+            print(f"ok {line}")
+        else:
             failures += 1
-        print(f"{tag} bonding {n + 1}->{n}: worst diameter "
-              f"{fmt(rep.worst_diameter)} < {fmt(rep.bound)}, "
-              f"empty={rep.empty_images}, capped={rep.capped_images}")
+            print(f"FAIL {line}{_witness(tower, n + 1, rep)}")
     for n in range(1, len(tower) - 1):
         ok, worst = tower.projection_square_certificate(n)
-        tag = "ok" if ok else "FAIL"
-        if not ok:
+        line = (f"square at level {n}: union diameter {fmt(worst)} < "
+                f"{fmt(tower.term(n).threshold)}")
+        if ok:
+            print(f"ok {line}")
+        else:
             failures += 1
-        print(f"{tag} square at level {n}: union diameter {fmt(worst)} < "
-              f"{fmt(tower.term(n).threshold)}")
+            rep = tower.bonding_element_map(n, n + 2)[1]
+            print(f"FAIL {line}{_witness(tower, n + 2, rep)}")
     if args.thread is not None:
         th = Lim.canonical_thread(tower, x, tol=tower.tol)
         rep = Lim.verify_thread(tower, th, tol=tower.tol)

@@ -10,6 +10,7 @@ new.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -82,9 +83,20 @@ def _level_points(tower: Tower, n: int, payload: frozenset) -> list:
     return [pts[i] for i in sorted(payload)]
 
 
+def _hausdorff(ctx: M.MetricContext, C: list, D: list) -> float:
+    """d_H(C, D), and inf when either is empty, so that it passes no bound."""
+    if not C or not D:
+        return math.inf
+    return M.hausdorff_distance(ctx, C, D)
+
+
 def verify_thread(tower: Tower, thread: Thread, x=None,
                   tol: float = 1e-9) -> ThreadReport:
-    """All certified properties of a thread against its tower."""
+    """All certified properties of a thread against its tower.
+
+    An empty level fails the convergence, ball and inter-level checks, with
+    an infinite distance.
+    """
     if x is None:
         x = thread.point
     if x is None:
@@ -99,13 +111,13 @@ def verify_thread(tower: Tower, thread: Thread, x=None,
     conv_ok = ball_ok = True
     for n in range(1, len(thread) + 1):
         pts = _level_points(tower, n, thread.levels[n - 1])
-        dh = M.hausdorff_distance(ctx, [x], pts)
+        dh = _hausdorff(ctx, [x], pts)
         convergence.append(dh)
         bound = 2 * tower.epsilon(n)
         conv_ok &= M.below(dh, bound, tol)
         ball = M.ball_images(tower.term(n).sample, [x], bound, tol)[0]
-        ball_ok &= thread.levels[n - 1] <= ball
-    inter_ok = True
+        ball_ok &= bool(pts) and thread.levels[n - 1] <= ball
+    inter_ok = all(thread.levels)
     for n in range(1, len(thread) + 1):
         gamma = tower.term(n).sample.gamma
         if gamma is None:
@@ -114,7 +126,7 @@ def verify_thread(tower: Tower, thread: Thread, x=None,
         pn = _level_points(tower, n, thread.levels[n - 1])
         for m in range(n + 1, len(thread) + 1):
             pm = _level_points(tower, m, thread.levels[m - 1])
-            inter_ok &= M.below(M.hausdorff_distance(ctx, pn, pm), bound, tol)
+            inter_ok &= M.below(_hausdorff(ctx, pn, pm), bound, tol)
     return ThreadReport(compatible=compatible, element_levels=element_levels,
                         convergence=convergence, convergence_ok=conv_ok,
                         ball_bound_ok=ball_ok, inter_level_ok=inter_ok,

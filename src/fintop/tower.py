@@ -15,6 +15,7 @@ space.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -91,10 +92,9 @@ class Term:
         return self.threshold_factor * self.sample.epsilon
 
     def diameter(self, payload: frozenset) -> float:
-        pw = self.sample.pairwise()
-        pts = sorted(payload)
-        return max((pw[a][b] for i, a in enumerate(pts) for b in pts[i + 1:]),
-                   default=0.0)
+        if not payload:
+            return 0.0
+        return float(image_diameters(self.sample.pairwise(), [payload])[0])
 
     def is_element(self, payload: frozenset, tol: float = 1e-9) -> bool:
         """Diameter test, independent of the cardinality-capped enumeration."""
@@ -155,6 +155,7 @@ class BondingReport:
     bound: float
     empty_images: int
     capped_images: int        # images outside the stored enumeration
+    worst_element: int        # at level m: the first empty image, else the widest
 
 
 def _union(images) -> frozenset:
@@ -163,6 +164,35 @@ def _union(images) -> frozenset:
     for img in images:
         acc |= img
     return frozenset(acc)
+
+
+def image_diameters(pw: np.ndarray, payloads: list) -> np.ndarray:
+    """Diameters of nonempty index payloads under the distance matrix pw.
+
+    Each payload's indices are padded to the widest payload's size with its
+    first index, and pw[idx[:, :, None], idx[:, None, :]] is gathered in
+    blocks of at most BLOCK_ENTRIES entries.  The padding only repeats
+    entries, and pw is symmetric with a zero diagonal, so each maximum runs
+    over the same floats as the pairs a < b of its payload and is bitwise
+    that pair maximum (0.0 for a singleton).
+    """
+    out = np.zeros(len(payloads))
+    if not payloads:
+        return out
+    sizes = np.fromiter(map(len, payloads), dtype=np.intp, count=len(payloads))
+    flat = np.fromiter(itertools.chain.from_iterable(payloads), dtype=np.intp,
+                       count=int(sizes.sum()))
+    width = int(sizes.max())
+    starts = np.cumsum(sizes) - sizes
+    idx = np.repeat(flat[starts], width).reshape(len(payloads), width)
+    idx[np.repeat(np.arange(len(payloads)), sizes),
+        np.arange(len(flat)) - np.repeat(starts, sizes)] = flat
+    step = max(1, M.BLOCK_ENTRIES // (width * width))
+    for start in range(0, len(payloads), step):
+        block = idx[start:start + step]
+        out[start:start + step] = pw[block[:, :, None],
+                                     block[:, None, :]].max(axis=(1, 2))
+    return out
 
 
 class Tower:
@@ -192,8 +222,8 @@ class Tower:
             raise TowerError("; ".join(self.schedule_problems))
         self.terms = [build_term(s, max_dim, threshold_factor, tol, max_elements)
                       for s in samples]
-        # vertex images of the bondings from level n+1 to n, filled lazily
-        self._vertex_maps: dict[int, list[frozenset]] = {}
+        # q_{n,m}({v}) for the vertices v of level m, per (n, m), filled lazily
+        self._vertex_maps: dict[tuple[int, int], list[frozenset]] = {}
         # bonding_element_map results per (n, m), filled lazily
         self._element_maps: dict[tuple[int, int], tuple[tuple, BondingReport]] = {}
 
@@ -217,24 +247,40 @@ class Tower:
         """One-step bonding images of points: their open eps_n-balls in low."""
         return M.ball_images(low, points, low.epsilon, self.tol)
 
-    def _vertex_images(self, n: int) -> list[frozenset]:
-        """Images under the one-step bonding of the singletons of level n+1."""
-        if n not in self._vertex_maps:
-            self._vertex_maps[n] = self._point_images(
-                self.term(n).sample, self.term(n + 1).sample.points)
-        return self._vertex_maps[n]
-
-    def bond(self, n: int, m: int, payload: frozenset) -> frozenset:
-        """q_{n,m}: payload at level m down to level n (n <= m)."""
+    def _check_levels(self, n: int, m: int) -> None:
         if not 1 <= n <= m <= len(self):
             raise TowerError(f"bad bonding levels ({n}, {m})")
-        current = payload
-        for level in range(m - 1, n - 1, -1):
-            images = self._vertex_images(level)
-            current = _union(images[v] for v in current)
-            if not current:
-                break
-        return current
+
+    def _vertex_images(self, n: int, m: int) -> list[frozenset]:
+        """q_{n,m}({v}) for every vertex v of level m, computed once per (n, m).
+
+        For m > n+1 the one-step images of level n are joined over the
+        images q_{n+1,m}({v}): one union per vertex per step.
+        """
+        if (n, m) not in self._vertex_maps:
+            if m == n:
+                images = [frozenset((v,))
+                          for v in range(len(self.term(m).sample.points))]
+            elif m == n + 1:
+                images = self._point_images(self.term(n).sample,
+                                            self.term(m).sample.points)
+            else:
+                step = self._vertex_images(n, n + 1)
+                images = [_union(step[u] for u in img)
+                          for img in self._vertex_images(n + 1, m)]
+            self._vertex_maps[(n, m)] = images
+        return self._vertex_maps[(n, m)]
+
+    def bond(self, n: int, m: int, payload: frozenset) -> frozenset:
+        """q_{n,m}: payload at level m down to level n (n <= m).
+
+        Every step down is a union over the payload's vertices, so
+        q_{n,m}(C) is the union of the kept vertex images q_{n,m}({v}) over
+        v in C, whatever m - n is.
+        """
+        self._check_levels(n, m)
+        images = self._vertex_images(n, m)
+        return _union(images[v] for v in payload)
 
     def bonding_element_map(self, n: int, m: int) -> tuple[list[Optional[int]], BondingReport]:
         """Images of the stored elements of level m as indices at level n.
@@ -243,37 +289,29 @@ class Tower:
         enumeration of level n (cardinality cap); the report counts them.
         Computed once per (n, m); each call returns a fresh list.
         """
+        self._check_levels(n, m)
         if (n, m) not in self._element_maps:
             self._element_maps[(n, m)] = self._element_map(n, m)
         assignment, report = self._element_maps[(n, m)]
         return list(assignment), report
 
     def _element_map(self, n: int, m: int) -> tuple[tuple, BondingReport]:
-        src = self.term(m)
         dst = self.term(n)
-        out: list[Optional[int]] = []
-        worst = 0.0
-        empty = capped = 0
-        ok = True
-        for payload in src.elements:
-            img = self.bond(n, m, payload)
-            if not img:
-                empty += 1
-                ok = False
-                out.append(None)
-                continue
-            d = dst.diameter(img)
-            worst = max(worst, d)
-            if not M.below(d, dst.threshold, self.tol):
-                ok = False
-            idx = dst.index.get(img)
-            if idx is None:
-                capped += 1
-            out.append(idx)
-        report = BondingReport(well_defined=ok, worst_diameter=float(worst),
-                               bound=dst.threshold, empty_images=empty,
-                               capped_images=capped)
-        return tuple(out), report
+        vimg = self._vertex_images(n, m)
+        images = [_union(vimg[v] for v in c) for c in self.term(m).elements]
+        empty = [i for i, img in enumerate(images) if not img]
+        widths = image_diameters(dst.sample.pairwise(),
+                                 [img for img in images if img])
+        out = tuple(dst.index.get(img) if img else None for img in images)
+        report = BondingReport(
+            well_defined=not empty and bool(np.all(
+                M.below(widths, dst.threshold, self.tol))),
+            worst_diameter=float(widths.max(initial=0.0)),
+            bound=dst.threshold, empty_images=len(empty),
+            capped_images=out.count(None) - len(empty),
+            # without empty images, widths holds every element's diameter
+            worst_element=empty[0] if empty else int(np.argmax(widths)))
+        return out, report
 
     def verify_bondings(self) -> list[BondingReport]:
         """Well-definedness of every consecutive bonding map."""
@@ -294,32 +332,27 @@ class Tower:
         are homotopic.  Returns (ok, worst diameter seen).
         """
         term = self.term(n)
-        worst = 0.0
-        ok = True
-        for c in source:
-            u = f(c) | g(c)
-            if not u:
-                return False, float("inf")
-            d = term.diameter(u)
-            worst = max(worst, d)
-            if not M.below(d, term.threshold, self.tol):
-                ok = False
-        return ok, float(worst)
+        unions = [f(c) | g(c) for c in source]
+        if not all(unions):
+            return False, math.inf
+        widths = image_diameters(term.sample.pairwise(), unions)
+        return (bool(np.all(M.below(widths, term.threshold, self.tol))),
+                float(widths.max(initial=0.0)))
 
     def projection_square_certificate(self, n: int) -> tuple[bool, float]:
         """One-step against two-step bonding from level n+2 down to n.
 
-        The composite q_{n,n+1} o q_{n+1,n+2} equals q_{n,n+2} by
-        construction here, so the certificate is the union-map bound for
-        the pair, which is the content of the factorization statement.
+        bond composes one-step unions, so q_{n,n+1} o q_{n+1,n+2} equals
+        q_{n,n+2} and their union map is q_{n,n+2} itself.  The certificate
+        is therefore the diameter bound of bonding_element_map(n, n+2), the
+        content of the factorization statement: (False, inf) when an image
+        is empty, else (well defined, worst diameter).
         """
-        if n + 2 > len(self):
-            raise TowerError("need two levels above n")
-        src = self.term(n + 2).elements
-        return self.union_homotopy_certificate(
-            n, src,
-            lambda c: self.bond(n, n + 2, c),
-            lambda c: self.bond(n, n + 1, self.bond(n + 1, n + 2, c)))
+        self._check_levels(n, n + 2)
+        report = self.bonding_element_map(n, n + 2)[1]
+        if report.empty_images:
+            return False, math.inf
+        return report.well_defined, report.worst_diameter
 
 
 # ---------------------------------------------------------------------------

@@ -417,3 +417,58 @@ def test_resource_cap_exit(capsys):
 def test_numbers_are_12_significant_digits():
     assert cli.fmt(3.141592653589793) == "3.14159265359"
     assert cli.fmt(0.1) == "0.1"
+
+
+def _config(tmp_path, levels):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"mode": "relaxed", "levels": levels}))
+    return str(p)
+
+
+def test_verify_thread_with_an_empty_level(tmp_path, capsys):
+    # no point of level 1 lies in the open 1-ball of 1.5
+    cfg = _config(tmp_path, [{"points": [[0.0]], "epsilon": 1.0},
+                             {"points": [[0.0], [1.5]], "epsilon": 0.4}])
+    code, out, err = run(["verify", "--config", cfg, "--thread", "1.5"], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert err == ""
+    assert out.splitlines()[-6:] == [
+        "ok thread compatible",
+        "FAIL thread element-bounds",
+        "FAIL thread convergence",
+        "FAIL thread ball-bound",
+        "FAIL thread inter-level",
+        "thread convergence: inf"]
+
+
+def test_verify_names_the_element_with_an_empty_image(tmp_path, capsys):
+    cfg = _config(tmp_path, [{"points": [[0.0]], "epsilon": 1.0},
+                             {"points": [[0.0], [1.5]], "epsilon": 0.4},
+                             {"points": [[0.0], [1.5]], "epsilon": 0.19}])
+    code, out, err = run(["verify", "--config", cfg], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out.splitlines()[1:] == [
+        "FAIL bonding 2->1: worst diameter 0 < 4, empty=1, capped=0; "
+        "witness: level 2 element 1 [1], empty image",
+        "ok bonding 3->2: worst diameter 0 < 1.6, empty=0, capped=0",
+        "FAIL square at level 1: union diameter inf < 4; "
+        "witness: level 3 element 1 [1], empty image"]
+
+
+def test_verify_names_the_element_with_a_wide_image(capsys, monkeypatch):
+    # levels 2 and 3 break the schedule, so their pair {0.5, 2.5} reaches
+    # all of level 1, diameter 3 against the threshold 2.4
+    ctx = M.euclidean(1)
+    tw = T.Tower([M.MetricSample(ctx, [[0.0], [1.0], [2.0], [3.0]], epsilon=0.6),
+                  M.MetricSample(ctx, [[0.5], [2.5]], epsilon=0.55),
+                  M.MetricSample(ctx, [[0.5], [2.5]], epsilon=0.52)],
+                 mode=T.RELAXED, enforce_schedule=False)
+    monkeypatch.setattr(cli, "make_tower", lambda args: tw)
+    code, out, err = run(["verify", "--space", "interval"], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out.splitlines()[2:] == [
+        "FAIL bonding 2->1: worst diameter 3 < 2.4, empty=0, capped=1; "
+        "witness: level 2 element 2 [0, 1], image diameter 3",
+        "ok bonding 3->2: worst diameter 2 < 2.2, empty=0, capped=0",
+        "FAIL square at level 1: union diameter 3 < 2.4; "
+        "witness: level 3 element 2 [0, 1], image diameter 3"]

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fintop import limit as L
 from fintop import metric as M
@@ -272,16 +275,15 @@ def test_dump_after_verify_computes_each_bonding_once(monkeypatch):
     tw = circle_tower(4)
     calls = []
 
-    def counted(self, n, m, payload, _real=T.Tower.bond):
+    def counted(self, n, m, _real=T.Tower._element_map):
         calls.append((n, m))
-        return _real(self, n, m, payload)
+        return _real(self, n, m)
 
-    monkeypatch.setattr(T.Tower, "bond", counted)
+    monkeypatch.setattr(T.Tower, "_element_map", counted)
     reports = tw.verify_bondings()
     data = T.dump_tower(tw)
-    # one bond call per stored element of each upper level, all in the first pass
-    assert sorted(set(calls)) == [(1, 2), (2, 3), (3, 4)]
-    assert len(calls) == sum(len(tw.term(m).elements) for m in (2, 3, 4))
+    # one element map per consecutive pair, all in the first pass
+    assert calls == [(1, 2), (2, 3), (3, 4)]
     assert [lvl["bonding_well_defined"] for lvl in data["levels"][1:]] == \
         [r.well_defined for r in reports]
 
@@ -303,3 +305,131 @@ def test_reports_are_plain_python_and_dump_as_json(space, depth):
         rep = L.verify_thread(tw, L.canonical_thread(tw, x))
         assert all(type(v) is bool for v in rep.element_levels)
         json.dumps(dataclasses.asdict(rep))
+
+
+# -- level checks, witnesses and oracles of the bonding layer ------------------
+
+def wide_tower():
+    """Three levels on the line, schedule unchecked: the pair {0.5, 2.5} of
+    levels 2 and 3 is an element whose image is all of level 1 (diameter 3,
+    threshold 2.4)."""
+    ctx = M.euclidean(1)
+    return T.Tower([M.MetricSample(ctx, [[0.0], [1.0], [2.0], [3.0]], epsilon=0.6),
+                    M.MetricSample(ctx, [[0.5], [2.5]], epsilon=0.55),
+                    M.MetricSample(ctx, [[0.5], [2.5]], epsilon=0.52)],
+                   mode=T.RELAXED, enforce_schedule=False)
+
+
+def empty_image_tower():
+    """Relaxed schedule: the point 1.5 of levels 2 and 3 has no point of
+    level 1 in its open 1-ball."""
+    ctx = M.euclidean(1)
+    return T.Tower([M.MetricSample(ctx, [[0.0]], epsilon=1.0),
+                    M.MetricSample(ctx, [[0.0], [1.5]], epsilon=0.4),
+                    M.MetricSample(ctx, [[0.0], [1.5]], epsilon=0.19)],
+                   mode=T.RELAXED)
+
+
+def pair_diameter(pw, payload):
+    pts = sorted(payload)
+    return max((pw[a][b] for i, a in enumerate(pts) for b in pts[i + 1:]),
+               default=0.0)
+
+
+def square_oracle(tw, n):
+    """The square certificate as the union of the one-step and the two-step
+    bondings from level n+2 down to n, with pair-loop diameters."""
+    term = tw.term(n)
+    pw = term.sample.pairwise()
+    worst, ok = 0.0, True
+    for c in tw.term(n + 2).elements:
+        u = tw.bond(n, n + 2, c) | tw.bond(n, n + 1, tw.bond(n + 1, n + 2, c))
+        if not u:
+            return False, float("inf")
+        d = pair_diameter(pw, u)
+        worst = max(worst, d)
+        ok &= bool(M.below(d, term.threshold, tw.tol))
+    return ok, float(worst)
+
+
+def stepwise_bond(tw, n, m, payload):
+    for level in range(m - 1, n - 1, -1):
+        payload = tw.bond(level, level + 1, payload)
+    return payload
+
+
+def test_bad_bonding_levels_raise():
+    tw = circle_tower(3)
+    for n, m in [(1, 5), (0, 2), (3, 2), (0, 0)]:
+        with pytest.raises(T.TowerError, match=re.escape(f"bad bonding levels ({n}, {m})")):
+            tw.bonding_element_map(n, m)
+    for n in (0, 2, -1):
+        with pytest.raises(T.TowerError, match="bad bonding levels"):
+            tw.projection_square_certificate(n)
+    assert tw.bonding_element_map(3, 3)[0] == list(range(256))
+
+
+@pytest.mark.parametrize("variant", [T.Tower, T.NearestPointTower])
+@pytest.mark.parametrize("space, depth", [("circle", 4), ("cantor", 5),
+                                          ("two_squares", 3)])
+def test_square_certificate_matches_the_two_path_union(variant, space, depth):
+    samples, mode = T.space_samples(space, depth)
+    tw = variant(samples, mode=mode, max_dim=3, k_max=1)
+    for n in range(1, depth - 1):
+        got = tw.projection_square_certificate(n)
+        assert got == square_oracle(tw, n)
+        assert [type(v) for v in got] == [bool, float]
+        assert tw.union_homotopy_certificate(
+            n, tw.term(n + 2).elements,
+            lambda c: tw.bond(n, n + 2, c),
+            lambda c: tw.bond(n, n + 1, tw.bond(n + 1, n + 2, c))) == got
+
+
+def test_empty_image_fails_square_and_names_its_element():
+    tw = empty_image_tower()
+    assert tw.projection_square_certificate(1) == square_oracle(tw, 1) \
+        == (False, math.inf)
+    rep = tw.bonding_element_map(1, 2)[1]
+    assert (rep.well_defined, rep.empty_images, rep.worst_element) == (False, 1, 1)
+    assert tw.bonding_element_map(1, 3)[1].worst_element == 1
+
+
+def test_wide_image_fails_and_names_its_element():
+    tw = wide_tower()
+    pair = tw.term(2).elements.index(frozenset([0, 1]))
+    rep = tw.bonding_element_map(1, 2)[1]
+    assert (rep.well_defined, rep.worst_diameter, rep.capped_images,
+            rep.worst_element) == (False, 3.0, 1, pair)
+    assert tw.projection_square_certificate(1) == square_oracle(tw, 1) == (False, 3.0)
+    assert tw.bonding_element_map(1, 3)[1].worst_element == \
+        tw.term(3).elements.index(frozenset([0, 1]))
+    assert tw.bonding_element_map(2, 3)[1].well_defined
+
+
+@functools.cache
+def squares_tower():
+    return T.build_tower("two_squares", 3, k_max=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_composed_bond_equals_stepwise_composition(data):
+    tw = squares_tower()
+    n = data.draw(st.integers(1, len(tw) - 1))
+    m = data.draw(st.integers(n + 1, len(tw)))
+    size = len(tw.term(m).sample.points)
+    payload = frozenset(data.draw(st.sets(st.integers(0, size - 1), max_size=6)))
+    assert tw.bond(n, m, payload) == stepwise_bond(tw, n, m, payload)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+                min_size=1, max_size=12),
+       st.lists(st.sets(st.integers(0, 11), min_size=1, max_size=12),
+                min_size=1, max_size=20))
+def test_batched_diameters_equal_the_pair_loop(points, payloads):
+    pts = np.array(points)
+    pw = M.points_distance_matrix(M.euclidean(2), pts)
+    payloads = [frozenset(i % len(pts) for i in p) for p in payloads]
+    got = T.image_diameters(pw, payloads)
+    assert got.tolist() == [pair_diameter(pw, p) for p in payloads]
