@@ -314,24 +314,22 @@ def cmd_verify(args) -> int:
         print(f"ok schedule: {tower.mode} inequalities hold on "
               f"{len(tower)} levels")
     for n, rep in enumerate(tower.verify_bondings(), start=1):
-        line = (f"bonding {n + 1}->{n}: worst diameter "
-                f"{fmt(rep.worst_diameter)} < {fmt(rep.bound)}, "
-                f"empty={rep.empty_images}, capped={rep.capped_images}")
-        if rep.well_defined:
-            print(f"ok {line}")
-        else:
+        tag, witness = "ok", ""
+        if not rep.well_defined:
+            tag, witness = "FAIL", _witness(tower, n + 1, rep)
             failures += 1
-            print(f"FAIL {line}{_witness(tower, n + 1, rep)}")
+        print(f"{tag} bonding {n + 1}->{n}: worst diameter "
+              f"{fmt(rep.worst_diameter)} < {fmt(rep.bound)}, "
+              f"empty={rep.empty_images}, capped={rep.capped_images}{witness}")
     for n in range(1, len(tower) - 1):
         ok, worst = tower.projection_square_certificate(n)
-        line = (f"square at level {n}: union diameter {fmt(worst)} < "
-                f"{fmt(tower.term(n).threshold)}")
-        if ok:
-            print(f"ok {line}")
-        else:
+        tag, witness = "ok", ""
+        if not ok:
+            tag = "FAIL"
+            witness = _witness(tower, n + 2, tower.bonding_element_map(n, n + 2)[1])
             failures += 1
-            rep = tower.bonding_element_map(n, n + 2)[1]
-            print(f"FAIL {line}{_witness(tower, n + 2, rep)}")
+        print(f"{tag} square at level {n}: union diameter {fmt(worst)} < "
+              f"{fmt(tower.term(n).threshold)}{witness}")
     if args.thread is not None:
         th = Lim.canonical_thread(tower, x, tol=tower.tol)
         rep = Lim.verify_thread(tower, th, tol=tower.tol)
