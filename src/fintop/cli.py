@@ -331,8 +331,8 @@ def cmd_verify(args) -> int:
         print(f"{tag} square at level {n}: union diameter {fmt(worst)} < "
               f"{fmt(tower.term(n).threshold)}{witness}")
     if args.thread is not None:
-        th = Lim.canonical_thread(tower, x, tol=tower.tol)
-        rep = Lim.verify_thread(tower, th, tol=tower.tol)
+        th = Lim.canonical_thread(tower, x)
+        rep = Lim.verify_thread(tower, th)
         checks = [("compatible", rep.compatible),
                   ("element-bounds", all(rep.element_levels)),
                   ("convergence", rep.convergence_ok),

@@ -135,7 +135,10 @@ class FiniteSpace:
 
 
 def face_poset(cx: SimplicialComplex) -> FiniteSpace:
-    """Finite space of the simplices of cx ordered by inclusion."""
+    """Finite space of the simplices of cx ordered by inclusion.
+
+    Its order complex is the barycentric subdivision of cx.
+    """
     elems = cx.all_simplices()
     pairs = []
     for s in elems:
@@ -147,7 +150,7 @@ def face_poset(cx: SimplicialComplex) -> FiniteSpace:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# Hasse diagrams
 # ---------------------------------------------------------------------------
 
 def _label(x) -> str:
@@ -156,22 +159,6 @@ def _label(x) -> str:
     if isinstance(x, tuple):
         return "(" + ",".join(_label(v) for v in x) + ")"
     return str(x)
-
-
-def to_json_dict(space: FiniteSpace, orientation: str = "up-sets-open") -> dict:
-    labels = {x: _label(x) for x in space.elements}
-    if len(set(labels.values())) != len(labels):
-        labels = {x: f"e{i}" for i, x in enumerate(space.elements)}
-    return {
-        "orientation": orientation,
-        "elements": [labels[x] for x in space.elements],
-        "covers": [[labels[a], labels[b]] for a, b in space.covers()],
-    }
-
-
-def from_json_dict(data: dict) -> FiniteSpace:
-    return FiniteSpace(data["elements"],
-                       leq_pairs=[tuple(p) for p in data["covers"]])
 
 
 def to_dot(space: FiniteSpace, name: str = "finite_space",

@@ -17,7 +17,6 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import linalg as L
-from .finite_space import FiniteSpace
 from .metric import DEFAULT_TOL
 from .simplicial import SimplicialComplex, elementary_collapse
 
@@ -50,20 +49,19 @@ class HomologyResult:
 
 
 def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
-                  collapse: bool = True,
                   max_simplices: Optional[int] = None) -> HomologyResult:
     """Betti numbers b_0..b_k_max of a complex.
 
     The complex must contain simplices up to dimension k_max + 1 wherever
-    they exist, or the top Betti number would be overcounted.  Collapsing
-    first removes free pairs and is homology-neutral.
+    they exist, or the top Betti number would be overcounted.  The ranks are
+    taken after elementary collapses, which remove free pairs and are
+    homology-neutral.
     """
     if max_simplices is not None and len(cx) > max_simplices:
         raise HomologyError(
             f"complex has {len(cx)} simplices, above the cap of {max_simplices}")
     original_f = cx.f_vector()
-    if collapse:
-        cx = elementary_collapse(cx)
+    cx = elementary_collapse(cx)
     rank_fn, (tag, p) = parse_field(field_spec)
     counts = [len(cx.simplices(d)) for d in range(k_max + 2)]
     boundaries = [cx.boundary_sparse(d) for d in range(1, k_max + 2)]
@@ -79,15 +77,6 @@ def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
     label = {"q": "Q", "z": "Z", "p": f"GF({p})"}[tag]
     return HomologyResult(betti=betti, field=label, torsion=torsion,
                           f_vector=original_f)
-
-
-def betti_of_space(space: FiniteSpace, k_max: int, field_spec: str = "q",
-                   collapse: bool = True,
-                   max_simplices: Optional[int] = None) -> HomologyResult:
-    """Betti numbers of a finite space through its order complex."""
-    cx = space.order_complex(max_chain=k_max + 2)
-    return betti_numbers(cx, k_max, field_spec, collapse=collapse,
-                         max_simplices=max_simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +130,6 @@ def compose_sparse(a: list[L.SparseCol], b: list[L.SparseCol]) -> list[L.SparseC
                     acc.pop(r, None)
         out.append(acc)
     return out
-
-
-def sparse_equal(a: list[L.SparseCol], b: list[L.SparseCol]) -> bool:
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
 
 def induced_rank(src: SimplicialComplex, dst: SimplicialComplex,

@@ -12,36 +12,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
 
 from . import metric as M
-from .tower import NearestPointTower, Tower, TowerError, nearest_point_set
+from .tower import Tower, TowerError, nearest_point_set
 
 
 @dataclass
 class Thread:
     """Payloads per level (1-based level n stored at index n-1)."""
     levels: list[frozenset]
-    point: Optional[object] = None      # the approximated point, if known
+    point: object                       # the approximated point
     stabilized: list[bool] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.levels)
 
 
-def canonical_thread(tower: Tower, x, tol: float = 1e-9) -> Thread:
+def canonical_thread(tower: Tower, x) -> Thread:
     """The minimal thread through x: unions of bonded nearest-point sets.
 
     Level n uses contributions from every deeper level of the finite
     tower; stabilized[n-1] is True when the top level added nothing new at
-    level n, which certifies that deeper levels would not either.
+    level n, which certifies that deeper levels would not either.  Nearest
+    points are tied within the tower's tolerance.
     """
     depth = len(tower)
     if depth < 2:
         raise TowerError("canonical threads need at least two levels")
-    nearest = [nearest_point_set(tower.term(m).sample, x, tol)
+    nearest = [nearest_point_set(tower.term(m).sample, x, tower.tol)
                for m in range(1, depth + 1)]
     levels = []
     stabilized = []
@@ -56,15 +54,6 @@ def canonical_thread(tower: Tower, x, tol: float = 1e-9) -> Thread:
         levels.append(frozenset(acc))
         stabilized.append(not last_new)
     return Thread(levels=levels, point=x, stabilized=stabilized)
-
-
-def is_thread(tower: Tower, thread: Thread, tol: float = 1e-9) -> bool:
-    """Compatibility: each bonding sends a level exactly onto the one below."""
-    for n in range(1, len(thread)):
-        if tower.bond(n, n + 1, thread.levels[n]) != thread.levels[n - 1]:
-            return False
-    return all(tower.term(n).is_element(thread.levels[n - 1], tol)
-               for n in range(1, len(thread) + 1))
 
 
 @dataclass
@@ -90,17 +79,15 @@ def _hausdorff(ctx: M.MetricContext, C: list, D: list) -> float:
     return M.hausdorff_distance(ctx, C, D)
 
 
-def verify_thread(tower: Tower, thread: Thread, x=None,
-                  tol: float = 1e-9) -> ThreadReport:
-    """All certified properties of a thread against its tower.
+def verify_thread(tower: Tower, thread: Thread) -> ThreadReport:
+    """All certified properties of a thread through its point, against its
+    tower and within the tower's tolerance.
 
-    An empty level fails the convergence, ball and inter-level checks, with
-    an infinite distance.
+    compatible: each bonding sends a level exactly onto the one below.  An
+    empty level fails the convergence, ball and inter-level checks, with an
+    infinite distance.
     """
-    if x is None:
-        x = thread.point
-    if x is None:
-        raise TowerError("verification needs the approximated point")
+    x, tol = thread.point, tower.tol
     ctx = tower.term(1).sample.context
     compatible = all(
         tower.bond(n, n + 1, thread.levels[n]) == thread.levels[n - 1]
@@ -149,27 +136,3 @@ def threads_disjoint_levels(tower: Tower, tx: Thread, ty: Thread,
             if tx.levels[n - 1] & ty.levels[n - 1]:
                 bad.append(n)
     return bad
-
-
-def minimality_violations(tower: Tower, canonical: Thread, other: Thread) -> list[int]:
-    """Levels where the canonical thread is not inside the other thread."""
-    return [n for n in range(1, min(len(canonical), len(other)) + 1)
-            if not canonical.levels[n - 1] <= other.levels[n - 1]]
-
-
-def thread_to_dict(tower: Tower, thread: Thread) -> dict:
-    out = {
-        "point": (np.atleast_1d(thread.point).tolist()
-                  if thread.point is not None else None),
-        "levels": [sorted(p) for p in thread.levels],
-        "stabilized": list(thread.stabilized),
-        "epsilons": [tower.epsilon(n) for n in range(1, len(thread) + 1)],
-    }
-    return out
-
-
-def thread_from_dict(data: dict) -> Thread:
-    return Thread(levels=[frozenset(p) for p in data["levels"]],
-                  point=(np.asarray(data["point"])
-                         if data.get("point") is not None else None),
-                  stabilized=list(data.get("stabilized", [])))

@@ -211,9 +211,6 @@ class MetricSample:
             self._pairwise = points_distance_matrix(self.context, self.points)
         return self._pairwise
 
-    def point(self, i: int):
-        return self.points[i]
-
 
 def ball_images(sample: MetricSample, centres, radius, tol: float = DEFAULT_TOL,
                 closed: bool = False) -> list[frozenset]:
@@ -371,16 +368,14 @@ def two_squares_grid(step: float) -> np.ndarray:
     return np.vstack(out)
 
 
-def farthest_point_net(points: np.ndarray, separation: float,
-                       ctx: Optional[MetricContext] = None) -> np.ndarray:
-    """Greedy farthest-point subset: separation-net of the input points.
+def farthest_point_net(points: np.ndarray, separation: float) -> np.ndarray:
+    """Greedy farthest-point subset: Euclidean separation-net of the points.
 
     Deterministic: starts from index 0, ties broken by lowest index.
     """
     if not separation > 0:
         raise MetricError(f"separation={separation} must be positive")
-    if ctx is None:
-        ctx = euclidean(points.shape[1])
+    ctx = euclidean(points.shape[1])
     n = len(points)
     if n == 0:
         return np.array([], dtype=int)
@@ -395,23 +390,18 @@ def farthest_point_net(points: np.ndarray, separation: float,
     return np.array(sorted(chosen), dtype=int)
 
 
-def two_squares_sample(level: int, count: int, seed: int,
-                       net_factor: float = 0.75) -> MetricSample:
+def two_squares_sample(level: int, count: int, seed: int) -> MetricSample:
     """Seeded uniform observations of the two-squares space at one level.
 
-    epsilon_n = 1/2^(2(n-1)).  When net_factor > 0 the draw is thinned to a
-    farthest-point net at separation net_factor * epsilon, which keeps the
-    complexes at desk scale; gamma is estimated against a dense grid.
+    epsilon_n = 1/2^(2(n-1)).  The draw is thinned to a farthest-point net
+    at separation 0.75 * epsilon, which keeps the complexes at desk scale;
+    gamma is estimated against a dense grid.
     """
     if level < 1 or count < 1:
         raise MetricError("level and count must be >= 1")
     eps = 1.0 / 2 ** (2 * (level - 1))
     raw = two_squares_points(count, seed + level)
-    if net_factor > 0:
-        keep = farthest_point_net(raw, net_factor * eps)
-        pts = raw[keep]
-    else:
-        pts = np.unique(raw, axis=0)
+    pts = raw[farthest_point_net(raw, 0.75 * eps)]
     sample = MetricSample(euclidean(2), pts, epsilon=eps,
                           label=f"two_squares L{level} seed={seed}")
     grid = two_squares_grid(min(eps / 8.0, 0.05))
@@ -423,23 +413,6 @@ def two_squares_sample(level: int, count: int, seed: int,
             "count too small for an epsilon-approximation at this level"
         )
     return sample
-
-
-def dense_reference(space: str, level: int, factor: int = 10) -> np.ndarray:
-    """A reference sample of the model space around 10x denser than A_level."""
-    if space == "circle":
-        n = factor * max(4, 2 ** (3 * level - 4))
-        return TWO_PI * np.arange(n) / n
-    if space == "cantor":
-        pts = sorted({e for ab in cantor_intervals(level + 4) for e in ab})
-        return np.array([float(p) for p in pts]).reshape(-1, 1)
-    if space == "interval":
-        n = factor * (3 ** (2 * level - 3) if level > 1 else 3)
-        return np.linspace(0.0, 1.0, n + 1).reshape(-1, 1)
-    if space == "two_squares":
-        eps = 1.0 / 2 ** (2 * (level - 1))
-        return two_squares_grid(eps / factor)
-    raise MetricError(f"unknown space {space!r}")
 
 
 # ---------------------------------------------------------------------------

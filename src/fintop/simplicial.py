@@ -1,5 +1,5 @@
-"""Simplicial complexes: Vietoris-Rips construction, boundary matrices,
-barycentric subdivision and elementary collapses.
+"""Simplicial complexes: Vietoris-Rips construction, boundary matrices and
+elementary collapses.
 
 Simplices are stored as sorted tuples of hashable vertex ids grouped by
 dimension; the vertex order of the tuple fixes the orientation used by the
@@ -189,18 +189,8 @@ def connected_components(n: int, adj: list[list[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subdivision and collapses
+# maximal simplices and collapses
 # ---------------------------------------------------------------------------
-
-def barycentric_subdivision(cx: SimplicialComplex) -> SimplicialComplex:
-    """Complex whose vertices are the simplices of cx and whose simplices are
-    the chains of proper faces (the order complex of the face poset)."""
-    out = SimplicialComplex()
-    maximal = maximal_simplices(cx)
-    for top in maximal:
-        _chains_under(top, (), out)
-    return out
-
 
 def maximal_simplices(cx: SimplicialComplex) -> list[tuple]:
     """Simplices of cx not contained in any larger simplex."""
@@ -211,14 +201,6 @@ def maximal_simplices(cx: SimplicialComplex) -> list[tuple]:
             if not any(sv < set(m) for m in maximal):
                 maximal.append(s)
     return maximal
-
-
-def _chains_under(simplex: tuple, chain: tuple, out: SimplicialComplex) -> None:
-    chain = chain + (simplex,)
-    out.add(chain)
-    if len(simplex) > 1:
-        for face in combinations(simplex, len(simplex) - 1):
-            _chains_under(face, chain, out)
 
 
 def elementary_collapse(cx: SimplicialComplex) -> SimplicialComplex:

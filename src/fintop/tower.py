@@ -151,7 +151,7 @@ def check_tolerance(tol: float) -> None:
 @dataclass(frozen=True)
 class BondingReport:
     well_defined: bool
-    worst_diameter: float
+    worst_diameter: float     # inf when an image is empty
     bound: float
     empty_images: int
     capped_images: int        # images outside the stored enumeration
@@ -198,9 +198,11 @@ def image_diameters(pw: np.ndarray, payloads: list) -> np.ndarray:
 class Tower:
     """A finite tower of terms with composable bonding maps."""
 
+    #: element diameters stay below threshold_factor * eps_n at level n
+    threshold_factor = 4
+
     def __init__(self, samples: list[M.MetricSample], mode: str = STRICT,
                  max_dim: int = 3, k_max: int = 1, tol: float = 1e-9,
-                 threshold_factor: float = 4,
                  max_elements: int = DEFAULT_MAX_ELEMENTS,
                  enforce_schedule: bool = True, label: str = ""):
         if not samples:
@@ -215,12 +217,12 @@ class Tower:
         self.k_max = k_max
         self.max_elements = max_elements
         self.tol = tol
-        self.threshold_factor = threshold_factor
         self.label = label
         self.schedule_problems = validate_schedule(samples, mode, tol)
         if enforce_schedule and self.schedule_problems:
             raise TowerError("; ".join(self.schedule_problems))
-        self.terms = [build_term(s, max_dim, threshold_factor, tol, max_elements)
+        self.terms = [build_term(s, max_dim, self.threshold_factor, tol,
+                                 max_elements)
                       for s in samples]
         # q_{n,m}({v}) for the vertices v of level m, per (n, m), filled lazily
         self._vertex_maps: dict[tuple[int, int], list[frozenset]] = {}
@@ -229,10 +231,6 @@ class Tower:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    @property
-    def samples(self) -> list[M.MetricSample]:
-        return [t.sample for t in self.terms]
 
     def epsilon(self, n: int) -> float:
         return self.terms[n - 1].sample.epsilon
@@ -306,7 +304,8 @@ class Tower:
         report = BondingReport(
             well_defined=not empty and bool(np.all(
                 M.below(widths, dst.threshold, self.tol))),
-            worst_diameter=float(widths.max(initial=0.0)),
+            worst_diameter=(math.inf if empty
+                            else float(widths.max(initial=0.0))),
             bound=dst.threshold, empty_images=len(empty),
             capped_images=out.count(None) - len(empty),
             # without empty images, widths holds every element's diameter
@@ -345,13 +344,11 @@ class Tower:
         bond composes one-step unions, so q_{n,n+1} o q_{n+1,n+2} equals
         q_{n,n+2} and their union map is q_{n,n+2} itself.  The certificate
         is therefore the diameter bound of bonding_element_map(n, n+2), the
-        content of the factorization statement: (False, inf) when an image
-        is empty, else (well defined, worst diameter).
+        content of the factorization statement: (well defined, worst
+        diameter), which is (False, inf) when an image is empty.
         """
         self._check_levels(n, n + 2)
         report = self.bonding_element_map(n, n + 2)[1]
-        if report.empty_images:
-            return False, math.inf
         return report.well_defined, report.worst_diameter
 
 
@@ -367,9 +364,7 @@ def nearest_point_set(sample: M.MetricSample, x, tol: float = 1e-9) -> frozenset
 class NearestPointTower(Tower):
     """Terms U at threshold 2*eps under inclusion, nearest-point bondings."""
 
-    def __init__(self, samples: list[M.MetricSample], **kw):
-        kw.setdefault("threshold_factor", 2)
-        super().__init__(samples, **kw)
+    threshold_factor = 2
 
     def _point_images(self, low: M.MetricSample, points) -> list[frozenset]:
         """One-step bonding images of points: their nearest-point sets in low."""

@@ -285,7 +285,7 @@ def test_verify_thread_uses_the_tower_tolerance(tmp_path, capsys, monkeypatch):
     seen = []
     for name in ("canonical_thread", "verify_thread"):
         def spy(*args, _real=getattr(Lim, name), **kwargs):
-            seen.append(kwargs["tol"])
+            seen.append(args[0].tol)      # the tower both functions read
             return _real(*args, **kwargs)
         monkeypatch.setattr(Lim, name, spy)
     code, out, err = run(["verify", "--config", str(p), "--thread", "0.2"],
@@ -448,7 +448,7 @@ def test_verify_names_the_element_with_an_empty_image(tmp_path, capsys):
     code, out, err = run(["verify", "--config", cfg], capsys)
     assert code == cli.EXIT_VALIDATION
     assert out.splitlines()[1:] == [
-        "FAIL bonding 2->1: worst diameter 0 < 4, empty=1, capped=0; "
+        "FAIL bonding 2->1: worst diameter inf < 4, empty=1, capped=0; "
         "witness: level 2 element 1 [1], empty image",
         "ok bonding 3->2: worst diameter 0 < 1.6, empty=0, capped=0",
         "FAIL square at level 1: union diameter inf < 4; "

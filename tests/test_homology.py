@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fintop import finite_space as F
 from fintop import homology as H
+from fintop import linalg as L
 from fintop import metric as M
 from fintop import simplicial as S
 
@@ -18,11 +20,32 @@ def sphere_2():
         [f for f in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]])
 
 
+# minimal 6-vertex triangulation of RP^2
+RP2_TRIANGLES = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (2, 4, 5), (2, 3, 5), (1, 3, 5), (1, 3, 4)]
+
+
 def projective_plane():
-    # minimal 6-vertex triangulation of RP^2
-    tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
-            (1, 2, 4), (2, 4, 5), (2, 3, 5), (1, 3, 5), (1, 3, 4)]
-    return S.SimplicialComplex(tris)
+    return S.SimplicialComplex(RP2_TRIANGLES)
+
+
+def uncollapsed_homology(cx, k_max, field_spec):
+    """(Betti numbers, torsion) from the ranks of the boundaries of cx
+    itself, without collapses: the oracle for betti_numbers."""
+    boundaries = [cx.boundary_sparse(d) for d in range(1, k_max + 2)]
+    torsion = None
+    if field_spec == "z":
+        invariants = [L.smith_normal_form(b) for b in boundaries]
+        ranks = [len(inv) for inv in invariants]
+        torsion = [[v for v in inv if v > 1] for inv in invariants]
+    elif field_spec == "q":
+        ranks = [L.rank_q(b) for b in boundaries]
+    else:
+        ranks = [L.rank_gfp(b, int(field_spec[2:])) for b in boundaries]
+    ranks = [0] + ranks
+    betti = [len(cx.simplices(d)) - ranks[d] - ranks[d + 1]
+             for d in range(k_max + 1)]
+    return betti, torsion
 
 
 def test_betti_circle_and_sphere():
@@ -48,11 +71,10 @@ def test_betti_rp2_field_dependence():
 
 def test_betti_rp2_subdivision_torsion():
     # every entry of d2 is +-1; the invariant 2 appears only in reduction
-    cx = S.barycentric_subdivision(projective_plane())
-    for collapse in (True, False):
-        rz = H.betti_numbers(cx, 2, "z", collapse=collapse)
-        assert rz.betti == [1, 0, 0]
-        assert rz.torsion == [[], [2], []]
+    cx = F.face_poset(projective_plane()).order_complex()
+    rz = H.betti_numbers(cx, 2, "z")
+    assert (rz.betti, rz.torsion) == uncollapsed_homology(cx, 2, "z") \
+        == ([1, 0, 0], [[], [2], []])
 
 
 def test_integer_homology_uses_no_dense_boundary(monkeypatch):
@@ -67,9 +89,21 @@ def test_integer_homology_uses_no_dense_boundary(monkeypatch):
 def test_betti_collapse_agrees():
     s3 = M.circle_sample(3)
     cx = S.vietoris_rips(s3.pairwise(), 4 * s3.epsilon, max_dim=2)
-    a = H.betti_numbers(cx, k_max=1, collapse=False)
-    b = H.betti_numbers(cx, k_max=1, collapse=True)
-    assert a.betti == b.betti == [1, 1]
+    betti, _ = uncollapsed_homology(cx, 1, "q")
+    assert H.betti_numbers(cx, k_max=1).betti == betti == [1, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=3, max_size=4),
+                min_size=1, max_size=10),
+       st.sampled_from(["q", "p:2", "z"]))
+@example([set(t) for t in RP2_TRIANGLES], "z")
+@example([set(t) for t in RP2_TRIANGLES], "p:2")
+def test_betti_after_collapse_equals_uncollapsed(faces, field_spec):
+    # triangles and tetrahedra on at most 7 vertices; collapses keep homology
+    cx = S.SimplicialComplex(faces)
+    r = H.betti_numbers(cx, 3, field_spec)
+    assert (r.betti, r.torsion) == uncollapsed_homology(cx, 3, field_spec)
 
 
 def test_betti_cap():
@@ -77,9 +111,9 @@ def test_betti_cap():
         H.betti_numbers(sphere_2(), k_max=2, max_simplices=5)
 
 
-def test_betti_of_space_matches_complex():
+def test_betti_of_face_poset_matches_complex():
     sp = F.face_poset(hollow_triangle())
-    r = H.betti_of_space(sp, k_max=1)
+    r = H.betti_numbers(sp.order_complex(max_chain=3), k_max=1)  # k_max + 2
     # order complex of the face poset = barycentric subdivision: same homology
     assert r.betti == [1, 1]
 
@@ -136,7 +170,7 @@ def test_compose_sparse_matches_composition_of_vertex_maps():
     cg = H.chain_map(cx, cx, g, k_max=1)
     gf = H.chain_map(cx, cx, {v: g[f[v]] for v in f}, k_max=1)
     for d in (0, 1):
-        assert H.sparse_equal(H.compose_sparse(cg[d], cf[d]), gf[d])
+        assert H.compose_sparse(cg[d], cf[d]) == gf[d]
 
 
 def test_induced_rank_degree_one():

@@ -12,6 +12,12 @@ def circle_tower(depth=4):
     return T.build_tower("circle", depth, max_dim=3, k_max=1)
 
 
+def holds_as_thread(tower, thread):
+    """Compatible under the bondings, with every payload an element."""
+    rep = L.verify_thread(tower, thread)
+    return rep.compatible and all(rep.element_levels)
+
+
 def test_canonical_thread_values_on_grid_point():
     tw = circle_tower(4)
     x = 2 * math.pi * 5 / 256          # a grid point of the deepest level
@@ -41,11 +47,11 @@ def test_thread_properties_certified():
 def test_is_thread_and_broken_thread():
     tw = circle_tower(4)
     th = L.canonical_thread(tw, math.pi / 5)
-    assert L.is_thread(tw, th)
+    assert holds_as_thread(tw, th)
     broken = L.Thread(levels=list(th.levels), point=th.point)
     broken.levels[0] = frozenset([0])  # already true at level 1; break level 2
     broken.levels[1] = frozenset([2])
-    assert not L.is_thread(tw, broken)
+    assert not holds_as_thread(tw, broken)
 
 
 def test_minimality_against_fattened_thread():
@@ -60,8 +66,9 @@ def test_minimality_against_fattened_thread():
     other = L.Thread(
         levels=[tw.bond(n, top, fat_top) for n in range(1, top)] + [fat_top],
         point=x)
-    assert L.is_thread(tw, other)
-    assert L.minimality_violations(tw, th, other) == []
+    assert holds_as_thread(tw, other)
+    assert [n for n in range(1, min(len(th), len(other)) + 1)
+            if not th.levels[n - 1] <= other.levels[n - 1]] == []
 
 
 def test_separated_points_have_disjoint_threads():
@@ -76,16 +83,6 @@ def test_separated_points_have_disjoint_threads():
     assert not (tx.levels[2] & ty.levels[2])
 
 
-def test_thread_dict_roundtrip():
-    tw = circle_tower(3)
-    th = L.canonical_thread(tw, 1.0)
-    data = L.thread_to_dict(tw, th)
-    assert data["epsilons"] == [tw.epsilon(1), tw.epsilon(2)]
-    back = L.thread_from_dict(data)
-    assert back.levels == th.levels
-    assert float(back.point[0]) == pytest.approx(1.0)
-
-
 def test_thread_needs_two_levels():
     tw = circle_tower(1)
     with pytest.raises(T.TowerError):
@@ -97,6 +94,26 @@ def test_interval_nearest_tower_threads():
     samples = [M.interval_sample(n) for n in range(1, 4)]
     tw = T.NearestPointTower(samples, mode=T.STRICT, max_dim=3, k_max=1)
     th = L.canonical_thread(tw, np.array([0.5]))
-    assert L.is_thread(tw, th)
     rep = L.verify_thread(tw, th)
-    assert rep.compatible and rep.convergence_ok
+    assert rep.compatible and all(rep.element_levels) and rep.convergence_ok
+
+
+def test_threads_use_the_tower_tolerance():
+    # x is 0.4999 from point 0 and 0.5001 from point 1: both are nearest
+    # within the tolerance 1e-3, only point 0 within 1e-9
+    ctx = M.euclidean(1)
+    tw = T.Tower([M.MetricSample(ctx, [[0.0], [1.0]], epsilon=0.2503),
+                  M.MetricSample(ctx, [[0.0], [1.0]], epsilon=0.1)],
+                 mode=T.RELAXED, tol=1e-3)
+    x = np.array([0.4999])
+    s2 = tw.term(2).sample
+    assert T.nearest_point_set(s2, x, 1e-9) == frozenset([0])
+    assert T.nearest_point_set(s2, x, 1e-3) == frozenset([0, 1])
+    th = L.canonical_thread(tw, x)
+    assert th.levels == [frozenset([0, 1])]
+    # d_H({x}, C_1) = 0.5001 lies within 1e-3 of the bound 2 eps_1 = 0.5006,
+    # so it is not below it, and neither point is in the open 0.5006-ball
+    rep = L.verify_thread(tw, th)
+    assert rep.convergence == [pytest.approx(0.5001)]
+    assert (rep.compatible, rep.element_levels) == (True, [True])
+    assert not rep.convergence_ok and not rep.ball_bound_ok

@@ -75,7 +75,7 @@ def test_interval_generator_values():
 def test_coverage_radius_exact_and_estimated():
     s2 = M.circle_sample(2)
     assert M.coverage_radius(s2) == pytest.approx(math.pi / 4)
-    ref = M.dense_reference("circle", 2)
+    ref = 2 * math.pi * np.arange(40) / 40
     est = M.coverage_radius(s2, ref)
     assert est <= math.pi / 4 + 1e-9
     assert est >= math.pi / 4 - 0.2

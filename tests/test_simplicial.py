@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fintop import finite_space as F
 from fintop import linalg as L
 from fintop import metric as M
 from fintop import simplicial as S
@@ -91,16 +92,16 @@ def test_connected_components():
     assert S.connected_components(3, adj) == 2
 
 
-def test_barycentric_subdivision_counts():
+def test_subdivision_counts():
     # subdividing a single triangle: 7 vertices, 12 edges, 6 triangles
     cx = S.SimplicialComplex([(0, 1, 2)])
-    sd = S.barycentric_subdivision(cx)
+    sd = F.face_poset(cx).order_complex()
     assert sd.f_vector() == [7, 12, 6]
     assert sd.euler_characteristic() == cx.euler_characteristic()
 
 
-def test_barycentric_subdivision_hollow_triangle():
-    sd = S.barycentric_subdivision(triangle_boundary())
+def test_subdivision_hollow_triangle():
+    sd = F.face_poset(triangle_boundary()).order_complex()
     assert sd.f_vector() == [6, 6]
     assert sd.euler_characteristic() == 0
 

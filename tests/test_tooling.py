@@ -1,8 +1,13 @@
+import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
 
 
 def test_perfbench_tracer_finds_every_wrapped_name():
@@ -11,8 +16,22 @@ def test_perfbench_tracer_finds_every_wrapped_name():
     code = ("import fintop.linalg as L, tracing\n"
             "tracing.install(tracing.Tracer())\n"
             "assert hasattr(L.rank_q, '__wrapped__')\n")
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, "-c", code],
-                          cwd=os.path.join(ROOT, "perfbench"), env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH, env=ENV,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["circle4-induced", "squares5-certify",
+                                      "squares3-integral"])
+def test_perfbench_workload_runs_traced(workload, tmp_path):
+    # one traced run of each benchmark workload: a changed signature that
+    # workloads.py calls or tracing.py wraps fails here, not in the benchmark
+    proc = subprocess.run(
+        [sys.executable, "child.py", "--workload", workload, "--seed", "0",
+         "--trace", "1", "--workdir", str(tmp_path),
+         "--spans", str(tmp_path / "spans.json")],
+        cwd=PERFBENCH, env=ENV, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, result["failures"]

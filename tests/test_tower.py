@@ -391,6 +391,7 @@ def test_empty_image_fails_square_and_names_its_element():
         == (False, math.inf)
     rep = tw.bonding_element_map(1, 2)[1]
     assert (rep.well_defined, rep.empty_images, rep.worst_element) == (False, 1, 1)
+    assert rep.worst_diameter == math.inf
     assert tw.bonding_element_map(1, 3)[1].worst_element == 1
 
 
