@@ -10,7 +10,7 @@ complex translate between the finite and simplicial worlds.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping, Optional
 
 from .simplicial import SimplicialComplex
 
@@ -23,20 +23,13 @@ class FiniteSpace:
     """A poset on hashable elements; reflexive order stored as up-sets."""
 
     def __init__(self, elements: Iterable[Hashable],
-                 leq_pairs: Iterable[tuple] = (),
-                 leq: Optional[Callable[[Hashable, Hashable], bool]] = None):
+                 leq_pairs: Iterable[tuple] = ()):
         self.elements = list(elements)
-        eset = set(self.elements)
-        if len(eset) != len(self.elements):
-            raise FiniteSpaceError("duplicate elements")
         up = {x: {x} for x in self.elements}
-        if leq is not None:
-            for x in self.elements:
-                for y in self.elements:
-                    if x is not y and leq(x, y):
-                        up[x].add(y)
+        if len(up) != len(self.elements):
+            raise FiniteSpaceError("duplicate elements")
         for a, b in leq_pairs:
-            if a not in eset or b not in eset:
+            if a not in up or b not in up:
                 raise FiniteSpaceError("relation mentions unknown element")
             up[a].add(b)
         # transitive closure
@@ -74,21 +67,17 @@ class FiniteSpace:
 
     def opposite(self) -> "FiniteSpace":
         """The same elements with the order reversed."""
-        op = FiniteSpace.__new__(FiniteSpace)
-        op.elements = list(self.elements)
-        down: dict = {x: set() for x in self.elements}
-        for x, ups in self._up.items():
-            for y in ups:
-                down[y].add(x)
-        op._up = {x: frozenset(s) for x, s in down.items()}
-        return op
+        return FiniteSpace(self.elements, ((b, a) for a, ups in self._up.items()
+                                           for b in ups))
 
     def covers(self) -> list[tuple]:
-        """Covering pairs (a, b) with a < b and nothing strictly between."""
+        """Covering pairs (a, b) with a < b and nothing strictly between,
+        in element order of a, then of b."""
+        pos = {x: i for i, x in enumerate(self.elements)}
         out = []
         for a in self.elements:
             strict = self._up[a] - {a}
-            for b in strict:
+            for b in sorted(strict, key=pos.__getitem__):
                 if not any(c != b and b in self._up[c] for c in strict):
                     out.append((a, b))
         return out
@@ -135,18 +124,16 @@ class FiniteSpace:
 
 
 def face_poset(cx: SimplicialComplex) -> FiniteSpace:
-    """Finite space of the simplices of cx ordered by inclusion.
+    """Finite space of the simplices of cx, as frozenset vertex sets in the
+    order of cx.all_simplices(), ordered by inclusion.
 
     Its order complex is the barycentric subdivision of cx.
     """
-    elems = cx.all_simplices()
-    pairs = []
-    for s in elems:
-        if len(s) > 1:
-            for k in range(1, len(s)):
-                for face in combinations(s, k):
-                    pairs.append((face, s))
-    return FiniteSpace(elems, leq_pairs=pairs)
+    elems = {s: frozenset(s) for s in cx.all_simplices()}
+    # every proper face, so the relation is already transitive
+    pairs = ((elems[face], c) for s, c in elems.items()
+             for k in range(1, len(s)) for face in combinations(s, k))
+    return FiniteSpace(elems.values(), leq_pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +143,6 @@ def face_poset(cx: SimplicialComplex) -> FiniteSpace:
 def _label(x) -> str:
     if isinstance(x, frozenset):
         return "{" + ",".join(str(v) for v in sorted(x)) + "}"
-    if isinstance(x, tuple):
-        return "(" + ",".join(_label(v) for v in x) + ")"
     return str(x)
 
 

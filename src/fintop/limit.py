@@ -10,7 +10,6 @@ new.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from . import metric as M
@@ -44,15 +43,11 @@ def canonical_thread(tower: Tower, x) -> Thread:
     levels = []
     stabilized = []
     for n in range(1, depth):
-        acc: set = set()
-        last_new = True
-        for m in range(n + 1, depth + 1):
-            contribution = tower.bond(n, m, nearest[m - 1])
-            before = len(acc)
-            acc |= contribution
-            last_new = len(acc) > before
-        levels.append(frozenset(acc))
-        stabilized.append(not last_new)
+        parts = [tower.bond(n, m, nearest[m - 1])
+                 for m in range(n + 1, depth + 1)]
+        earlier = frozenset().union(*parts[:-1])
+        levels.append(earlier | parts[-1])
+        stabilized.append(parts[-1] <= earlier)
     return Thread(levels=levels, point=x, stabilized=stabilized)
 
 
@@ -67,56 +62,36 @@ class ThreadReport:
     stabilized: list[bool]
 
 
-def _level_points(tower: Tower, n: int, payload: frozenset) -> list:
-    pts = tower.term(n).sample.points
-    return [pts[i] for i in sorted(payload)]
-
-
-def _hausdorff(ctx: M.MetricContext, C: list, D: list) -> float:
-    """d_H(C, D), and inf when either is empty, so that it passes no bound."""
-    if not C or not D:
-        return math.inf
-    return M.hausdorff_distance(ctx, C, D)
-
-
 def verify_thread(tower: Tower, thread: Thread) -> ThreadReport:
     """All certified properties of a thread through its point, against its
     tower and within the tower's tolerance.
 
     compatible: each bonding sends a level exactly onto the one below.  An
     empty level fails the convergence, ball and inter-level checks, with an
-    infinite distance.
+    infinite distance.  d_H({x}, C_n) = max_c d(x, c) and `below` is
+    monotone, so the ball check is the convergence check.
     """
     x, tol = thread.point, tower.tol
     ctx = tower.term(1).sample.context
     compatible = all(
         tower.bond(n, n + 1, thread.levels[n]) == thread.levels[n - 1]
         for n in range(1, len(thread)))
-    element_levels = [tower.term(n).is_element(thread.levels[n - 1], tol)
-                      for n in range(1, len(thread) + 1)]
-    convergence = []
-    conv_ok = ball_ok = True
-    for n in range(1, len(thread) + 1):
-        pts = _level_points(tower, n, thread.levels[n - 1])
-        dh = _hausdorff(ctx, [x], pts)
-        convergence.append(dh)
-        bound = 2 * tower.epsilon(n)
-        conv_ok &= M.below(dh, bound, tol)
-        ball = M.ball_images(tower.term(n).sample, [x], bound, tol)[0]
-        ball_ok &= bool(pts) and thread.levels[n - 1] <= ball
+    terms = [tower.term(n) for n in range(1, len(thread) + 1)]
+    element_levels = [t.is_element(c, tol)
+                      for t, c in zip(terms, thread.levels)]
+    pts = [t.sample.points[sorted(c)] for t, c in zip(terms, thread.levels)]
+    convergence = [M.hausdorff_distance(ctx, [x], p) for p in pts]
+    conv_ok = all(M.below(d, 2 * t.sample.epsilon, tol)
+                  for t, d in zip(terms, convergence))
     inter_ok = all(thread.levels)
-    for n in range(1, len(thread) + 1):
-        gamma = tower.term(n).sample.gamma
-        if gamma is None:
-            continue
-        bound = 2 * tower.epsilon(n) - gamma / 2
-        pn = _level_points(tower, n, thread.levels[n - 1])
-        for m in range(n + 1, len(thread) + 1):
-            pm = _level_points(tower, m, thread.levels[m - 1])
-            inter_ok &= M.below(_hausdorff(ctx, pn, pm), bound, tol)
+    for n, t in enumerate(terms):
+        if t.sample.gamma is not None:
+            bound = 2 * t.sample.epsilon - t.sample.gamma / 2
+            inter_ok &= all(M.below(M.hausdorff_distance(ctx, pts[n], p),
+                                    bound, tol) for p in pts[n + 1:])
     return ThreadReport(compatible=compatible, element_levels=element_levels,
                         convergence=convergence, convergence_ok=conv_ok,
-                        ball_bound_ok=ball_ok, inter_level_ok=inter_ok,
+                        ball_bound_ok=conv_ok, inter_level_ok=inter_ok,
                         stabilized=list(thread.stabilized))
 
 
@@ -124,15 +99,16 @@ def threads_disjoint_levels(tower: Tower, tx: Thread, ty: Thread,
                             x, y) -> list[int]:
     """Levels where separated points must have disjoint thread payloads.
 
-    Returns the levels n with d(x, y) > 16 eps_n at which the payloads
+    Returns the levels n with d(x, y) > 16 eps_n (outside the closed ball,
+    by `metric.below` at the tower's tolerance) at which the payloads
     intersect, i.e. violations; an empty list certifies the separation
     property over the computed range.
     """
     ctx = tower.term(1).sample.context
-    d = M.distance(ctx, x, y)
+    d = M.hausdorff_distance(ctx, [x], [y])
     bad = []
     for n in range(1, min(len(tx), len(ty)) + 1):
-        if d > 16 * tower.epsilon(n):
+        if not M.below(d, 16 * tower.epsilon(n), tower.tol, closed=True):
             if tx.levels[n - 1] & ty.levels[n - 1]:
                 bad.append(n)
     return bad

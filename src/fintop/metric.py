@@ -93,27 +93,6 @@ def explicit(matrix) -> MetricContext:
     return MetricContext("explicit", matrix=np.asarray(matrix, dtype=float))
 
 
-def distance(ctx: MetricContext, p, q) -> float:
-    """Distance between two points of the context."""
-    if ctx.kind == "euclidean":
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        if p.shape != (ctx.dimension,) or q.shape != (ctx.dimension,):
-            raise MetricError("dimension mismatch")
-        return float(np.linalg.norm(p - q))
-    if ctx.kind == "circle_geodesic":
-        a = float(np.asarray(p, dtype=float).ravel()[0])
-        b = float(np.asarray(q, dtype=float).ravel()[0])
-        d = abs(a - b) % TWO_PI
-        return min(d, TWO_PI - d)
-    # explicit
-    n = ctx.matrix.shape[0]
-    i, j = int(p), int(q)
-    if not (0 <= i < n and 0 <= j < n):
-        raise MetricError("index out of range for explicit matrix")
-    return float(ctx.matrix[i, j])
-
-
 def _points_array(ctx: MetricContext, points) -> np.ndarray:
     if ctx.kind == "euclidean":
         a = np.asarray(points, dtype=float)
@@ -123,7 +102,9 @@ def _points_array(ctx: MetricContext, points) -> np.ndarray:
             raise MetricError("dimension mismatch")
         return a
     if ctx.kind == "circle_geodesic":
-        return np.mod(np.asarray(points, dtype=float), TWO_PI)
+        # np.mod rounds a tiny negative angle up to 2 pi itself
+        a = np.mod(np.asarray(points, dtype=float), TWO_PI)
+        return np.where(a < TWO_PI, a, 0.0)
     return np.asarray(points, dtype=int)
 
 
@@ -170,7 +151,7 @@ def points_distance_matrix(ctx: MetricContext, points: np.ndarray) -> np.ndarray
 
 def distances_from(ctx: MetricContext, points: np.ndarray, x) -> np.ndarray:
     """Distances from an external point x to each point of `points`."""
-    return cross_distances(ctx, np.asarray([x]), points)[0]
+    return cross_distances(ctx, _points_array(ctx, [x]), points)[0]
 
 
 @dataclass
@@ -190,7 +171,8 @@ class MetricSample:
         self.points = _points_array(self.context, self.points)
         if self.epsilon <= 0:
             raise MetricError("epsilon must be positive")
-        if self.gamma is not None and not isinstance(self.gamma, numbers.Real):
+        if self.gamma is not None and (isinstance(self.gamma, bool) or
+                                       not isinstance(self.gamma, numbers.Real)):
             raise MetricError(f"{self.label or 'sample'}: "
                               f"gamma={self.gamma!r} is not a number")
         # the n diagonal distances are 0, so only they may be 0 when the
@@ -218,11 +200,12 @@ def ball_images(sample: MetricSample, centres, radius, tol: float = DEFAULT_TOL,
 
     radius is one number, one value per centre, or None for each centre's
     distance to the sample; the closed ball of that radius is the centre's
-    nearest-point set.  Membership is decided by `below`.
+    nearest-point set.  Centres are normalised like sample points (angles
+    mod 2 pi), and membership is decided by `below`.
     """
     if radius is not None and np.any(np.asarray(radius) < 0):
         raise MetricError("radius must be nonnegative")
-    centres = np.asarray(centres)
+    centres = _points_array(sample.context, centres)
     images = []
     for rows, d in _distance_blocks(sample.context, centres, sample.points):
         r = d.min(axis=1, keepdims=True) if radius is None \
@@ -245,11 +228,12 @@ def ball_query(sample: MetricSample, x, radius: float, mode: str = "open",
 
 
 def hausdorff_distance(ctx: MetricContext, C: Sequence, D: Sequence) -> float:
-    """max(sup_{c in C} d(c, D), sup_{d in D} d(d, C)) for finite sets."""
+    """max(sup_{c in C} d(c, D), sup_{d in D} d(d, C)) for finite sets, and
+    inf when either is empty, so that it passes no bound."""
     C = _points_array(ctx, C)
     D = _points_array(ctx, D)
     if len(C) == 0 or len(D) == 0:
-        raise MetricError("hausdorff_distance needs nonempty sets")
+        return math.inf
     m = cross_distances(ctx, C, D)
     return float(max(m.min(axis=1).max(), m.min(axis=0).max()))
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import metric as M
-from .finite_space import FiniteSpace
+from .finite_space import FiniteSpace, face_poset
 from .simplicial import SimplicialComplex, vietoris_rips
 
 
@@ -102,17 +102,14 @@ class Term:
                                               self.threshold, tol))
 
     def space(self) -> FiniteSpace:
-        """Finite T0 space on the stored elements.
-
-        Reverse inclusion (C <= D iff D subset C) for threshold factor 4,
-        inclusion for the nearest-point variant.
+        """Finite T0 space on the stored elements: the face poset of the
+        complex, under inclusion for the nearest-point variant (threshold
+        factor 2) and reversed (C <= D iff D subset C) for factor 4.
         """
         if self._space is None:
-            if self.threshold_factor == 2:
-                leq = lambda c, d: c < d
-            else:
-                leq = lambda c, d: d < c
-            self._space = FiniteSpace(self.elements, leq=leq)
+            space = face_poset(self.complex)
+            self._space = space if self.threshold_factor == 2 \
+                else space.opposite()
         return self._space
 
 
@@ -553,6 +550,8 @@ def _config_number(table: dict, key: str, kind: Callable, default=None,
                   where: str = ""):
     """table[key] (default if absent) as kind; TowerError names a bad value."""
     value = table.get(key, default)
+    if isinstance(value, bool):         # JSON true/false
+        raise TowerError(f"{where}{key}={value!r} is not a number")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -564,12 +563,28 @@ def _config_number(table: dict, key: str, kind: Callable, default=None,
 
 def config_settings(cfg: dict) -> dict:
     """The numbers of a config: the CONFIG_SETTINGS, defaults filled in, and
-    "epsilon", each level's value or None where the level gives none."""
+    per level "epsilon" and the generator "level" (None where absent).
+    TowerError names the key and level of a value of the wrong shape."""
+    levels = cfg.get("levels", [])
+    if not isinstance(levels, list):
+        raise TowerError(f"levels={levels!r} is not a list")
+    for i, lvl in enumerate(levels):
+        if not isinstance(lvl, dict):
+            raise TowerError(f"level {i + 1}: {lvl!r} is not an object")
+    spec = cfg.get("context")
+    if spec is not None and not isinstance(spec, dict):
+        raise TowerError(f"context={spec!r} is not an object")
+    if spec and spec.get("kind") == "explicit" \
+            and not isinstance(spec.get("matrix_file"), str):
+        raise TowerError(f"context={spec!r} needs a matrix_file")
     out = {key: _config_number(cfg, key, kind, default)
            for key, (kind, default) in CONFIG_SETTINGS.items()}
     out["epsilon"] = [_config_number(lvl, "epsilon", float, where=f"level {i + 1}: ")
                       if "epsilon" in lvl else None
-                      for i, lvl in enumerate(cfg.get("levels", []))]
+                      for i, lvl in enumerate(levels)]
+    out["level"] = [_config_number(lvl, "level", int, i + 1, f"level {i + 1}: ")
+                    if "generator" in lvl else None
+                    for i, lvl in enumerate(levels)]
     return out
 
 
@@ -591,7 +606,7 @@ def tower_from_config(cfg: dict, base_dir=".") -> Tower:
     for i, lvl in enumerate(cfg["levels"]):
         eps = settings["epsilon"][i]
         if "generator" in lvl:
-            name, n = lvl["generator"], lvl.get("level", i + 1)
+            name, n = lvl["generator"], settings["level"][i]
             if name not in GENERATORS:
                 raise TowerError(f"unknown generator {name!r}")
             s = GENERATORS[name](n)

@@ -256,7 +256,7 @@ def test_config_matrix_file_is_relative_to_the_config(tmp_path, monkeypatch,
 @pytest.mark.parametrize("key", ["max_dim", "k_max", "tolerance",
                                  "max_elements", "epsilon"])
 def test_config_value_must_be_a_number(key, tmp_path, capsys):
-    bad = {"x": "is not a number"}
+    bad = {"x": "is not a number", True: "is not a number"}
     if T.CONFIG_SETTINGS.get(key, (float,))[0] is int:
         # refused, not truncated to 2
         bad[2.5] = "is not an integer"
@@ -274,6 +274,33 @@ def test_config_value_must_be_a_number(key, tmp_path, capsys):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{key}={value!r}" in err
+
+
+POINTS = {"points": [[0.0], [1.0]], "epsilon": 1.0}
+
+
+@pytest.mark.parametrize("cfg, code, message", [
+    ({"levels": [1]}, cli.EXIT_USAGE, "level 1: 1 is not an object"),
+    ({"levels": 5}, cli.EXIT_USAGE, "levels=5 is not a list"),
+    ({"context": "euclidean", "levels": [POINTS]}, cli.EXIT_USAGE,
+     "context='euclidean' is not an object"),
+    ({"levels": [{"generator": "circle", "level": "x"}]}, cli.EXIT_USAGE,
+     "level 1: level='x' is not a number"),
+    ({"context": {"kind": "explicit"}, "levels": [POINTS]}, cli.EXIT_USAGE,
+     "context={'kind': 'explicit'} needs a matrix_file"),
+    ({"levels": [dict(POINTS, gamma=True)]}, cli.EXIT_VALIDATION,
+     "level 1: gamma=True is not a number"),
+], ids=["level-not-object", "levels-not-list", "context-not-object",
+        "generator-level", "explicit-without-matrix", "gamma-boolean"])
+def test_config_shape_errors_exit_cleanly(cfg, code, message, tmp_path,
+                                          capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"mode": "relaxed", **cfg}))
+    got, out, err = run(["homology", "--config", str(p)], capsys)
+    assert got == code
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
 
 
 def test_verify_thread_uses_the_tower_tolerance(tmp_path, capsys, monkeypatch):
@@ -406,6 +433,19 @@ def test_verify_validation_failure(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     code, out, err = run(["verify", "--config", str(p)], capsys)
     assert code == cli.EXIT_VALIDATION
+
+
+def test_verify_stops_at_a_broken_schedule(tmp_path, capsys):
+    cfg = {"mode": "relaxed",
+           "levels": [{"points": [[0.0]], "epsilon": 1.0},
+                      {"points": [[0.0], [1.0]], "epsilon": 0.9}]}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(["verify", "--config", str(p)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert err == ("error: level 2: eps=0.9 must be below 0.5 "
+                   "(relaxed schedule)\n")
+    assert out == ""
 
 
 def test_resource_cap_exit(capsys):

@@ -15,7 +15,8 @@ def powerset_space(points):
     elems = []
     for mask in range(1, 2 ** len(points)):
         elems.append(frozenset(p for i, p in enumerate(points) if mask >> i & 1))
-    return F.FiniteSpace(elems, leq=lambda c, d: d < c)
+    return F.FiniteSpace(elems, leq_pairs=[(c, d) for c in elems for d in elems
+                                           if d < c])
 
 
 def test_min_open_and_closure():

@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fintop import limit as L
 from fintop import metric as M
@@ -42,6 +44,21 @@ def test_thread_properties_certified():
         assert rep.convergence_ok and rep.ball_bound_ok and rep.inter_level_ok
         for n, dh in enumerate(rep.convergence, start=1):
             assert dh < 2 * tw.epsilon(n)
+
+
+@functools.lru_cache(maxsize=None)
+def shared_circle_tower():
+    return circle_tower(4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-20.0, 20.0))
+def test_thread_of_an_angle_is_the_thread_of_its_remainder(x):
+    tw = shared_circle_tower()
+    th = L.canonical_thread(tw, x)
+    ref = L.canonical_thread(tw, np.mod(x, 2 * math.pi))
+    assert (th.levels, th.stabilized) == (ref.levels, ref.stabilized)
+    assert L.verify_thread(tw, th) == L.verify_thread(tw, ref)
 
 
 def test_is_thread_and_broken_thread():

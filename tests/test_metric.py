@@ -10,14 +10,27 @@ from fintop import metric as M
 
 def test_euclidean_distance_345():
     ctx = M.euclidean(2)
-    assert M.distance(ctx, (0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
+    assert M.hausdorff_distance(ctx, [(0.0, 0.0)], [(3.0, 4.0)]) \
+        == pytest.approx(5.0)
 
 
 def test_geodesic_distance_quarter():
     ctx = M.circle_geodesic()
-    assert M.distance(ctx, 0.0, math.pi / 2) == pytest.approx(math.pi / 2)
+    assert M.hausdorff_distance(ctx, [0.0], [math.pi / 2]) \
+        == pytest.approx(math.pi / 2)
     # wraps around the short way
-    assert M.distance(ctx, 0.1, 2 * math.pi - 0.1) == pytest.approx(0.2)
+    assert M.hausdorff_distance(ctx, [0.1], [2 * math.pi - 0.1]) \
+        == pytest.approx(0.2)
+
+
+def test_tiny_negative_angle_is_angle_zero():
+    # np.mod(-1e-20, 2 pi) rounds up to 2 pi itself, 0.1 away from 0.1 only
+    # up to rounding; the normalised angle is 0
+    ctx = M.circle_geodesic()
+    assert M.hausdorff_distance(ctx, [-1e-20], [0.1]) == 0.1
+    s = M.MetricSample(ctx, [0.1, 1.0], epsilon=1.0)
+    assert M.ball_images(s, [-1e-20], 0.1, tol=0.0, closed=True) \
+        == [frozenset([0])]
 
 
 def test_explicit_matrix_validation():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fintop import finite_space as F
 from fintop import limit as L
 from fintop import metric as M
 from fintop import tower as T
@@ -67,6 +68,25 @@ def test_term_space_reverse_inclusion():
     pair = frozenset([0, 1])
     assert sp.leq(pair, single)          # bigger sets are below
     assert sp.min_open(single) == {single}
+
+
+@pytest.mark.parametrize("cls", [T.Tower, T.NearestPointTower])
+@pytest.mark.parametrize("space, depth", [("circle", 3), ("cantor", 4),
+                                          ("two_squares", 3)])
+def test_term_space_matches_the_order_predicate(cls, space, depth):
+    # the oracle decides C <= D for every pair of elements: inclusion in
+    # the nearest-point variant, reverse inclusion in the other
+    samples, mode = T.space_samples(space, depth)
+    tw = cls(samples, mode=mode)
+    for t in tw.terms:
+        leq = (lambda c, d: c < d) if cls.threshold_factor == 2 \
+            else (lambda c, d: d < c)
+        oracle = F.FiniteSpace(t.elements, leq_pairs=[
+            (c, d) for c in t.elements for d in t.elements if leq(c, d)])
+        sp = t.space()
+        assert sp.elements == oracle.elements == t.elements
+        assert [sp.min_open(x) for x in sp.elements] \
+            == [oracle.min_open(x) for x in oracle.elements]
 
 
 def test_bonding_values_circle_level3_to_2():
