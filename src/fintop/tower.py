@@ -45,7 +45,7 @@ DEFAULT_MAX_ELEMENTS = 2_000_000
 
 
 def validate_schedule(samples: list[M.MetricSample], mode: str,
-                      tol: float = 1e-9) -> list[str]:
+                      tol: float = M.DEFAULT_TOL) -> list[str]:
     """Schedule inequalities between consecutive levels; returns problems.
 
     Strict mode needs eps_{n+1} < (eps_n - gamma_n)/2 with gamma_n known;
@@ -91,15 +91,9 @@ class Term:
     def threshold(self) -> float:
         return self.threshold_factor * self.sample.epsilon
 
-    def diameter(self, payload: frozenset) -> float:
-        if not payload:
-            return 0.0
-        return float(image_diameters(self.sample.pairwise(), [payload])[0])
-
-    def is_element(self, payload: frozenset, tol: float = 1e-9) -> bool:
+    def is_element(self, payload: frozenset, tol: float = M.DEFAULT_TOL) -> bool:
         """Diameter test, independent of the cardinality-capped enumeration."""
-        return bool(payload) and bool(M.below(self.diameter(payload),
-                                              self.threshold, tol))
+        return element_report(self, [payload], tol).well_defined
 
     def space(self) -> FiniteSpace:
         """Finite T0 space on the stored elements: the face poset of the
@@ -114,7 +108,7 @@ class Term:
 
 
 def build_term(sample: M.MetricSample, max_dim: int, threshold_factor: float = 4,
-               tol: float = 1e-9,
+               tol: float = M.DEFAULT_TOL,
                max_elements: int = DEFAULT_MAX_ELEMENTS) -> Term:
     try:
         cx = vietoris_rips(sample.pairwise(), threshold_factor * sample.epsilon,
@@ -155,11 +149,12 @@ class BondingReport:
     worst_element: int        # at level m: the first empty image, else the widest
 
 
-def _union(images) -> frozenset:
-    """The union of image sets: how every map between levels acts on a payload."""
+def _image(table: list[frozenset], payload) -> frozenset:
+    """The union of the vertex images table[v] over v in payload: how every
+    map between levels acts on a payload."""
     acc: set = set()
-    for img in images:
-        acc |= img
+    for v in payload:
+        acc |= table[v]
     return frozenset(acc)
 
 
@@ -192,6 +187,22 @@ def image_diameters(pw: np.ndarray, payloads: list) -> np.ndarray:
     return out
 
 
+def element_report(dst: Term, images: list[frozenset], tol: float) -> BondingReport:
+    """Whether each image payload is an element of dst: nonempty and of
+    diameter strictly below dst.threshold within tol.  worst_element indexes
+    images: the first empty one, else the widest."""
+    empty = [i for i, img in enumerate(images) if not img]
+    widths = image_diameters(dst.sample.pairwise(), [img for img in images if img])
+    # without empty images, widths holds every image's diameter
+    worst = empty[0] if empty else int(widths.argmax()) if widths.size else 0
+    return BondingReport(
+        well_defined=not empty and bool(np.all(M.below(widths, dst.threshold, tol))),
+        worst_diameter=math.inf if empty else float(widths.max(initial=0.0)),
+        bound=dst.threshold, empty_images=len(empty),
+        capped_images=sum(img not in dst.index for img in images) - len(empty),
+        worst_element=worst)
+
+
 class Tower:
     """A finite tower of terms with composable bonding maps."""
 
@@ -199,7 +210,7 @@ class Tower:
     threshold_factor = 4
 
     def __init__(self, samples: list[M.MetricSample], mode: str = STRICT,
-                 max_dim: int = 3, k_max: int = 1, tol: float = 1e-9,
+                 max_dim: int = 3, k_max: int = 1, tol: float = M.DEFAULT_TOL,
                  max_elements: int = DEFAULT_MAX_ELEMENTS,
                  enforce_schedule: bool = True, label: str = ""):
         if not samples:
@@ -254,15 +265,13 @@ class Tower:
         """
         if (n, m) not in self._vertex_maps:
             if m == n:
-                images = [frozenset((v,))
-                          for v in range(len(self.term(m).sample.points))]
+                images = [frozenset((v,)) for v in range(len(self.term(m).sample))]
             elif m == n + 1:
                 images = self._point_images(self.term(n).sample,
                                             self.term(m).sample.points)
             else:
                 step = self._vertex_images(n, n + 1)
-                images = [_union(step[u] for u in img)
-                          for img in self._vertex_images(n + 1, m)]
+                images = [_image(step, img) for img in self._vertex_images(n + 1, m)]
             self._vertex_maps[(n, m)] = images
         return self._vertex_maps[(n, m)]
 
@@ -274,8 +283,7 @@ class Tower:
         v in C, whatever m - n is.
         """
         self._check_levels(n, m)
-        images = self._vertex_images(n, m)
-        return _union(images[v] for v in payload)
+        return _image(self._vertex_images(n, m), payload)
 
     def bonding_element_map(self, n: int, m: int) -> tuple[list[Optional[int]], BondingReport]:
         """Images of the stored elements of level m as indices at level n.
@@ -293,21 +301,9 @@ class Tower:
     def _element_map(self, n: int, m: int) -> tuple[tuple, BondingReport]:
         dst = self.term(n)
         vimg = self._vertex_images(n, m)
-        images = [_union(vimg[v] for v in c) for c in self.term(m).elements]
-        empty = [i for i, img in enumerate(images) if not img]
-        widths = image_diameters(dst.sample.pairwise(),
-                                 [img for img in images if img])
-        out = tuple(dst.index.get(img) if img else None for img in images)
-        report = BondingReport(
-            well_defined=not empty and bool(np.all(
-                M.below(widths, dst.threshold, self.tol))),
-            worst_diameter=(math.inf if empty
-                            else float(widths.max(initial=0.0))),
-            bound=dst.threshold, empty_images=len(empty),
-            capped_images=out.count(None) - len(empty),
-            # without empty images, widths holds every element's diameter
-            worst_element=empty[0] if empty else int(np.argmax(widths)))
-        return out, report
+        images = [_image(vimg, c) for c in self.term(m).elements]
+        return (tuple(map(dst.index.get, images)),
+                element_report(dst, images, self.tol))
 
     def verify_bondings(self) -> list[BondingReport]:
         """Well-definedness of every consecutive bonding map."""
@@ -327,13 +323,8 @@ class Tower:
         h <= f and h <= g pointwise in reverse-inclusion order, so f and g
         are homotopic.  Returns (ok, worst diameter seen).
         """
-        term = self.term(n)
-        unions = [f(c) | g(c) for c in source]
-        if not all(unions):
-            return False, math.inf
-        widths = image_diameters(term.sample.pairwise(), unions)
-        return (bool(np.all(M.below(widths, term.threshold, self.tol))),
-                float(widths.max(initial=0.0)))
+        rep = element_report(self.term(n), [f(c) | g(c) for c in source], self.tol)
+        return rep.well_defined, rep.worst_diameter
 
     def projection_square_certificate(self, n: int) -> tuple[bool, float]:
         """One-step against two-step bonding from level n+2 down to n.
@@ -344,7 +335,6 @@ class Tower:
         content of the factorization statement: (well defined, worst
         diameter), which is (False, inf) when an image is empty.
         """
-        self._check_levels(n, n + 2)
         report = self.bonding_element_map(n, n + 2)[1]
         return report.well_defined, report.worst_diameter
 
@@ -353,7 +343,8 @@ class Tower:
 # nearest-point (inclusion-order) variant
 # ---------------------------------------------------------------------------
 
-def nearest_point_set(sample: M.MetricSample, x, tol: float = 1e-9) -> frozenset:
+def nearest_point_set(sample: M.MetricSample, x,
+                      tol: float = M.DEFAULT_TOL) -> frozenset:
     """Indices of sample points realizing d(x, A) up to relative tolerance."""
     return M.ball_images(sample, [x], None, tol, closed=True)[0]
 
@@ -384,7 +375,8 @@ class TwoTowerReport:
 
 
 def match_level(coarse: Tower, fine: Tower, n: int, constant: float = 16.0) -> int:
-    """Least fine level l with eps_fine(l) < eps_coarse(n) / constant."""
+    """Least fine level l with eps_fine(l) < eps_coarse(n) / constant; Tower
+    makes both schedules strictly decrease, so l never decreases with n."""
     target = coarse.epsilon(n) / constant
     for l in range(1, len(fine) + 1):
         if fine.epsilon(l) < target:
@@ -393,12 +385,11 @@ def match_level(coarse: Tower, fine: Tower, n: int, constant: float = 16.0) -> i
         f"no level of the fine tower is below eps/{constant:g} of level {n}")
 
 
-def comparison_map(coarse: Tower, fine: Tower, n: int, l: int,
-                   payload: frozenset) -> frozenset:
-    """Send a payload of fine level l into coarse level n by open eps_n-balls."""
+def comparison_map(coarse: Tower, fine: Tower, n: int, l: int) -> list[frozenset]:
+    """Vertex table of I_n: the open eps_n-balls in coarse level n of the
+    points of fine level l."""
     low = coarse.term(n).sample
-    pts = fine.term(l).sample.points[list(payload)]
-    return _union(M.ball_images(low, pts, low.epsilon, coarse.tol))
+    return M.ball_images(low, fine.term(l).sample.points, low.epsilon, coarse.tol)
 
 
 def two_tower_comparison(coarse: Tower, fine: Tower, depth: int,
@@ -409,24 +400,20 @@ def two_tower_comparison(coarse: Tower, fine: Tower, depth: int,
     square against the bondings is certified homotopy-commuting via the
     union-map diameter bound at level n.
     """
+    levels = [match_level(coarse, fine, n, constant) for n in range(1, depth + 1)]
+    tables = [comparison_map(coarse, fine, n, l) for n, l in enumerate(levels, 1)]
     reports = []
-    for n in range(1, depth + 1):
-        l = match_level(coarse, fine, n, constant)
-        dst = coarse.term(n)
-        ok = all(dst.is_element(comparison_map(coarse, fine, n, l, c), coarse.tol)
-                 for c in fine.term(l).elements)
+    for n, l in enumerate(levels, start=1):
+        dst, table = coarse.term(n), tables[n - 1]
+        images = [_image(table, c) for c in fine.term(l).elements]
+        ok = element_report(dst, images, coarse.tol).well_defined
         square_ok, worst = True, 0.0
         if n < depth:
-            l_next = match_level(coarse, fine, n + 1, constant)
-            if l_next < l:
-                raise TowerError("matched levels must be nondecreasing")
-            src = fine.term(l_next).elements
+            l_next = levels[n]
             square_ok, worst = coarse.union_homotopy_certificate(
-                n, src,
-                lambda c: comparison_map(coarse, fine, n, l,
-                                         fine.bond(l, l_next, c)),
-                lambda c: coarse.bond(n, n + 1,
-                                      comparison_map(coarse, fine, n + 1, l_next, c)))
+                n, fine.term(l_next).elements,
+                lambda c: _image(table, fine.bond(l, l_next, c)),
+                lambda c: coarse.bond(n, n + 1, _image(tables[n], c)))
         reports.append(TwoTowerReport(level=n, matched_level=l,
                                       well_defined=ok, square_certified=square_ok,
                                       worst_square_diameter=worst,
@@ -444,13 +431,12 @@ class VariantComparisonReport:
     literal_ball_in_gamma: bool         # q(D) subset i(g_n(D))  (printed claim)
 
 
-def gamma_map(low: M.MetricSample, points, payload: frozenset,
-              tol: float = 1e-9) -> frozenset:
-    """Union of closed gamma_n-balls around the payload, at the lower level."""
+def gamma_map(low: M.MetricSample, points,
+              tol: float = M.DEFAULT_TOL) -> list[frozenset]:
+    """Vertex table of g_n: the closed gamma_n-balls in low of the points."""
     if low.gamma is None:
         raise TowerError("gamma map needs a coverage radius at the lower level")
-    pts = np.asarray(points)[list(payload)]
-    return _union(M.ball_images(low, pts, low.gamma, tol, closed=True))
+    return M.ball_images(low, points, low.gamma, tol, closed=True)
 
 
 def variant_comparison(reverse: Tower, nearest: NearestPointTower,
@@ -463,20 +449,17 @@ def variant_comparison(reverse: Tower, nearest: NearestPointTower,
     image.  The reversed inclusion of the last pair is evaluated and
     reported but is not expected to hold.
     """
-    low_r = reverse.term(n).sample
-    low_p = nearest.term(n).sample
     pts_high = reverse.term(n + 1).sample.points
-    nearest_in_ball = gamma_in_nearest = gamma_in_ball = True
-    literal = True
+    g_p = gamma_map(nearest.term(n).sample, pts_high, nearest.tol)
+    g_r = gamma_map(reverse.term(n).sample, pts_high, reverse.tol)
+    nearest_in_ball = gamma_in_nearest = gamma_in_ball = literal = True
     for c in nearest.term(n + 1).elements:
         p_img = nearest.bond(n, n + 1, c)
-        q_img = reverse.bond(n, n + 1, c)
-        g_img = gamma_map(low_p, pts_high, c, nearest.tol)
-        nearest_in_ball &= p_img <= q_img
-        gamma_in_nearest &= g_img <= p_img
+        nearest_in_ball &= p_img <= reverse.bond(n, n + 1, c)
+        gamma_in_nearest &= _image(g_p, c) <= p_img
     for d in reverse.term(n + 1).elements:
         q_img = reverse.bond(n, n + 1, d)
-        g_img = gamma_map(low_r, pts_high, d, reverse.tol)
+        g_img = _image(g_r, d)
         gamma_in_ball &= g_img <= q_img
         literal &= q_img <= g_img
     return VariantComparisonReport(level=n, nearest_in_ball=nearest_in_ball,
@@ -516,7 +499,7 @@ def space_samples(space: str, depth: int,
 def build_tower(space: str, depth: int, max_dim: int = 3, k_max: int = 1,
                 mode: Optional[str] = None, seed: int = 7,
                 max_elements: int = DEFAULT_MAX_ELEMENTS,
-                tol: float = 1e-9) -> Tower:
+                tol: float = M.DEFAULT_TOL) -> Tower:
     """Tower over a named space, in its default mode unless one is given."""
     samples, default_mode = space_samples(space, depth, seed)
     return Tower(samples, mode=default_mode if mode is None else mode,
@@ -542,7 +525,7 @@ def load_config(path) -> dict:
 
 #: numeric tower settings of a config, with their types and defaults
 CONFIG_SETTINGS = {"max_dim": (int, 3), "k_max": (int, 1),
-                   "tolerance": (float, 1e-9),
+                   "tolerance": (float, M.DEFAULT_TOL),
                    "max_elements": (int, DEFAULT_MAX_ELEMENTS)}
 
 
@@ -571,6 +554,9 @@ def config_settings(cfg: dict) -> dict:
     for i, lvl in enumerate(levels):
         if not isinstance(lvl, dict):
             raise TowerError(f"level {i + 1}: {lvl!r} is not an object")
+        pts = lvl.get("points")
+        if "points" in lvl and not (isinstance(pts, list) and pts):
+            raise TowerError(f"level {i + 1}: points={pts!r} is not a non-empty list")
     spec = cfg.get("context")
     if spec is not None and not isinstance(spec, dict):
         raise TowerError(f"context={spec!r} is not an object")
@@ -588,10 +574,10 @@ def config_settings(cfg: dict) -> dict:
     return out
 
 
-def _config_context(cfg: dict, pts: np.ndarray, base_dir) -> M.MetricContext:
+def _config_context(cfg: dict, dimension: int, base_dir) -> M.MetricContext:
     spec = cfg.get("context")
     if spec is None or spec.get("kind") == "euclidean":
-        return M.euclidean(pts.shape[1] if pts.ndim > 1 else 1)
+        return M.euclidean(dimension)
     if spec["kind"] == "circle_geodesic":
         return M.circle_geodesic()
     if spec["kind"] == "explicit":
@@ -602,7 +588,7 @@ def _config_context(cfg: dict, pts: np.ndarray, base_dir) -> M.MetricContext:
 def tower_from_config(cfg: dict, base_dir=".") -> Tower:
     """Tower from a config; its file names are relative to base_dir."""
     settings = config_settings(cfg)
-    samples = []
+    samples, ctx = [], None
     for i, lvl in enumerate(cfg["levels"]):
         eps = settings["epsilon"][i]
         if "generator" in lvl:
@@ -621,7 +607,12 @@ def tower_from_config(cfg: dict, base_dir=".") -> Tower:
                 pts = M.load_points_csv(os.path.join(base_dir, lvl["points_file"]))
             else:
                 pts = M.point_rows(lvl["points"], f"level {i + 1} points")
-            ctx = _config_context(cfg, pts, base_dir)
+            dim = pts.shape[1] if pts.ndim > 1 else 1
+            ctx = ctx or _config_context(cfg, dim, base_dir)    # read once
+            want = ctx.dimension if ctx.kind == "euclidean" else 1
+            if dim != want:
+                raise TowerError(f"level {i + 1}: points of dimension {dim}, "
+                                 f"the {ctx.kind} context has dimension {want}")
             if ctx.kind == "circle_geodesic":
                 pts = pts.ravel()
             s = M.MetricSample(ctx, pts, epsilon=eps,

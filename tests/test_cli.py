@@ -231,15 +231,19 @@ def test_verify_thread_on_explicit_metric(tmp_path, capsys):
     assert err == "error: --thread needs a euclidean or circle space\n"
 
 
-def test_config_matrix_file_is_relative_to_the_config(tmp_path, monkeypatch,
-                                                      capsys):
-    # geodesic distances of 8 equispaced points on the circle
+def write_circle_matrix(path):
+    """Geodesic distances of 8 equispaced points on the circle, as CSV."""
     step = 2 * math.pi / 8
     rows = [",".join(repr(step * min(abs(i - j), 8 - abs(i - j)))
                      for j in range(8)) for i in range(8)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_config_matrix_file_is_relative_to_the_config(tmp_path, monkeypatch,
+                                                      capsys):
     confdir = tmp_path / "conf"
     confdir.mkdir()
-    (confdir / "m.csv").write_text("\n".join(rows) + "\n")
+    write_circle_matrix(confdir / "m.csv")
     cfg = {"mode": "relaxed",
            "context": {"kind": "explicit", "matrix_file": "m.csv"},
            "levels": [{"points": list(range(8)), "epsilon": 0.3}]}
@@ -251,6 +255,43 @@ def test_config_matrix_file_is_relative_to_the_config(tmp_path, monkeypatch,
                           os.path.join("..", "conf", "cfg.json")], capsys)
     assert code == cli.EXIT_OK, err
     assert out.splitlines()[1:3] == ["H_0,1", "H_1,1"]
+
+
+def test_config_matrix_file_is_read_once(tmp_path, monkeypatch, capsys):
+    write_circle_matrix(tmp_path / "m.csv")
+    cfg = {"mode": "relaxed",
+           "context": {"kind": "explicit", "matrix_file": "m.csv"},
+           "levels": [{"points": [0, 4], "epsilon": 1.6},
+                      {"points": [0, 2, 4, 6], "epsilon": 0.7},
+                      {"points": list(range(8)), "epsilon": 0.3}]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    calls = []
+
+    def counted(path, _real=M.load_matrix_csv):
+        calls.append(path)
+        return _real(path)
+    monkeypatch.setattr(M, "load_matrix_csv", counted)
+    code, out, err = run(["homology", "--config", str(tmp_path / "cfg.json")],
+                         capsys)
+    assert code == cli.EXIT_OK, err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("second, dim, want", [
+    ([[0.0, 0.0], [1.0, 0.0]], 2, 1),
+    ([0.0, 0.3, 0.6, 1.0], 1, 2),
+], ids=["wider", "flat"])
+@pytest.mark.parametrize("command", ["verify", "homology"])
+def test_config_points_must_fit_the_context(second, dim, want, command,
+                                            tmp_path, capsys):
+    first = [[0.0] * want, [1.0] * want]
+    cfg = _config(tmp_path, [{"points": first, "epsilon": 1.0},
+                             {"points": second, "epsilon": 0.4}])
+    code, out, err = run([command, "--config", cfg], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err == (f"error: level 2: points of dimension {dim}, "
+                   f"the euclidean context has dimension {want}\n")
 
 
 @pytest.mark.parametrize("key", ["max_dim", "k_max", "tolerance",
@@ -290,8 +331,15 @@ POINTS = {"points": [[0.0], [1.0]], "epsilon": 1.0}
      "context={'kind': 'explicit'} needs a matrix_file"),
     ({"levels": [dict(POINTS, gamma=True)]}, cli.EXIT_VALIDATION,
      "level 1: gamma=True is not a number"),
+    ({"levels": [dict(POINTS, points=5)]}, cli.EXIT_USAGE,
+     "level 1: points=5 is not a non-empty list"),
+    ({"levels": [POINTS, dict(POINTS, points=None)]}, cli.EXIT_USAGE,
+     "level 2: points=None is not a non-empty list"),
+    ({"levels": [dict(POINTS, points=[])]}, cli.EXIT_USAGE,
+     "level 1: points=[] is not a non-empty list"),
 ], ids=["level-not-object", "levels-not-list", "context-not-object",
-        "generator-level", "explicit-without-matrix", "gamma-boolean"])
+        "generator-level", "explicit-without-matrix", "gamma-boolean",
+        "points-number", "points-null", "points-empty"])
 def test_config_shape_errors_exit_cleanly(cfg, code, message, tmp_path,
                                           capsys):
     p = tmp_path / "cfg.json"
@@ -497,7 +545,8 @@ def test_verify_names_the_element_with_an_empty_image(tmp_path, capsys):
 
 def test_verify_names_the_element_with_a_wide_image(capsys, monkeypatch):
     # levels 2 and 3 break the schedule, so their pair {0.5, 2.5} reaches
-    # all of level 1, diameter 3 against the threshold 2.4
+    # all of level 1, diameter 3 against the threshold 2.4; verify prints
+    # one schedule line, as make_tower enforces the schedule
     ctx = M.euclidean(1)
     tw = T.Tower([M.MetricSample(ctx, [[0.0], [1.0], [2.0], [3.0]], epsilon=0.6),
                   M.MetricSample(ctx, [[0.5], [2.5]], epsilon=0.55),
@@ -506,7 +555,7 @@ def test_verify_names_the_element_with_a_wide_image(capsys, monkeypatch):
     monkeypatch.setattr(cli, "make_tower", lambda args: tw)
     code, out, err = run(["verify", "--space", "interval"], capsys)
     assert code == cli.EXIT_VALIDATION
-    assert out.splitlines()[2:] == [
+    assert out.splitlines()[1:] == [
         "FAIL bonding 2->1: worst diameter 3 < 2.4, empty=0, capped=1; "
         "witness: level 2 element 2 [0, 1], image diameter 3",
         "ok bonding 3->2: worst diameter 2 < 2.2, empty=0, capped=0",

@@ -54,8 +54,7 @@ def test_term_sizes_circle():
 def test_term_element_diameter_bound():
     tw = circle_tower(3)
     t = tw.term(3)
-    for e in t.elements:
-        assert t.diameter(e) < t.threshold
+    assert T.element_report(t, t.elements, 0.0).worst_diameter < t.threshold
     # a non-element: 5 consecutive points span 4 gaps = the threshold
     too_wide = frozenset(range(5))
     assert not t.is_element(too_wide)
@@ -173,7 +172,7 @@ def test_nearest_point_tower_interval():
     # and adjacent pairs qualify
     assert tw.threshold_factor == 2
     t2 = tw.term(2)
-    assert all(t2.diameter(e) < 2 / 3 for e in t2.elements)
+    assert T.element_report(t2, t2.elements, 0.0).worst_diameter < 2 / 3
     # nearest-point bonding of an off-grid-ish deeper point set
     img = tw.bond(1, 2, frozenset([2]))
     assert img == frozenset([0])         # everything maps to the single point
@@ -454,3 +453,103 @@ def test_batched_diameters_equal_the_pair_loop(points, payloads):
     payloads = [frozenset(i % len(pts) for i in p) for p in payloads]
     got = T.image_diameters(pw, payloads)
     assert got.tolist() == [pair_diameter(pw, p) for p in payloads]
+
+
+def image_oracle(low, points, payload, radius, tol, closed=False):
+    """A map between levels on one payload: one ball_images call for its
+    points, then the union."""
+    pts = np.asarray(points)[sorted(payload)]
+    return frozenset().union(*M.ball_images(low, pts, radius, tol, closed))
+
+
+def is_element_oracle(term, payload, tol):
+    return bool(payload) and bool(M.below(
+        pair_diameter(term.sample.pairwise(), payload), term.threshold, tol))
+
+
+def two_tower_oracle(coarse, fine, depth):
+    """two_tower_comparison element by element, with pair-loop diameters."""
+    def comparison(n, l, c):
+        low = coarse.term(n).sample
+        return image_oracle(low, fine.term(l).sample.points, c, low.epsilon,
+                            coarse.tol)
+    reports = []
+    for n in range(1, depth + 1):
+        l = T.match_level(coarse, fine, n)
+        dst = coarse.term(n)
+        ok = all(is_element_oracle(dst, comparison(n, l, c), coarse.tol)
+                 for c in fine.term(l).elements)
+        square_ok, worst = True, 0.0
+        if n < depth:
+            l_next = T.match_level(coarse, fine, n + 1)
+            for c in fine.term(l_next).elements:
+                u = comparison(n, l, stepwise_bond(fine, l, l_next, c)) | \
+                    coarse.bond(n, n + 1, comparison(n + 1, l_next, c))
+                if not u:
+                    square_ok, worst = False, math.inf
+                    break
+                d = pair_diameter(dst.sample.pairwise(), u)
+                worst = max(worst, d)
+                square_ok &= bool(M.below(d, dst.threshold, coarse.tol))
+        reports.append(T.TwoTowerReport(
+            level=n, matched_level=l, well_defined=ok,
+            square_certified=square_ok, worst_square_diameter=float(worst),
+            bound=dst.threshold))
+    return reports
+
+
+def rotated_circle(depth, shift):
+    samples = []
+    for n in range(1, depth + 1):
+        base = M.circle_sample(n)
+        samples.append(M.MetricSample(base.context, base.points + shift,
+                                      base.epsilon, gamma=base.gamma,
+                                      gamma_exact=True))
+    return T.Tower(samples, mode=T.STRICT)
+
+
+@pytest.mark.parametrize("coarse, fine", [
+    (lambda: circle_tower(2), lambda: circle_tower(4)),
+    (lambda: circle_tower(2), lambda: rotated_circle(4, 0.05)),
+    (lambda: T.build_tower("cantor", 2), lambda: T.build_tower("cantor", 6)),
+], ids=["circle", "circle-rotated", "cantor"])
+def test_two_tower_comparison_matches_the_element_oracle(coarse, fine):
+    coarse, fine = coarse(), fine()
+    got = T.two_tower_comparison(coarse, fine, depth=2)
+    assert got == two_tower_oracle(coarse, fine, 2)
+
+
+@pytest.mark.parametrize("space, depth", [("circle", 4), ("two_squares", 3)])
+def test_variant_comparison_matches_the_element_oracle(space, depth):
+    samples, mode = T.space_samples(space, depth)
+    reverse = T.Tower(samples, mode=mode)
+    nearest = T.NearestPointTower(samples, mode=mode)
+    for n in range(1, depth):
+        pts = reverse.term(n + 1).sample.points
+
+        def gamma(low, c, tol):
+            return image_oracle(low, pts, c, low.gamma, tol, closed=True)
+        low_r, low_p = reverse.term(n).sample, nearest.term(n).sample
+        per_c = [(nearest.bond(n, n + 1, c), reverse.bond(n, n + 1, c),
+                  gamma(low_p, c, nearest.tol))
+                 for c in nearest.term(n + 1).elements]
+        per_d = [(reverse.bond(n, n + 1, d), gamma(low_r, d, reverse.tol))
+                 for d in reverse.term(n + 1).elements]
+        assert T.variant_comparison(reverse, nearest, n) == \
+            T.VariantComparisonReport(
+                level=n,
+                nearest_in_ball=all(p <= q for p, q, _ in per_c),
+                gamma_in_nearest=all(g <= p for p, _, g in per_c),
+                gamma_in_ball=all(g <= q for q, g in per_d),
+                literal_ball_in_gamma=all(q <= g for q, g in per_d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_is_element_matches_the_pair_loop(data):
+    tw = squares_tower()
+    term = tw.term(data.draw(st.integers(1, len(tw))))
+    size = len(term.sample.points)
+    payload = frozenset(data.draw(st.sets(st.integers(0, size - 1), max_size=5)))
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    assert term.is_element(payload, tol) is is_element_oracle(term, payload, tol)
