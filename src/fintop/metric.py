@@ -9,6 +9,7 @@ the strict schedule inequality used by the tower module.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -24,6 +25,10 @@ DEFAULT_TOL = 1e-9
 
 #: entries in one block of a distance sweep, which bounds its memory
 BLOCK_ENTRIES = 2_000_000
+
+#: relative widening of a search window against rounding; a point the window
+#: keeps in needlessly costs time, never a result
+_SLACK = 1e-9
 
 
 class MetricError(ValueError):
@@ -105,7 +110,16 @@ def _points_array(ctx: MetricContext, points) -> np.ndarray:
         # np.mod rounds a tiny negative angle up to 2 pi itself
         a = np.mod(np.asarray(points, dtype=float), TWO_PI)
         return np.where(a < TWO_PI, a, 0.0)
-    return np.asarray(points, dtype=int)
+    # indices into the matrix: an int cast would read -1 as the last point
+    # and 0.5 as point 0
+    values = np.asarray(points, dtype=object)
+    n = len(ctx.matrix)
+    for v in values.ravel():
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real) \
+                or not (0 <= v < n and float(v).is_integer()):
+            raise MetricError(f"explicit point index {v!r} is not an integer "
+                              f"in 0..{n - 1}")
+    return values.astype(int)
 
 
 def cross_distances(ctx: MetricContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -115,13 +129,15 @@ def cross_distances(ctx: MetricContext, A: np.ndarray, B: np.ndarray) -> np.ndar
     len(A) x len(B) array, in coordinate order.  That is the order of
     numpy's reduction over a last axis shorter than 8, so up to dimension 7
     every distance is bitwise that of sqrt(((A - B) ** 2).sum(axis=-1)).
+    Euclidean stacks of point arrays, (..., n, d) and (..., m, d), give
+    the (..., n, m) stack of their matrices.
     """
     if ctx.kind == "euclidean":
         A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-        acc = A[:, 0, None] - B[None, :, 0]
+        acc = A[..., :, None, 0] - B[..., None, :, 0]
         acc *= acc
-        for k in range(1, A.shape[1]):
-            d = A[:, k, None] - B[None, :, k]
+        for k in range(1, A.shape[-1]):
+            d = A[..., :, None, k] - B[..., None, :, k]
             d *= d
             acc += d
         return np.sqrt(acc, out=acc)
@@ -242,15 +258,74 @@ def coverage_radius(sample: MetricSample, reference=None) -> float:
     """sup over the reference points of the distance to the sample.
 
     Without a reference, returns the exact analytic gamma recorded by a
-    generator; estimated gammas require a reference.
+    generator; estimated gammas require a reference.  In a Euclidean
+    context most reference points take their distance from the samples in
+    the cells around them (`_cell_distances`); the rest, and every
+    reference point of the other contexts, sweep all samples.
     """
     if reference is None or len(reference) == 0:
         if sample.gamma is not None and sample.gamma_exact:
             return sample.gamma
         raise MetricError("no reference points and no exact gamma available")
-    ref = _points_array(sample.context, reference)
-    return max(float(d.min(axis=1).max())
-               for _, d in _distance_blocks(sample.context, ref, sample.points))
+    ctx = sample.context
+    ref = _points_array(ctx, reference)
+    radius = -math.inf
+    if ctx.kind == "euclidean":
+        near = _cell_distances(sample, ref)
+        found = ~np.isnan(near)
+        radius = float(near[found].max(initial=radius))
+        ref = ref[~found]
+    return max([radius] + [float(d.min(axis=1).max())
+                           for _, d in _distance_blocks(ctx, ref, sample.points)])
+
+
+def _cell_distances(sample: MetricSample, ref: np.ndarray) -> np.ndarray:
+    """Each Euclidean reference point's distance to the sample, or nan where
+    the cells around it cannot settle that distance.
+
+    The samples fall into cells of side epsilon and are sorted by cell key.
+    A reference point gathers the samples of the 3^d cells around its own.
+    When the nearest of them is closer than epsilon, less a margin for the
+    rounding of the cell coordinates, every sample as near lies in those
+    cells, so it is the nearest sample of all.  A cell outside the
+    samples' range may share its key with a cell inside; that adds
+    candidates and never drops one.
+    """
+    ctx, side = sample.context, sample.epsilon
+    origin = sample.points.min(axis=0)
+    cells = np.floor((sample.points - origin) / side)
+    extent = cells.max(axis=0) + 1
+    near = np.full(len(ref), np.nan)
+    if np.prod(extent + 4) >= 2.0 ** 62:    # keys would overflow int64
+        return near
+    extent = extent.astype(np.int64)
+    strides = np.concatenate(([1], np.cumprod(extent[:-1])))
+    key = cells.astype(np.int64) @ strides
+    order = np.argsort(key)
+    key, pts = key[order], sample.points[order]
+    # the most samples in one cell, which bounds the candidates of a cell
+    crowd = np.max(np.searchsorted(key, key, "right") - np.arange(len(key)))
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=ctx.dimension)))
+    settled = side - _SLACK * (side + np.ptp(pts, axis=0).max())
+    step = max(1, BLOCK_ENTRIES // (len(offsets) * int(crowd)))
+    for start in range(0, len(ref), step):
+        r = ref[start:start + step]
+        # clipped, so that the cells of far points fit int64 and lie outside
+        home = np.clip(np.floor((r - origin) / side), -2, extent + 1).astype(np.int64)
+        around_key = (home[:, None, :] + offsets) @ strides
+        first = np.searchsorted(key, around_key, "left")
+        count = (np.searchsorted(key, around_key, "right") - first).ravel()
+        first = first.ravel()
+        # one (reference row, sample) pair per candidate, row by row
+        ends = np.cumsum(count)
+        cand = np.arange(ends[-1]) + np.repeat(first - ends + count, count)
+        total = count.reshape(len(r), -1).sum(axis=1)
+        row = np.repeat(np.arange(len(r)), total)
+        d = cross_distances(ctx, r[row, None], pts[cand, None])[:, 0, 0]
+        best = np.full(len(r), np.inf)
+        best[total > 0] = np.minimum.reduceat(d, (np.cumsum(total) - total)[total > 0])
+        near[start:start + step] = np.where(best < settled, best, np.nan)
+    return near
 
 
 # ---------------------------------------------------------------------------
@@ -355,23 +430,43 @@ def two_squares_grid(step: float) -> np.ndarray:
 def farthest_point_net(points: np.ndarray, separation: float) -> np.ndarray:
     """Greedy farthest-point subset: Euclidean separation-net of the points.
 
-    Deterministic: starts from index 0, ties broken by lowest index.
+    Deterministic: starts from index 0, ties broken by lowest index.  The
+    points are sorted along their widest coordinate.  After a pick at
+    distance rho, every distance to the picks is at most rho, so only the
+    points whose key lies within rho of the pick's can come closer: one
+    window of the sorted keys (Har-Peled and Mendel 2006).  Every distance
+    and so every pick is the one a sweep over all points gives.
     """
     if not separation > 0:
         raise MetricError(f"separation={separation} must be positive")
     ctx = euclidean(points.shape[1])
-    n = len(points)
-    if n == 0:
+    if len(points) == 0:
         return np.array([], dtype=int)
+    axis = np.argmax(np.ptp(points, axis=0))
+    order = np.argsort(points[:, axis])
+    pts = points[order]
+    key = pts[:, axis]
     chosen = [0]
-    dist = distances_from(ctx, points, points[0])
+    dist = cross_distances(ctx, points[:1], pts)[0]
     while True:
-        i = int(np.argmax(dist))
-        if dist[i] < separation:
+        j = int(dist.argmax())
+        rho = float(dist[j])
+        if rho < separation:
             break
-        chosen.append(i)
-        np.minimum(dist, distances_from(ctx, points, points[i]), out=dist)
-    return np.array(sorted(chosen), dtype=int)
+        # argmax gives the first maximum in key order; a tie goes to the
+        # lowest index
+        ties = np.flatnonzero(dist[j:] == rho)
+        if len(ties) > 1:
+            ties += j
+            j = int(ties[np.argmin(order[ties])])
+        chosen.append(int(order[j]))
+        # the slack keeps in every point a rounded distance could bring closer
+        at = float(key[j])
+        reach = rho + _SLACK * (rho + abs(at))
+        lo, hi = key.searchsorted(at - reach), key.searchsorted(at + reach)
+        window = dist[lo:hi]
+        np.minimum(window, cross_distances(ctx, pts[j:j + 1], pts[lo:hi])[0], out=window)
+    return np.sort(chosen)
 
 
 def two_squares_sample(level: int, count: int, seed: int) -> MetricSample:
@@ -428,6 +523,9 @@ def point_rows(rows: list, where) -> np.ndarray:
     """Points given as rows of coordinates, or as single numbers, as one array."""
     if len({np.shape(r) for r in rows}) > 1:
         raise MetricError(f"inconsistent coordinate arity in {where}")
+    # a JSON true would read as the number 1
+    if any(isinstance(v, bool) for v in np.array(rows, dtype=object).ravel()):
+        raise MetricError(f"non-numeric coordinate in {where}")
     try:
         pts = np.array(rows, dtype=float)
     except (TypeError, ValueError):

@@ -636,7 +636,8 @@ def dump_tower(tower: Tower) -> dict:
         entry = {
             "epsilon": t.sample.epsilon,
             "gamma": t.sample.gamma,
-            "points": np.atleast_2d(t.sample.points).tolist(),
+            # one row per point, also for circle angles and explicit indices
+            "points": t.sample.points.reshape(len(t.sample), -1).tolist(),
             "elements": [sorted(e) for e in t.elements],
         }
         if n > 1:

@@ -277,6 +277,29 @@ def test_config_matrix_file_is_read_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("bad, message", [
+    (-1, "explicit point index -1.0 is not an integer in 0..7"),
+    (0.5, "explicit point index 0.5 is not an integer in 0..7"),
+    (9, "explicit point index 9.0 is not an integer in 0..7"),
+    (True, "non-numeric coordinate in level 1 points"),
+], ids=["negative", "fraction", "past-the-end", "boolean"])
+@pytest.mark.parametrize("command", ["verify", "homology"])
+def test_config_explicit_points_are_matrix_indices(bad, message, command,
+                                                   tmp_path, capsys):
+    # a bad index, or a JSON true where an index should be, exits with one
+    # line and no output
+    write_circle_matrix(tmp_path / "m.csv")
+    cfg = {"mode": "relaxed",
+           "context": {"kind": "explicit", "matrix_file": "m.csv"},
+           "levels": [{"points": [0, 2, 4, bad], "epsilon": 1.0}]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code, out, err = run([command, "--config", str(tmp_path / "cfg.json")],
+                         capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("second, dim, want", [
     ([[0.0, 0.0], [1.0, 0.0]], 2, 1),
     ([0.0, 0.3, 0.6, 1.0], 1, 2),

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,20 @@ def test_explicit_matrix_validation():
         M.explicit([[0, 1], [2, 0]])          # asymmetric
     with pytest.raises(M.MetricError):
         M.explicit([[0, 5, 1], [5, 0, 1], [1, 1, 0]])  # triangle violation
+
+
+@pytest.mark.parametrize("bad", [-1, 0.5, 9, True])
+def test_explicit_points_are_indices_of_the_matrix(bad):
+    # an index is an integer of 0..n-1: -1 is not the last point, 0.5 is
+    # not point 0, and 9 is named before it reaches the distance kernel
+    ctx = M.explicit(np.ones((8, 8)) - np.eye(8))
+    assert M.MetricSample(ctx, [0, 2.0, 7], 1.0).points.tolist() == [0, 2, 7]
+    message = f"explicit point index {bad!r} is not an integer in 0..7"
+    with pytest.raises(M.MetricError, match=re.escape(message)):
+        M.MetricSample(ctx, [0, bad], 1.0)
+    sample = M.MetricSample(ctx, [0, 1], 1.0)
+    with pytest.raises(M.MetricError, match=re.escape(message)):
+        M.ball_images(sample, [bad], 1.0)
 
 
 def test_ball_query_circle_level2():
@@ -319,24 +334,117 @@ def _net_by_loop(points: list, separation: float) -> list:
     def dist(p, q):
         return math.sqrt(sum((a - b) * (a - b) for a, b in zip(p, q)))
     chosen = [0]
+    gaps = [dist(p, points[0]) for p in points]
     while True:
-        gaps = [min(dist(p, points[c]) for c in chosen) for p in points]
         best = max(range(len(points)), key=lambda i: (gaps[i], -i))
         if gaps[best] < separation:
             return sorted(chosen)
         chosen.append(best)
+        gaps = [min(g, dist(p, points[best])) for g, p in zip(gaps, points)]
+
+
+def _net_by_sweep(points: np.ndarray, separation: float) -> np.ndarray:
+    """The earlier farthest-point net: every pick sweeps all points."""
+    ctx = M.euclidean(points.shape[1])
+    chosen = [0]
+    dist = M.distances_from(ctx, points, points[0])
+    while True:
+        i = int(np.argmax(dist))
+        if dist[i] < separation:
+            return np.array(sorted(chosen), dtype=int)
+        chosen.append(i)
+        np.minimum(dist, M.distances_from(ctx, points, points[i]), out=dist)
+
+
+def _coverage_by_sweep(sample: M.MetricSample, reference) -> float:
+    """The earlier coverage radius: every reference point sweeps all
+    samples."""
+    ref = M._points_array(sample.context, reference)
+    return max(float(d.min(axis=1).max())
+               for _, d in M._distance_blocks(sample.context, ref, sample.points))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 12), st.randoms(use_true_random=False))
+@given(st.integers(1, 3), st.integers(1, 200), st.randoms(use_true_random=False))
 def test_farthest_point_net_matches_a_per_pick_loop(dim, n, rnd):
-    # grid points repeat distances, so picks and the stopping rule hit ties
-    points = [[float(rnd.randint(0, 3)) for _ in range(dim)] for _ in range(n)]
+    # grid points repeat distances and sort keys, so picks, the stopping rule
+    # and the ends of each window of keys hit ties
+    top = rnd.choice([3, 12])
+    points = [[float(rnd.randint(0, top)) for _ in range(dim)] for _ in range(n)]
     distances = {math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
                  for p in points for q in points}
     separation = rnd.choice(sorted((distances - {0.0}) | {0.5, 10.0}))
     got = M.farthest_point_net(np.array(points), separation)
     assert got.tolist() == _net_by_loop(points, separation)
+
+
+@pytest.mark.parametrize("seed", [7, 11, 23])
+def test_two_squares_sampling_matches_the_sweeps(seed):
+    # the windowed net and the cell-grid coverage radius against the sweeps
+    # over all points they replace: the same picks and bitwise the same gamma
+    for level in range(1, 6):
+        eps = 1.0 / 2 ** (2 * (level - 1))
+        count = 120 * 4 ** (level - 1)      # the count build_tower draws
+        raw = M.two_squares_points(count, seed + level)
+        net = M.farthest_point_net(raw, 0.75 * eps)
+        assert net.tolist() == _net_by_sweep(raw, 0.75 * eps).tolist()
+        sample = M.two_squares_sample(level, count, seed)
+        assert np.array_equal(sample.points, raw[net])
+        grid = M.two_squares_grid(min(eps / 8.0, 0.05))
+        assert sample.gamma == _coverage_by_sweep(sample, grid)
+
+
+@st.composite
+def _coverage_cases(draw):
+    """A Euclidean sample of dimension 1..3 and reference points: near the
+    samples, on the samples' coordinates, and far outside every cell."""
+    dim = draw(st.integers(1, 3))
+    epsilon = draw(st.sampled_from([0.05, 0.3, 1.0, 2.5]))
+    # multiples of a third of a cell side repeat and sit on cell boundaries;
+    # the other floats are rounded, so that distinct points are at a distance
+    # whose square is not 0
+    coordinate = st.one_of(st.integers(-9, 9).map(lambda k: k * epsilon / 3),
+                           st.floats(-3, 3).map(lambda v: round(v, 6)))
+    shape = draw(st.sampled_from(["scattered", "collinear", "single"]))
+    size = 1 if shape == "single" else 12
+    rows = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=min(size, 2),
+                         max_size=size, unique=True))
+    if shape == "collinear":
+        # every coordinate but the first is that of the first point
+        rows = list(dict.fromkeys((r[0],) + rows[0][1:] for r in rows))
+    samples = np.array(rows)
+    offset = st.floats(-1.2, 1.2).map(lambda t: t * epsilon)
+    near = draw(st.lists(st.tuples(st.sampled_from(range(len(rows))),
+                                   st.lists(offset, min_size=dim, max_size=dim)),
+                         max_size=8))
+    ref = [samples[i] + np.array(o) for i, o in near]
+    ref += [np.array(r) for r in draw(st.lists(st.tuples(*[coordinate] * dim),
+                                               max_size=4))]
+    ref += [np.full(dim, v) for v in draw(st.lists(st.sampled_from([-1e3, 40.0, 1e6]),
+                                                   max_size=2))]
+    if not ref:
+        ref = [samples[0]]
+    return M.MetricSample(M.euclidean(dim), samples, epsilon), np.array(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coverage_cases(), st.sampled_from([M.BLOCK_ENTRIES, 1]))
+def test_coverage_radius_is_bitwise_the_sweep(case, block_entries):
+    sample, ref = case
+    want = float(M.cross_distances(sample.context, ref, sample.points)
+                 .min(axis=1).max())
+    # a budget of one entry gathers the candidates one reference point a block
+    with mock.patch.object(M, "BLOCK_ENTRIES", block_entries):
+        assert M.coverage_radius(sample, ref) == want
+
+
+def test_coverage_radius_sweeps_for_points_outside_the_cells():
+    sample = M.MetricSample(M.euclidean(2), [[0.0, 0.0], [1.0, 0.0]], 0.5)
+    ref = np.array([[0.1, 0.2], [0.5, 0.0], [30.0, -4.0]])
+    near = M._cell_distances(sample, ref)
+    # the middle point is 0.5 from both samples, not settled within a cell
+    assert near[0] == math.hypot(0.1, 0.2) and np.isnan(near[1:]).all()
+    assert M.coverage_radius(sample, ref) == math.hypot(29.0, 4.0)
 
 
 def test_farthest_point_net_breaks_ties_by_lowest_index():
@@ -346,6 +454,10 @@ def test_farthest_point_net_breaks_ties_by_lowest_index():
     assert M.farthest_point_net(points, 1.0).tolist() == [0, 1, 2, 4]
     assert M.farthest_point_net(points, 2.0).tolist() == [0, 1, 2]
     assert M.farthest_point_net(points, 2.5).tolist() == [0]
+    # the points sort along y; 1 and 2 tie after the pick of 3, and 2 comes
+    # first in key order, but 1 is picked, which leaves 2 within 0.2 of it
+    points = np.array([[0.0, 0.0], [3.0, 0.1], [3.0, -0.1], [0.0, 10.0]])
+    assert M.farthest_point_net(points, 0.5).tolist() == [0, 1, 3]
 
 
 @pytest.mark.parametrize("separation", [0.0, -1.0, float("nan")])

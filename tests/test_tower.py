@@ -269,6 +269,16 @@ def test_dump_tower_self_contained():
     json.dumps(data)   # fully serializable
 
 
+def test_dump_tower_writes_one_row_per_point():
+    # circle angles are one coordinate per point, not one row of n angles
+    tw = circle_tower(3)
+    for t, lvl in zip(tw.terms, T.dump_tower(tw)["levels"]):
+        assert lvl["points"] == [[a] for a in t.sample.points.tolist()]
+    tw = T.build_tower("two_squares", 2)
+    for t, lvl in zip(tw.terms, T.dump_tower(tw)["levels"]):
+        assert lvl["points"] == t.sample.points.tolist()
+
+
 def test_cantor_tower_components_match_oracle():
     from fintop import homology as H
     tw = T.build_tower("cantor", 6, max_dim=3, k_max=1)
