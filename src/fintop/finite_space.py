@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Optional
 
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, clique_complex
 
 
 class FiniteSpaceError(ValueError):
@@ -105,22 +105,15 @@ class FiniteSpace:
         Vertices are integer positions into self.elements, so that element
         identity survives the canonical sorting of simplex tuples.
         """
-        cx = SimplicialComplex()
         pos = {x: i for i, x in enumerate(self.elements)}
-        strict_up = {pos[x]: sorted(pos[y] for y in self._up[x] if y != x)
-                     for x in self.elements}
+        # chains are the cliques of the comparability graph
+        comparable: list[list[int]] = [[] for _ in self.elements]
+        for i, x in enumerate(self.elements):
+            for j in sorted(pos[y] for y in self._up[x] if y != x):
+                comparable[i].append(j)
+                comparable[j].append(i)
         cap = max_chain if max_chain is not None else len(self.elements)
-
-        def grow(chain: tuple, top: int) -> None:
-            cx.add(chain)
-            if len(chain) >= cap:
-                return
-            for y in strict_up[top]:
-                grow(chain + (y,), y)
-
-        for i in range(len(self.elements)):
-            grow((i,), i)
-        return cx
+        return clique_complex(comparable, cap - 1)
 
 
 def face_poset(cx: SimplicialComplex) -> FiniteSpace:

@@ -74,6 +74,8 @@ class MetricContext:
                 raise MetricError("explicit matrix has negative entries")
             if np.any(np.abs(np.diag(m)) > 0):
                 raise MetricError("explicit matrix diagonal must be zero")
+            if np.count_nonzero(m == 0) > len(m):
+                raise MetricError("explicit matrix is zero off the diagonal")
             if not np.allclose(m, m.T):
                 raise MetricError("explicit matrix must be symmetric")
             n = m.shape[0]
@@ -165,11 +167,6 @@ def points_distance_matrix(ctx: MetricContext, points: np.ndarray) -> np.ndarray
     return out
 
 
-def distances_from(ctx: MetricContext, points: np.ndarray, x) -> np.ndarray:
-    """Distances from an external point x to each point of `points`."""
-    return cross_distances(ctx, _points_array(ctx, [x]), points)[0]
-
-
 @dataclass
 class MetricSample:
     """A finite point set at scale epsilon, with optional coverage radius."""
@@ -191,9 +188,12 @@ class MetricSample:
                                        not isinstance(self.gamma, numbers.Real)):
             raise MetricError(f"{self.label or 'sample'}: "
                               f"gamma={self.gamma!r} is not a number")
-        # the n diagonal distances are 0, so only they may be 0 when the
-        # points are distinct
-        if np.count_nonzero(self.pairwise() <= 0) > len(self.points):
+        # compared after normalisation (angles mod 2 pi); distinct points are
+        # at a positive distance, as the explicit matrix is 0 only on its
+        # diagonal
+        n = len(self.points)
+        rows = self.points.reshape(n, -1).tolist() if n else []
+        if len(set(map(tuple, rows))) < n:
             raise MetricError("sample points must be pairwise distinct")
         if self.gamma is not None and self.gamma >= self.epsilon:
             self.warnings.append(

@@ -1,5 +1,6 @@
-"""Simplicial complexes: Vietoris-Rips construction, boundary matrices and
-elementary collapses.
+"""Simplicial complexes: clique complexes (Vietoris-Rips and, through the
+comparability graph, order complexes), boundary matrices and elementary
+collapses.
 
 Simplices are stored as sorted tuples of hashable vertex ids grouped by
 dimension; the vertex order of the tuple fixes the orientation used by the
@@ -21,28 +22,38 @@ class SimplicialError(ValueError):
 
 
 class SimplicialComplex:
-    """A finite abstract simplicial complex, closed under faces."""
+    """A finite abstract simplicial complex, closed under faces.
+
+    The simplices of each dimension keep the order in which they first
+    appear among the faces of the input.  A complex does not change once
+    it is built.
+    """
 
     def __init__(self, simplices: Iterable[Sequence[Hashable]] = ()):
-        self._by_dim: list[list[tuple]] = []
-        self._index: list[dict] = []   # per dimension: tuple -> position
-        for s in simplices:
-            self.add(s)
+        levels: list[dict] = []
+        for simplex in simplices:
+            s = tuple(sorted(set(simplex)))
+            if not s:
+                raise SimplicialError("empty simplex")
+            levels += [{} for _ in range(len(s) - len(levels))]
+            for k in range(1, len(s) + 1):
+                levels[k - 1].update(dict.fromkeys(combinations(s, k)))
+        self._set_levels([list(level) for level in levels])
 
-    def add(self, simplex: Sequence[Hashable]) -> None:
-        """Insert a simplex and all of its faces."""
-        s = tuple(sorted(set(simplex)))
-        if not s:
-            raise SimplicialError("empty simplex")
-        for k in range(1, len(s) + 1):
-            for face in combinations(s, k):
-                d = k - 1
-                while len(self._by_dim) <= d:
-                    self._by_dim.append([])
-                    self._index.append({})
-                if face not in self._index[d]:
-                    self._index[d][face] = len(self._by_dim[d])
-                    self._by_dim[d].append(face)
+    @classmethod
+    def _closed(cls, levels: list[list[tuple]]) -> "SimplicialComplex":
+        """The complex of per-dimension lists of sorted tuples, taken as
+        they are: every face of a listed simplex must be listed, once."""
+        cx = cls.__new__(cls)
+        cx._set_levels(levels)
+        return cx
+
+    def _set_levels(self, levels: list[list[tuple]]) -> None:
+        while levels and not levels[-1]:
+            levels.pop()
+        self._by_dim = levels
+        # per dimension: tuple -> position
+        self._index = [{s: i for i, s in enumerate(level)} for level in levels]
 
     @property
     def dimension(self) -> int:
@@ -70,9 +81,6 @@ class SimplicialComplex:
     def index(self, simplex) -> int:
         s = tuple(sorted(set(simplex)))
         return self._index[len(s) - 1][s]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(level) for d, level in enumerate(self._by_dim))
 
     def boundary_sparse(self, dim: int) -> list[dict]:
         """Boundary map C_dim -> C_{dim-1} as sparse columns (row -> coeff)."""
@@ -126,15 +134,23 @@ def rips_graph(pairwise: np.ndarray, threshold: float,
 def vietoris_rips(pairwise: np.ndarray, threshold: float, max_dim: int,
                   tol: float = DEFAULT_TOL,
                   max_simplices: Optional[int] = None) -> SimplicialComplex:
-    """Vietoris-Rips complex up to dimension max_dim by clique expansion.
+    """Vietoris-Rips complex up to dimension max_dim: the clique complex of
+    the threshold graph."""
+    return clique_complex(rips_graph(pairwise, threshold, tol), max_dim,
+                          max_simplices)
 
-    Two-phase: build the threshold graph, then grow cliques incrementally
-    (each k-simplex from a (k-1)-simplex plus a common lower neighbor).
+
+def clique_complex(neighbours: list[list[int]], max_dim: int,
+                   max_simplices: Optional[int] = None) -> SimplicialComplex:
+    """The cliques of a graph on 0..n-1, up to max_dim + 1 vertices.
+
+    Built one dimension at a time: each k-clique extends a (k-1)-clique by
+    a common neighbour above its last vertex (Zomorodian 2010), so every
+    face of a clique is listed before it.  The cap counts the vertices,
+    then each finished dimension.
     """
-    n = pairwise.shape[0]
-    adj = rips_graph(pairwise, threshold, tol)
-    nbr = [set(a) for a in adj]
-    cx = SimplicialComplex()
+    n = len(neighbours)
+    nbr = [set(a) for a in neighbours]
     count = 0
 
     def bump(k):
@@ -145,11 +161,9 @@ def vietoris_rips(pairwise: np.ndarray, threshold: float, max_dim: int,
                 f"Rips complex exceeds cap of {max_simplices} simplices")
 
     frontier = [(i,) for i in range(n)]
-    for v in frontier:
-        cx.add(v)
     bump(n)
-    dim = 0
-    while frontier and dim < max_dim:
+    levels = [frontier]
+    while frontier and len(levels) <= max_dim:
         nxt = []
         for s in frontier:
             common = nbr[s[0]]
@@ -157,14 +171,11 @@ def vietoris_rips(pairwise: np.ndarray, threshold: float, max_dim: int,
                 common = common & nbr[v]
             for u in common:
                 if u > s[-1]:
-                    t = s + (u,)
-                    nxt.append(t)
-        for t in nxt:
-            cx.add(t)
+                    nxt.append(s + (u,))
         bump(len(nxt))
+        levels.append(nxt)
         frontier = nxt
-        dim += 1
-    return cx
+    return SimplicialComplex._closed(levels)
 
 
 def connected_components(n: int, adj: list[list[int]]) -> int:
@@ -189,19 +200,8 @@ def connected_components(n: int, adj: list[list[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# maximal simplices and collapses
+# collapses
 # ---------------------------------------------------------------------------
-
-def maximal_simplices(cx: SimplicialComplex) -> list[tuple]:
-    """Simplices of cx not contained in any larger simplex."""
-    maximal = []
-    for d in range(cx.dimension, -1, -1):
-        for s in cx.simplices(d):
-            sv = set(s)
-            if not any(sv < set(m) for m in maximal):
-                maximal.append(s)
-    return maximal
-
 
 def elementary_collapse(cx: SimplicialComplex) -> SimplicialComplex:
     """Repeatedly remove free faces; the result is homotopy equivalent.
@@ -245,9 +245,7 @@ def elementary_collapse(cx: SimplicialComplex) -> SimplicialComplex:
         alive.discard(t)
         drop(t)
         drop(s)
-    out = SimplicialComplex()
-    for d in range(cx.dimension, -1, -1):
-        for s in cx.simplices(d):
-            if s in alive:
-                out.add(s)
-    return out
+    # the survivors are closed under faces: a removed face had one coface,
+    # which was removed with it
+    return SimplicialComplex._closed(
+        [[s for s in level if s in alive] for level in cx._by_dim])

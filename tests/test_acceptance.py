@@ -21,6 +21,8 @@ from fintop import metric as M
 from fintop import simplicial as S
 from fintop import tower as T
 
+from oracles import distances_from, maximal_simplices
+
 # published two-squares table: (beta0, beta1, beta2) per level 1..5
 TABLE1 = [(1, 0, 0), (1, 2, 0), (1, 2, 0), (1, 2, 0), (1, 2, 0)]
 # published middle-thirds H_0 per level 1..8
@@ -157,7 +159,7 @@ def test_criterion_3_circle_structure(circle4):
             f"level {n} is not circle-like"
         windows = {tuple(sorted((i + j) % npts for j in range(4)))
                    for i in range(npts)}
-        found = {tuple(sorted(s)) for s in S.maximal_simplices(term.complex)}
+        found = {tuple(sorted(s)) for s in maximal_simplices(term.complex)}
         assert found == windows, \
             f"level {n}: maximal simplices are not the {npts} windows"
         assert len(found) == 2 ** (3 * n - 4)
@@ -249,7 +251,7 @@ def _literal_containment_oracle(tw, n):
     """
     low = tw.term(n).sample
     high = tw.term(n + 1).sample
-    rows = [M.distances_from(low.context, high.points, a) for a in low.points]
+    rows = [distances_from(low.context, high.points, a) for a in low.points]
     violations = 0
     for d_el in tw.term(n + 1).elements:
         idx = sorted(d_el)
@@ -443,10 +445,7 @@ def _brute_vertex_image(tw: T.Tower, n: int, x: int) -> frozenset:
 
 
 def _canonical(simplices) -> S.SimplicialComplex:
-    cx = S.SimplicialComplex()
-    for s in sorted(simplices, key=lambda s: (len(s), s)):
-        cx.add(s)
-    return cx
+    return S.SimplicialComplex(sorted(simplices, key=lambda s: (len(s), s)))
 
 
 def _brute_order_complex(tw: T.Tower, n: int, max_chain: int):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from fintop import metric as M
 
+from oracles import distances_from
+
 
 def test_euclidean_distance_345():
     ctx = M.euclidean(2)
@@ -40,6 +42,35 @@ def test_explicit_matrix_validation():
         M.explicit([[0, 1], [2, 0]])          # asymmetric
     with pytest.raises(M.MetricError):
         M.explicit([[0, 5, 1], [5, 0, 1], [1, 1, 0]])  # triangle violation
+
+
+def test_explicit_matrix_is_zero_only_on_the_diagonal():
+    with pytest.raises(M.MetricError, match="zero off the diagonal"):
+        M.explicit([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+
+
+@pytest.mark.parametrize("ctx, points", [
+    (M.euclidean(2), [[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]]),
+    (M.euclidean(1), [[0.0], [-0.0]]),
+    (M.circle_geodesic(), [0.0, 1.0, 2 * math.pi]),
+    (M.explicit(np.ones((3, 3)) - np.eye(3)), [0, 2, 2]),
+])
+def test_sample_points_must_be_distinct(ctx, points):
+    with pytest.raises(M.MetricError, match="pairwise distinct"):
+        M.MetricSample(ctx, points, epsilon=1.0)
+
+
+def test_distinct_sample_fills_no_distance_matrix():
+    for ctx, points in ((M.euclidean(2), [[0.0, 1.0], [1.0, 0.0]]),
+                        (M.circle_geodesic(), [0.0, 1.0]),
+                        (M.explicit(np.ones((3, 3)) - np.eye(3)), [0, 2]),
+                        (M.euclidean(1), np.zeros((0, 1)))):
+        sample = M.MetricSample(ctx, points, epsilon=1.0)
+        assert sample._pairwise is None
+    # points are compared, not their distances: these two differ by far
+    # less than the square root of the smallest float
+    sample = M.MetricSample(M.euclidean(1), [[0.0], [1e-200]], epsilon=1.0)
+    assert sample.pairwise()[0, 1] == 0.0
 
 
 @pytest.mark.parametrize("bad", [-1, 0.5, 9, True])
@@ -256,7 +287,7 @@ def _kernel_case(kind: str, n: int, tol: float, rnd):
 def test_ball_images_match_a_per_point_loop(kind, n, tol, closed, radius,
                                             block_entries, rnd):
     sample, centres = _kernel_case(kind, n, tol, rnd)
-    rows = [M.distances_from(sample.context, sample.points, c) for c in centres]
+    rows = [distances_from(sample.context, sample.points, c) for c in centres]
     if radius == "nearest":
         radii, arg, closed = [float(d.min()) for d in rows], None, True
     else:
@@ -347,13 +378,13 @@ def _net_by_sweep(points: np.ndarray, separation: float) -> np.ndarray:
     """The earlier farthest-point net: every pick sweeps all points."""
     ctx = M.euclidean(points.shape[1])
     chosen = [0]
-    dist = M.distances_from(ctx, points, points[0])
+    dist = distances_from(ctx, points, points[0])
     while True:
         i = int(np.argmax(dist))
         if dist[i] < separation:
             return np.array(sorted(chosen), dtype=int)
         chosen.append(i)
-        np.minimum(dist, M.distances_from(ctx, points, points[i]), out=dist)
+        np.minimum(dist, distances_from(ctx, points, points[i]), out=dist)
 
 
 def _coverage_by_sweep(sample: M.MetricSample, reference) -> float:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from fintop import finite_space as F
 from fintop import linalg as L
 from fintop import metric as M
 from fintop import simplicial as S
+
+from oracles import euler_characteristic
 
 
 def triangle_boundary():
@@ -19,7 +22,7 @@ def test_complex_closure_and_fvector():
     cx = S.SimplicialComplex([(2, 0, 1)])
     assert cx.f_vector() == [3, 3, 1]
     assert (0, 1) in cx and (1,) in cx and (0, 1, 2) in cx
-    assert cx.euler_characteristic() == 1
+    assert euler_characteristic(cx) == 1
 
 
 def test_boundary_squares_to_zero():
@@ -85,6 +88,101 @@ def test_rips_cap():
     np.fill_diagonal(pw, 0.0)
     with pytest.raises(S.SimplicialError):
         S.vietoris_rips(pw, 2.0, max_dim=7, max_simplices=20)
+    # the vertices count before any expansion, then each whole dimension
+    with pytest.raises(S.SimplicialError):
+        S.vietoris_rips(pw, 2.0, max_dim=0, max_simplices=7)
+    assert S.vietoris_rips(pw, 2.0, max_dim=0, max_simplices=8).f_vector() == [8]
+    assert S.vietoris_rips(pw, 2.0, max_dim=1, max_simplices=36).f_vector() \
+        == [8, 28]
+    with pytest.raises(S.SimplicialError):
+        S.vietoris_rips(pw, 2.0, max_dim=1, max_simplices=35)
+
+
+def test_complex_keeps_first_appearance_order():
+    cx = S.SimplicialComplex([(3, 2), (0, 1, 2), (1, 0)])
+    assert cx.simplices(0) == [(2,), (3,), (0,), (1,)]
+    assert cx.simplices(1) == [(2, 3), (0, 1), (0, 2), (1, 2)]
+    assert cx.simplices(2) == [(0, 1, 2)]
+    assert [cx.index(s) for s in cx.simplices(1)] == [0, 1, 2, 3]
+    with pytest.raises(S.SimplicialError, match="empty simplex"):
+        S.SimplicialComplex([(0,), ()])
+
+
+def _brute_cliques(neighbours, max_dim):
+    n = len(neighbours)
+    return [{c for c in combinations(range(n), k + 1)
+             if all(b in neighbours[a] for a, b in combinations(c, 2))}
+            for k in range(min(max_dim + 1, n))]
+
+
+_graphs = st.integers(0, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2)))
+
+
+def _neighbours(graph):
+    n, edges = graph
+    neighbours = [[] for _ in range(n)]
+    for present, (a, b) in zip(edges, combinations(range(n), 2)):
+        if present:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    return neighbours
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs, st.integers(0, 5))
+def test_clique_complex_matches_brute_force(graph, max_dim):
+    neighbours = _neighbours(graph)
+    cx = S.clique_complex(neighbours, max_dim)
+    expected = [level for level in _brute_cliques(neighbours, max_dim) if level]
+    assert [set(cx.simplices(d)) for d in range(cx.dimension + 1)] == expected
+    assert cx.f_vector() == [len(level) for level in expected]
+    # every simplex comes after all of its faces, and the face lookup agrees
+    position = {s: i for i, s in enumerate(cx.all_simplices())}
+    for s, i in position.items():
+        assert cx.index(s) == cx.simplices(len(s) - 1).index(s)
+        for face in combinations(s, len(s) - 1):
+            if face:
+                assert position[face] < i
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs, st.integers(0, 5), st.integers(0, 60))
+def test_clique_complex_cap(graph, max_dim, cap):
+    # the cap counts the vertices, then each finished dimension: it raises
+    # exactly when the capped complex has more than cap simplices
+    neighbours = _neighbours(graph)
+    size = sum(map(len, _brute_cliques(neighbours, max_dim)))
+    if size > cap:
+        with pytest.raises(S.SimplicialError, match=f"cap of {cap} simplices"):
+            S.clique_complex(neighbours, max_dim, max_simplices=cap)
+    else:
+        assert len(S.clique_complex(neighbours, max_dim, max_simplices=cap)) \
+            == size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=12))), st.integers(1, 5))
+def test_order_complex_matches_brute_chains(poset, max_chain):
+    rank, pairs = poset
+    n = len(rank)
+    # a <= b only where rank[a] < rank[b], so the relation is acyclic; the
+    # ranks, not the positions, decide which element of a pair is lower
+    labels = [f"x{n - i}" for i in range(n)]
+    space = F.FiniteSpace(labels, [(labels[a], labels[b])
+                                   for a, b in pairs if rank[a] < rank[b]])
+    chains = {c for k in range(1, max_chain + 1)
+              for c in combinations(range(n), k)
+              if all(space.leq(labels[a], labels[b]) or
+                     space.leq(labels[b], labels[a])
+                     for a, b in combinations(c, 2))}
+    oc = space.order_complex(max_chain)
+    assert set(oc.all_simplices()) == chains
+    assert len(oc) == len(chains)
 
 
 def test_connected_components():
@@ -97,13 +195,13 @@ def test_subdivision_counts():
     cx = S.SimplicialComplex([(0, 1, 2)])
     sd = F.face_poset(cx).order_complex()
     assert sd.f_vector() == [7, 12, 6]
-    assert sd.euler_characteristic() == cx.euler_characteristic()
+    assert euler_characteristic(sd) == euler_characteristic(cx)
 
 
 def test_subdivision_hollow_triangle():
     sd = F.face_poset(triangle_boundary()).order_complex()
     assert sd.f_vector() == [6, 6]
-    assert sd.euler_characteristic() == 0
+    assert euler_characteristic(sd) == 0
 
 
 def test_elementary_collapse_cone():
@@ -117,7 +215,7 @@ def test_collapse_preserves_hollow_square_homology():
     cx = S.SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3), (0, 1, 4)])
     out = S.elementary_collapse(cx)
     # the dangling cone collapses away; the loop cannot
-    assert out.euler_characteristic() == 0
+    assert euler_characteristic(out) == 0
     d1 = out.boundary_matrix(1)
     n0, n1 = len(out.simplices(0)), len(out.simplices(1))
     b0 = n0 - L.rank_q(d1)
