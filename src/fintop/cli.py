@@ -24,7 +24,6 @@ from . import finite_space as F
 from . import homology as H
 from . import limit as Lim
 from . import metric as M
-from . import simplicial as S
 from . import tower as T
 
 EXIT_OK = 0
@@ -176,21 +175,23 @@ def cmd_generate(args) -> int:
 
 def cmd_build(args) -> int:
     tower = make_tower(args)
-    dump = T.dump_tower(tower)
     if args.dot is not None:
         if not 1 <= args.dot <= len(tower):
             raise CliError(f"--dot level {args.dot} out of range", EXIT_USAGE)
         term = tower.term(args.dot)
-        try:
-            dot = F.to_dot(term.space(), name=f"level_{args.dot}",
-                           max_elements=DOT_CAP)
-        except F.FiniteSpaceError as exc:
-            raise CliError(str(exc), EXIT_RESOURCE)
+        # the face poset has a point per stored element: refuse before
+        # building it
+        if len(term.elements) > DOT_CAP:
+            raise CliError(f"space has {len(term.elements)} elements, above "
+                           f"the DOT cap of {DOT_CAP}", EXIT_RESOURCE)
+        dot = F.to_dot(term.space(), name=f"level_{args.dot}",
+                       max_elements=DOT_CAP)
         base = args.out or "tower.json"
         dot_path = os.path.splitext(base)[0] + f"_level{args.dot}.dot"
         with open(dot_path, "w") as fh:
             fh.write(dot + "\n")
         print(f"wrote {dot_path}", file=sys.stderr)
+    dump = T.dump_tower(tower)
     fh = _open_out(args)
     json.dump(dump, fh, indent=2)
     fh.write("\n")
@@ -208,7 +209,6 @@ def cmd_homology(args) -> int:
     tower = make_tower(args)
     rows = []
     torsion_notes = []
-    comps = []
     for n in range(1, len(tower) + 1):
         term = tower.term(n)
         try:
@@ -217,7 +217,6 @@ def cmd_homology(args) -> int:
         except H.HomologyError as exc:
             raise CliError(str(exc), EXIT_RESOURCE)
         rows.append(res.betti)
-        comps.append(_component_count(term.complex))
         if res.torsion and any(res.torsion):
             torsion_notes.append(f"level {n}: torsion {res.torsion}")
     fh = _open_out(args)
@@ -225,7 +224,8 @@ def cmd_homology(args) -> int:
     fh.write(header + "\n")
     for k in range(tower.k_max + 1):
         fh.write(f"H_{k}," + ",".join(str(r[k]) for r in rows) + "\n")
-    fh.write("components," + ",".join(str(c) for c in comps) + "\n")
+    # b_0 is the number of components of the 1-skeleton for any coefficients
+    fh.write("components," + ",".join(str(r[0]) for r in rows) + "\n")
     if args.induced:
         for n in range(1, len(tower)):
             for k in range(tower.k_max + 1):
@@ -238,14 +238,6 @@ def cmd_homology(args) -> int:
     for note in torsion_notes:
         print(note, file=sys.stderr)
     return EXIT_OK
-
-
-def _component_count(cx) -> int:
-    """Connected components of a complex's stored 1-skeleton."""
-    adj = [[] for _ in cx.simplices(0)]
-    for i, j in cx.simplices(1):
-        adj[i].append(j)
-    return S.connected_components(len(adj), adj)
 
 
 def induced_bonding_rank(tower: T.Tower, n: int, m: int, k: int,

@@ -4,13 +4,14 @@ Betti numbers come from exact ranks of boundary matrices: over the
 rationals by default, over GF(p) on request, and over the integers (Smith
 normal form, reporting torsion) for single complexes.  Vertex maps induce
 chain maps with the usual sorting sign and degenerate-image-to-zero
-convention; ranks of induced homology maps use a block identity so that
-only sparse ranks are ever needed.
+convention.  The rank of an induced homology map comes from one sparse
+reduction of a block matrix, which also holds the ranks of both
+boundaries (`linalg.induced_map_rank`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -25,18 +26,16 @@ class HomologyError(ValueError):
     pass
 
 
-def parse_field(spec: str):
-    """'q' | 'p:PRIME' | 'z' -> a rank function and a tag."""
+def parse_field(spec: str) -> tuple[str, Optional[int]]:
+    """'q' | 'p:PRIME' | 'z' -> a tag and the prime, None unless 'p'."""
     s = spec.lower()
-    if s == "q":
-        return L.rank_q, ("q", None)
-    if s == "z":
-        return L.rank_q, ("z", None)
+    if s in ("q", "z"):
+        return s, None
     if s.startswith("p:"):
         p = int(s[2:]) if s[2:].isdecimal() else 0
         if not L.is_prime(p):
             raise HomologyError(f"field {spec!r}: p must be a prime")
-        return (lambda m: L.rank_gfp(m, p)), ("p", p)
+        return "p", p
     raise HomologyError(f"unknown field {spec!r} (use q, z, or p:PRIME)")
 
 
@@ -45,7 +44,6 @@ class HomologyResult:
     betti: list[int]
     field: str
     torsion: Optional[list[list[int]]] = None   # per degree, integer mode only
-    f_vector: list[int] = field(default_factory=list)
 
 
 def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
@@ -60,9 +58,8 @@ def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
     if max_simplices is not None and len(cx) > max_simplices:
         raise HomologyError(
             f"complex has {len(cx)} simplices, above the cap of {max_simplices}")
-    original_f = cx.f_vector()
     cx = elementary_collapse(cx)
-    rank_fn, (tag, p) = parse_field(field_spec)
+    tag, p = parse_field(field_spec)
     counts = [len(cx.simplices(d)) for d in range(k_max + 2)]
     boundaries = [cx.boundary_sparse(d) for d in range(1, k_max + 2)]
     torsion = None
@@ -72,11 +69,11 @@ def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
         ranks = [0] + [len(inv) for inv in invariants]
         torsion = [[v for v in inv if v > 1] for inv in invariants]
     else:
-        ranks = [0] + [rank_fn(b) for b in boundaries]
+        ranks = [0] + [L.rank_q(b) if p is None else L.rank_gfp(b, p)
+                       for b in boundaries]
     betti = [counts[d] - ranks[d] - ranks[d + 1] for d in range(k_max + 1)]
     label = {"q": "Q", "z": "Z", "p": f"GF({p})"}[tag]
-    return HomologyResult(betti=betti, field=label, torsion=torsion,
-                          f_vector=original_f)
+    return HomologyResult(betti=betti, field=label, torsion=torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -93,27 +90,23 @@ def _sort_sign(seq: tuple) -> tuple[tuple, int]:
 
 
 def chain_map(src: SimplicialComplex, dst: SimplicialComplex,
-              vertex_map: Mapping, k_max: int) -> list[list[L.SparseCol]]:
-    """Degreewise matrices of the chain map induced by a vertex map.
+              vertex_map: Mapping, k: int) -> list[L.SparseCol]:
+    """Degree-k matrix of the chain map induced by a vertex map.
 
     Degenerate images are sent to zero.  An image simplex missing from the
     target is an error: the vertex map is not simplicial into dst.
     """
-    out = []
-    for d in range(k_max + 1):
-        cols: list[L.SparseCol] = []
-        for s in src.simplices(d):
-            image = tuple(vertex_map[v] for v in s)
-            t, sign = _sort_sign(image)
-            if sign == 0:
-                cols.append({})
-                continue
-            if t not in dst:
-                raise HomologyError(
-                    f"image simplex {t} missing from the target complex")
-            cols.append({dst.index(t): sign})
-        out.append(cols)
-    return out
+    cols: list[L.SparseCol] = []
+    for s in src.simplices(k):
+        t, sign = _sort_sign(tuple(vertex_map[v] for v in s))
+        if sign == 0:
+            cols.append({})
+            continue
+        if t not in dst:
+            raise HomologyError(
+                f"image simplex {t} missing from the target complex")
+        cols.append({dst.index(t): sign})
+    return cols
 
 
 def compose_sparse(a: list[L.SparseCol], b: list[L.SparseCol]) -> list[L.SparseCol]:
@@ -135,11 +128,11 @@ def compose_sparse(a: list[L.SparseCol], b: list[L.SparseCol]) -> list[L.SparseC
 def induced_rank(src: SimplicialComplex, dst: SimplicialComplex,
                  vertex_map: Mapping, k: int, field_spec: str = "q") -> int:
     """Rank of H_k of the map induced by a vertex map."""
-    rank_fn, _ = parse_field(field_spec)
-    fk = chain_map(src, dst, vertex_map, k)[k]
-    return L.induced_map_rank(dst.boundary_sparse(k + 1), fk,
+    _, p = parse_field(field_spec)
+    return L.induced_map_rank(dst.boundary_sparse(k + 1),
+                              chain_map(src, dst, vertex_map, k),
                               src.boundary_sparse(k),
-                              rows_y_k=len(dst.simplices(k)), rank_fn=rank_fn)
+                              rows_y_k=len(dst.simplices(k)), p=p)
 
 
 def homology_basis_of(cx: SimplicialComplex, k: int) -> L.SparseHomology:
@@ -161,7 +154,7 @@ def induced_matrix(src: SimplicialComplex, dst: SimplicialComplex,
     The bases are deterministic per complex and degree (and cached), so
     matrices of composable maps multiply exactly.
     """
-    fk = chain_map(src, dst, vertex_map, k)[k]
+    fk = chain_map(src, dst, vertex_map, k)
     basis_x = homology_basis_of(src, k)
     basis_y = homology_basis_of(dst, k)
     cols = [basis_y.express(compose_sparse(fk, [z])[0]) for z in basis_x.reps]

@@ -1,19 +1,20 @@
 """Exact linear algebra over Q, GF(p) and Z.
 
-Every rank and homology basis comes from one column reduction with
-lowest-row pivots (`_reduce`) and a field object, called once per column
-or elimination, never per entry: unimodular integer column operations
-for ranks over Q and for the Smith normal form, which gives ranks and
-torsion over Z; mod p for GF(p); Fraction for homology bases and
-coordinates in them.  Only the pivots whose low entries are not units go
-on to a dense Smith form.
+Every rank, induced rank and homology basis comes from one column
+reduction with lowest-row pivots (`_reduce`) and a field object, called
+once per column or elimination, never per entry: unimodular integer
+column operations for ranks over Q and for the Smith normal form, which
+gives ranks and torsion over Z; mod p for GF(p); Fraction for homology
+bases and coordinates in them.  The rank of an induced map is read from
+one reduction of a block matrix (`induced_map_rank`).  Only the pivots
+whose low entries are not units go on to a dense Smith form.
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,6 +47,8 @@ class _ModP:
     """Arithmetic in GF(p); pivot columns are scaled to a lowest entry 1."""
 
     def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
 
     def entries(self, col: SparseCol) -> SparseCol:
@@ -200,8 +203,6 @@ def rank_q(matrix) -> int:
 
 def rank_gfp(matrix, p: int) -> int:
     """Rank over GF(p)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     return _rank(matrix, _ModP(p))
 
 
@@ -349,18 +350,25 @@ class SparseHomology:
 
 def induced_map_rank(boundary_y_k1: list[SparseCol], chain_map_k: list[SparseCol],
                      boundary_x_k: list[SparseCol], rows_y_k: int,
-                     rank_fn: Callable = rank_q) -> int:
-    """Rank of H_k(f) for a chain map f with degreewise matrix F_k.
+                     p: Optional[int] = None) -> int:
+    """Rank of H_k(f) over GF(p), or over Q when p is None, for a chain map
+    f with degreewise matrix F_k.
 
-    Uses the block identity
-        rank [[dY_{k+1}, F_k], [0, dX_k]] = rank dY_{k+1} + rank dX_k + rank H_k(f),
-    which needs only sparse ranks (all three matrices integral).
+    One lowest-row reduction of the block [[dY_{k+1}, F_k], [0, dX_k]],
+    the dY_{k+1} columns first, gives all three ranks of the identity
+        rank block = rank dY_{k+1} + rank dX_k + rank H_k(f).
+    A right-hand column meets a pivot of the left block only once its dX
+    rows are zero, so in those rows the right-hand columns undergo a
+    reduction of dX_k alone: the right-hand pivots with low rows there
+    number rank dX_k, and the others number rank H_k(f).
     """
-    block: list[SparseCol] = [dict(c) for c in boundary_y_k1]
+    field = _Unimodular if p is None else _ModP(p)
+    pivots: dict = {}
+    _extend_echelon([field.entries(c) for c in boundary_y_k1], pivots, field)
+    right = []
     for j, col in enumerate(chain_map_k):
         merged = dict(col)
         for r, v in boundary_x_k[j].items():
             merged[rows_y_k + r] = v
-        block.append(merged)
-    r_block = rank_fn(block)
-    return r_block - rank_fn(boundary_y_k1) - rank_fn(boundary_x_k)
+        right.append(field.entries(merged))
+    return sum(low < rows_y_k for low in _extend_echelon(right, pivots, field))

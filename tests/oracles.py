@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from fintop import linalg as L
 from fintop import metric as M
 from fintop import simplicial as S
 
@@ -24,3 +25,18 @@ def maximal_simplices(cx: S.SimplicialComplex) -> list[tuple]:
 def distances_from(ctx: M.MetricContext, points: np.ndarray, x) -> np.ndarray:
     """Distances from an external point x to each point of `points`."""
     return M.cross_distances(ctx, M._points_array(ctx, [x]), points)[0]
+
+
+def induced_map_rank_three_ranks(boundary_y_k1: list, chain_map_k: list,
+                                 boundary_x_k: list, rows_y_k: int,
+                                 p=None) -> int:
+    """rank H_k(f) over GF(p), or Q for p None, by the block identity
+        rank [[dY_{k+1}, F_k], [0, dX_k]] = rank dY_{k+1} + rank dX_k + rank H_k(f),
+    with the three ranks taken separately."""
+    def rank(cols):
+        return L.rank_q(cols) if p is None else L.rank_gfp(cols, p)
+
+    block = [dict(c) for c in boundary_y_k1]
+    for f_col, dx_col in zip(chain_map_k, boundary_x_k):
+        block.append({**f_col, **{rows_y_k + r: v for r, v in dx_col.items()}})
+    return rank(block) - rank(boundary_y_k1) - rank(boundary_x_k)

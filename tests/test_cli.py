@@ -117,12 +117,20 @@ def test_build_dot_export(tmp_path, capsys):
     assert dot.startswith("digraph")
 
 
-def test_build_dot_cap(tmp_path, capsys):
-    # level 4 has 2048 elements, above the 500-element DOT cap
+def test_build_dot_cap(tmp_path, capsys, monkeypatch):
+    # level 4 has 2048 elements, above the 500-element DOT cap: the refusal
+    # comes before the face poset is built and before anything is written
+    def no_space(term):
+        raise AssertionError("Term.space called above the DOT cap")
+
+    monkeypatch.setattr(T.Term, "space", no_space)
     code, out, err = run(["build", "--space", "circle", "--depth", "4",
                           "--out", str(tmp_path / "t.json"), "--dot", "4"],
                          capsys)
     assert code == cli.EXIT_RESOURCE
+    assert err == "error: space has 2048 elements, above the DOT cap of 500\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_homology_csv(tmp_path, capsys):

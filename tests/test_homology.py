@@ -10,6 +10,8 @@ from fintop import linalg as L
 from fintop import metric as M
 from fintop import simplicial as S
 
+from oracles import induced_map_rank_three_ranks
+
 
 def hollow_triangle():
     return S.SimplicialComplex([(0, 1), (1, 2), (0, 2)])
@@ -120,33 +122,33 @@ def test_betti_of_face_poset_matches_complex():
 
 def test_chain_map_identity_and_signs():
     cx = hollow_triangle()
-    ident = H.chain_map(cx, cx, {0: 0, 1: 1, 2: 2}, k_max=1)
-    assert ident[1] == [{j: 1} for j in range(3)]
+    ident = H.chain_map(cx, cx, {0: 0, 1: 1, 2: 2}, 1)
+    assert ident == [{j: 1} for j in range(3)]
     # swapping two vertices flips edge orientation where needed
-    swap = H.chain_map(cx, cx, {0: 1, 1: 0, 2: 2}, k_max=1)
+    swap = H.chain_map(cx, cx, {0: 1, 1: 0, 2: 2}, 1)
     # edge (0,1) -> (1,0): same simplex, sign -1
-    assert swap[1][cx.index((0, 1))] == {cx.index((0, 1)): -1}
+    assert swap[cx.index((0, 1))] == {cx.index((0, 1)): -1}
 
 
 def test_chain_map_degenerate_to_zero():
     cx = hollow_triangle()
     collapse_map = {0: 0, 1: 0, 2: 2}
-    cm = H.chain_map(cx, cx, collapse_map, k_max=1)
-    assert cm[1][cx.index((0, 1))] == {}
+    cm = H.chain_map(cx, cx, collapse_map, 1)
+    assert cm[cx.index((0, 1))] == {}
 
 
 def test_chain_map_missing_target_simplex():
     src = S.SimplicialComplex([(0, 1)])
     dst = S.SimplicialComplex([(0,), (1,)])
     with pytest.raises(H.HomologyError):
-        H.chain_map(src, dst, {0: 0, 1: 1}, k_max=1)
+        H.chain_map(src, dst, {0: 0, 1: 1}, 1)
 
 
 def test_chain_maps_commute_with_boundary():
     src = S.SimplicialComplex([(0, 1, 2)])
     dst = S.SimplicialComplex([(0, 1, 2, 3)])
     vm = {0: 2, 1: 0, 2: 3}
-    cm = H.chain_map(src, dst, vm, k_max=2)
+    cm = [H.chain_map(src, dst, vm, d) for d in range(3)]
 
     def densify(cols, rows):
         m = np.zeros((rows, len(cols)), dtype=int)
@@ -166,11 +168,11 @@ def test_compose_sparse_matches_composition_of_vertex_maps():
     cx = hollow_triangle()
     f = {0: 1, 1: 2, 2: 0}
     g = {0: 2, 1: 0, 2: 1}
-    cf = H.chain_map(cx, cx, f, k_max=1)
-    cg = H.chain_map(cx, cx, g, k_max=1)
-    gf = H.chain_map(cx, cx, {v: g[f[v]] for v in f}, k_max=1)
+    gf = {v: g[f[v]] for v in f}
     for d in (0, 1):
-        assert H.compose_sparse(cg[d], cf[d]) == gf[d]
+        assert H.compose_sparse(H.chain_map(cx, cx, g, d),
+                                H.chain_map(cx, cx, f, d)) == \
+            H.chain_map(cx, cx, gf, d)
 
 
 def test_induced_rank_degree_one():
@@ -180,6 +182,33 @@ def test_induced_rank_degree_one():
     const = {0: 0, 1: 0, 2: 0}
     assert H.induced_rank(cx, cx, const, k=1) == 0
     assert H.induced_rank(cx, cx, const, k=0) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=2, max_size=3),
+                min_size=1, max_size=10),
+       st.lists(st.integers(0, 6), min_size=7, max_size=7),
+       st.lists(st.sets(st.integers(0, 6), min_size=2, max_size=3),
+                max_size=6),
+       st.sampled_from([None, 2, 3]))
+@example([set(t) for t in RP2_TRIANGLES], list(range(7)), [], 2)
+@example([set(t) for t in RP2_TRIANGLES], list(range(7)), [], 3)
+@example([set(t) for t in RP2_TRIANGLES], list(range(7)), [], None)
+@example([set(t) for t in sphere_2().simplices(2)], [1, 0, 2, 3, 4, 5, 6],
+         [], None)
+def test_induced_map_rank_matches_three_rank_oracle(faces, images, extra, p):
+    # edges and triangles on 7 vertices give nonzero ranks on H_1; the
+    # examples give them on H_2.  A vertex map is simplicial into any
+    # complex that holds the images of the source's simplices.
+    src = S.SimplicialComplex(faces)
+    vertex_map = dict(enumerate(images))
+    dst = S.SimplicialComplex(list(extra) + [{vertex_map[v] for v in s}
+                                             for s in faces])
+    for k in range(4):
+        args = (dst.boundary_sparse(k + 1), H.chain_map(src, dst, vertex_map, k),
+                src.boundary_sparse(k), len(dst.simplices(k)))
+        assert L.induced_map_rank(*args, p=p) == \
+            induced_map_rank_three_ranks(*args, p=p)
 
 
 def test_induced_matrix_rotation_is_identity_class():

@@ -346,3 +346,12 @@ def test_induced_map_rank_zero_map():
     n1 = len(cx.simplices(1))
     zero = [dict() for _ in range(n1)]
     assert L.induced_map_rank([], zero, d1, rows_y_k=n1) == 0
+
+
+def test_induced_map_rank_rejects_non_prime():
+    cx = triangle_boundary()
+    d1 = cx.boundary_sparse(1)
+    ident = [{j: 1} for j in range(len(d1))]
+    for p in (0, 1, 4, 9, -3):
+        with pytest.raises(ValueError, match="not prime"):
+            L.induced_map_rank([], ident, d1, rows_y_k=len(d1), p=p)
