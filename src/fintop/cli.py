@@ -31,8 +31,6 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 
-DOT_CAP = 500
-
 
 def fmt(v: float) -> str:
     return f"{float(v):.12g}"
@@ -146,7 +144,8 @@ def cmd_generate(args) -> int:
     if not args.space:
         raise CliError("generate needs --space", EXIT_USAGE)
     settings = _tower_settings(args, {})
-    samples, mode = T.space_samples(args.space, args.depth, args.seed)
+    samples, mode = T.space_samples(args.space, args.depth, args.seed,
+                                    settings["max_elements"])
     if args.relaxed:
         mode = T.RELAXED
     outdir = args.out or "."
@@ -181,11 +180,11 @@ def cmd_build(args) -> int:
         term = tower.term(args.dot)
         # the face poset has a point per stored element: refuse before
         # building it
-        if len(term.elements) > DOT_CAP:
-            raise CliError(f"space has {len(term.elements)} elements, above "
-                           f"the DOT cap of {DOT_CAP}", EXIT_RESOURCE)
-        dot = F.to_dot(term.space(), name=f"level_{args.dot}",
-                       max_elements=DOT_CAP)
+        try:
+            F.check_dot_cap(len(term.elements))
+        except F.FiniteSpaceError as exc:
+            raise CliError(str(exc), EXIT_RESOURCE)
+        dot = F.to_dot(term.space(), name=f"level_{args.dot}")
         base = args.out or "tower.json"
         dot_path = os.path.splitext(base)[0] + f"_level{args.dot}.dot"
         with open(dot_path, "w") as fh:
@@ -210,12 +209,7 @@ def cmd_homology(args) -> int:
     rows = []
     torsion_notes = []
     for n in range(1, len(tower) + 1):
-        term = tower.term(n)
-        try:
-            res = H.betti_numbers(term.complex, tower.k_max, args.field,
-                                  max_simplices=tower.max_elements)
-        except H.HomologyError as exc:
-            raise CliError(str(exc), EXIT_RESOURCE)
+        res = H.betti_numbers(tower.term(n).complex, tower.k_max, args.field)
         rows.append(res.betti)
         if res.torsion and any(res.torsion):
             torsion_notes.append(f"level {n}: torsion {res.torsion}")

@@ -139,12 +139,19 @@ def _label(x) -> str:
     return str(x)
 
 
-def to_dot(space: FiniteSpace, name: str = "finite_space",
-           max_elements: int = 500) -> str:
-    """Hasse diagram in DOT format, lower elements drawn below."""
-    if len(space) > max_elements:
+DOT_CAP = 500
+
+
+def check_dot_cap(count: int) -> None:
+    """Refuse to draw a space of count elements above DOT_CAP."""
+    if count > DOT_CAP:
         raise FiniteSpaceError(
-            f"space has {len(space)} elements, above the DOT cap of {max_elements}")
+            f"space has {count} elements, above the DOT cap of {DOT_CAP}")
+
+
+def to_dot(space: FiniteSpace, name: str = "finite_space") -> str:
+    """Hasse diagram in DOT format, lower elements drawn below."""
+    check_dot_cap(len(space))
     labels = {x: _label(x) for x in space.elements}
     lines = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for x in space.elements:

@@ -42,7 +42,6 @@ def parse_field(spec: str) -> tuple[str, Optional[int]]:
 @dataclass
 class HomologyResult:
     betti: list[int]
-    field: str
     torsion: Optional[list[list[int]]] = None   # per degree, integer mode only
 
 
@@ -72,8 +71,7 @@ def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
         ranks = [0] + [L.rank_q(b) if p is None else L.rank_gfp(b, p)
                        for b in boundaries]
     betti = [counts[d] - ranks[d] - ranks[d + 1] for d in range(k_max + 1)]
-    label = {"q": "Q", "z": "Z", "p": f"GF({p})"}[tag]
-    return HomologyResult(betti=betti, field=label, torsion=torsion)
+    return HomologyResult(betti=betti, torsion=torsion)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Exact linear algebra over Q, GF(p) and Z.
+"""Exact linear algebra over Q, GF(p) and Z, on sparse columns.
 
 Every rank, induced rank and homology basis comes from one column
 reduction with lowest-row pivots (`_reduce`) and a field object, called
 once per column or elimination, never per entry: unimodular integer
 column operations for ranks over Q and for the Smith normal form, which
 gives ranks and torsion over Z; mod p for GF(p); Fraction for homology
-bases and coordinates in them.  The rank of an induced map is read from
-one reduction of a block matrix (`induced_map_rank`).  Only the pivots
-whose low entries are not units go on to a dense Smith form.
-No floating point is used anywhere.
+bases and coordinates in them.  Where a reduction must record its row
+operations, the columns carry extra rows: a block matrix gives an induced
+rank (`induced_map_rank`), augmented columns give kernel bases and
+coordinates (`SparseHomology`).  Only the pivots whose low entries are
+not units go on to a dense Smith form.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ def to_sparse_columns(matrix: np.ndarray) -> list[SparseCol]:
 
 def is_prime(p: int) -> bool:
     return p >= 2 and all(p % k for k in range(2, int(p ** 0.5) + 1))
+
+
+def _shifted(col: SparseCol, shift: int) -> SparseCol:
+    """col with every row index moved down by shift."""
+    return {r + shift: v for r, v in col.items()}
 
 
 def _sub_multiple(vec: SparseCol, lam, other: SparseCol) -> None:
@@ -73,7 +79,7 @@ class _ModP:
 
 
 class _Rationals:
-    """Fraction arithmetic; the only field that mirrors row operations on v."""
+    """Fraction arithmetic, for homology bases and coordinates."""
 
     @staticmethod
     def entries(col: SparseCol) -> SparseCol:
@@ -84,12 +90,8 @@ class _Rationals:
         """Pivot columns stay as reduced, so bases keep their coefficients."""
 
     @staticmethod
-    def eliminate(col: SparseCol, pivot_col: SparseCol, low: int,
-                  v: Optional[SparseCol] = None, pivot_v=None) -> None:
-        lam = col[low] / pivot_col[low]
-        _sub_multiple(col, lam, pivot_col)
-        if v is not None:
-            _sub_multiple(v, lam, pivot_v)
+    def eliminate(col: SparseCol, pivot_col: SparseCol, low: int) -> None:
+        _sub_multiple(col, col[low] / pivot_col[low], pivot_col)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -142,12 +144,9 @@ class _Unimodular:
         pivot_col.update(new_pivot)
 
 
-def _reduce(col: SparseCol, pivots: dict, field, v: Optional[SparseCol] = None,
-            pivot_vs: Optional[dict] = None) -> Optional[int]:
+def _reduce(col: SparseCol, pivots: dict, field) -> Optional[int]:
     """Reduce col in place against pivots {lowest row -> column}.
 
-    With v (Fraction field only), each row operation on col is applied to
-    v too, using pivot_vs {lowest row -> vector} in place of the pivots.
     Returns the lowest row of the reduced column, None if it vanished.
     """
     eliminate = field.eliminate
@@ -156,44 +155,31 @@ def _reduce(col: SparseCol, pivots: dict, field, v: Optional[SparseCol] = None,
         pivot_col = pivots.get(low)
         if pivot_col is None:
             return low
-        if v is None:
-            eliminate(col, pivot_col, low)
-        else:
-            eliminate(col, pivot_col, low, v, pivot_vs[low])
+        eliminate(col, pivot_col, low)
     return None
 
 
-def _extend_echelon(cols: list[SparseCol], pivots: dict, field,
-                    vs: Optional[list] = None, pivot_vs=None) -> list[int]:
+def _extend_echelon(cols: list[SparseCol], pivots: dict, field) -> list[int]:
     """Reduce the columns in turn, adding the nonzero ones to pivots.
 
-    Returns the lowest rows of the added columns.  With vs, vs[i] follows
-    the row operations on cols[i] (see `_reduce`).
+    Returns the lowest rows of the added columns.
     """
     lows = []
-    for i, col in enumerate(cols):
-        v = None if vs is None else vs[i]
-        low = _reduce(col, pivots, field, v, pivot_vs)
+    for col in cols:
+        low = _reduce(col, pivots, field)
         if low is not None:
             field.make_pivot(col, low)
             pivots[low] = col
-            if v is not None:
-                pivot_vs[low] = v
             lows.append(low)
     return lows
 
 
-def _columns(matrix) -> list[SparseCol]:
-    """Sparse columns of a numpy array; a list is taken as sparse columns."""
-    return matrix if isinstance(matrix, list) else to_sparse_columns(np.asarray(matrix))
+def _rank(matrix: list[SparseCol], field) -> int:
+    return len(_extend_echelon([field.entries(c) for c in matrix], {}, field))
 
 
-def _rank(matrix, field) -> int:
-    return len(_extend_echelon([field.entries(c) for c in _columns(matrix)], {}, field))
-
-
-def rank_q(matrix) -> int:
-    """Exact rank over the rationals of an integer matrix (dense or sparse).
+def rank_q(matrix: list[SparseCol]) -> int:
+    """Exact rank over the rationals of an integer matrix of sparse columns.
 
     Unimodular column operations keep the rank over Q, so the Smith
     reduction's field object serves here too.
@@ -201,7 +187,7 @@ def rank_q(matrix) -> int:
     return _rank(matrix, _Unimodular)
 
 
-def rank_gfp(matrix, p: int) -> int:
+def rank_gfp(matrix: list[SparseCol], p: int) -> int:
     """Rank over GF(p)."""
     return _rank(matrix, _ModP(p))
 
@@ -210,20 +196,19 @@ def rank_gfp(matrix, p: int) -> int:
 # Smith normal form (sparse unimodular reduction, dense non-unit residue)
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(matrix) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+def smith_normal_form(matrix: list[SparseCol]) -> list[int]:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix of
+    sparse columns.
 
-    Takes a numpy array or a list of sparse columns.  Unimodular column
-    operations (`_Unimodular`) bring the columns to echelon form without
-    changing the invariants.  A pivot whose low entry is a unit splits off
-    an invariant 1: the other pivots can be cleared in its row by column
-    operations, and then its own column by row operations.  The non-unit
-    pivots, cleared in the unit rows, are the residue that `_smith_dense`
-    reduces; usually there is none.
+    Unimodular column operations (`_Unimodular`) bring the columns to
+    echelon form without changing the invariants.  A pivot whose low entry
+    is a unit splits off an invariant 1: the other pivots can be cleared in
+    its row by column operations, and then its own column by row
+    operations.  The non-unit pivots, cleared in the unit rows, are the
+    residue that `_smith_dense` reduces; usually there is none.
     """
     pivots: dict = {}
-    _extend_echelon([_Unimodular.entries(c) for c in _columns(matrix)], pivots,
-                    _Unimodular)
+    _extend_echelon([_Unimodular.entries(c) for c in matrix], pivots, _Unimodular)
     units = {low: col for low, col in pivots.items() if abs(col[low]) == 1}
     unit_rows = sorted(units, reverse=True)
     residue = []
@@ -303,33 +288,42 @@ def _smith_dense(matrix) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# sparse homology bases with coefficient tracking
+# sparse homology bases from augmented columns
 # ---------------------------------------------------------------------------
 
 class SparseHomology:
     """Basis of H_k = ker d_k / im d_{k+1} from sparse integer boundaries.
 
-    Reduces d_{k+1} by lowest-row pivots to get an image echelon, reduces
-    d_k with V-tracking to get a kernel basis, and keeps the kernel vectors
-    that stay independent modulo the image (and each other) as class
-    representatives; the echelon columns they reduce to are the basis
-    itself.  `express` writes any cycle in those representatives, tracking
-    a unit vector for each and a zero vector for each image column.
+    Column j of d_k, augmented to [e_j; d_k e_j] with the d_k rows below
+    the n chain rows, reduces to a kernel vector once its low falls among
+    the chain rows.  The kernel vectors that stay independent modulo an
+    echelon of d_{k+1} (and each other) are the class representatives,
+    reduced as they go on that echelon.  `express` reduces a cycle below
+    b coordinate rows, where representative i carries a unit in row i.
     """
 
     def __init__(self, boundary_k: list[SparseCol],
                  boundary_k1: list[SparseCol]):
         field = _Rationals
-        self._echelon: dict[int, dict] = {}     # low row -> reduced column
-        _extend_echelon([field.entries(c) for c in boundary_k1], self._echelon, field)
-        self._units: dict[int, dict] = {low: {} for low in self._echelon}
-        cols = [field.entries(c) for c in boundary_k]
-        vs = [{j: Fraction(1)} for j in range(len(cols))]
-        _extend_echelon(cols, {}, field, vs, {})
-        kernel = [v for v, col in zip(vs, cols) if not col]
-        lows = _extend_echelon(kernel, self._echelon, field)
-        self.reps: list[dict] = [self._echelon[low] for low in lows]
-        self._units.update((low, {i: Fraction(1)}) for i, low in enumerate(lows))
+        echelon: dict[int, dict] = {}     # low row -> reduced column
+        _extend_echelon([field.entries(c) for c in boundary_k1], echelon, field)
+        n = len(boundary_k)
+        pivots: dict = {}                 # pivots in the shifted d_k rows only
+        kernel = []
+        for j, col in enumerate(boundary_k):
+            aug = field.entries({j: 1, **_shifted(col, n)})
+            # never None: pivots come from earlier columns, so row j stays
+            low = _reduce(aug, pivots, field)
+            if low < n:
+                kernel.append(aug)
+            else:
+                pivots[low] = aug
+        lows = _extend_echelon(kernel, echelon, field)
+        self.reps: list[dict] = [echelon[low] for low in lows]
+        b = len(lows)
+        units = {low: {i: Fraction(1)} for i, low in enumerate(lows)}
+        self._augmented = {low + b: {**units.get(low, {}), **_shifted(col, b)}
+                           for low, col in echelon.items()}
 
     @property
     def betti(self) -> int:
@@ -337,11 +331,14 @@ class SparseHomology:
 
     def express(self, cycle: SparseCol) -> list[Fraction]:
         """Coordinates of a cycle's class in the representative basis."""
-        vec, v = _Rationals.entries(cycle), {}
-        # vec - sum(coordinate_i * rep_i) is a boundary, and v = -coordinates
-        if _reduce(vec, self._echelon, _Rationals, v, self._units) is not None:
+        b = self.betti
+        vec = _Rationals.entries(_shifted(cycle, b))
+        # the chain rows reduce to zero exactly when cycle - sum(coordinate_i
+        # * rep_i) is a boundary; the coordinate rows then hold -coordinates
+        low = _reduce(vec, self._augmented, _Rationals)
+        if low is not None and low >= b:
             raise ValueError("vector is not a cycle modulo boundaries")
-        return [-v.get(i, Fraction(0)) for i in range(len(self.reps))]
+        return [-vec.get(i, Fraction(0)) for i in range(b)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +362,6 @@ def induced_map_rank(boundary_y_k1: list[SparseCol], chain_map_k: list[SparseCol
     field = _Unimodular if p is None else _ModP(p)
     pivots: dict = {}
     _extend_echelon([field.entries(c) for c in boundary_y_k1], pivots, field)
-    right = []
-    for j, col in enumerate(chain_map_k):
-        merged = dict(col)
-        for r, v in boundary_x_k[j].items():
-            merged[rows_y_k + r] = v
-        right.append(field.entries(merged))
+    right = [field.entries({**col, **_shifted(dx, rows_y_k)})
+             for col, dx in zip(chain_map_k, boundary_x_k)]
     return sum(low < rows_y_k for low in _extend_echelon(right, pivots, field))

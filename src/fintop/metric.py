@@ -498,7 +498,7 @@ def two_squares_sample(level: int, count: int, seed: int) -> MetricSample:
 # file formats
 # ---------------------------------------------------------------------------
 
-def load_points_csv(path, dimension: Optional[int] = None) -> np.ndarray:
+def load_points_csv(path) -> np.ndarray:
     """One point per line, decimal coordinates; '#' lines are comments."""
     rows = []
     with open(path, newline="") as fh:
@@ -513,10 +513,7 @@ def load_points_csv(path, dimension: Optional[int] = None) -> np.ndarray:
                     f"non-numeric coordinate in {path}, line {lineno}") from None
     if not rows:
         raise MetricError(f"no points in {path}")
-    pts = point_rows(rows, path)
-    if dimension is not None and pts.shape[1] != dimension:
-        raise MetricError(f"expected dimension {dimension}, file has {pts.shape[1]}")
-    return pts
+    return point_rows(rows, path)
 
 
 def point_rows(rows: list, where) -> np.ndarray:

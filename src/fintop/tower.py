@@ -374,15 +374,18 @@ class TwoTowerReport:
     bound: float
 
 
-def match_level(coarse: Tower, fine: Tower, n: int, constant: float = 16.0) -> int:
-    """Least fine level l with eps_fine(l) < eps_coarse(n) / constant; Tower
+MATCH_RATIO = 16.0
+
+
+def match_level(coarse: Tower, fine: Tower, n: int) -> int:
+    """Least fine level l with eps_fine(l) < eps_coarse(n) / MATCH_RATIO; Tower
     makes both schedules strictly decrease, so l never decreases with n."""
-    target = coarse.epsilon(n) / constant
+    target = coarse.epsilon(n) / MATCH_RATIO
     for l in range(1, len(fine) + 1):
         if fine.epsilon(l) < target:
             return l
     raise TowerError(
-        f"no level of the fine tower is below eps/{constant:g} of level {n}")
+        f"no level of the fine tower is below eps/{MATCH_RATIO:g} of level {n}")
 
 
 def comparison_map(coarse: Tower, fine: Tower, n: int, l: int) -> list[frozenset]:
@@ -392,15 +395,15 @@ def comparison_map(coarse: Tower, fine: Tower, n: int, l: int) -> list[frozenset
     return M.ball_images(low, fine.term(l).sample.points, low.epsilon, coarse.tol)
 
 
-def two_tower_comparison(coarse: Tower, fine: Tower, depth: int,
-                         constant: float = 16.0) -> list[TwoTowerReport]:
+def two_tower_comparison(coarse: Tower, fine: Tower,
+                         depth: int) -> list[TwoTowerReport]:
     """Level-matching maps between two towers and their square certificates.
 
     For each n the map I_n sends fine level I(n) into coarse level n; the
     square against the bondings is certified homotopy-commuting via the
     union-map diameter bound at level n.
     """
-    levels = [match_level(coarse, fine, n, constant) for n in range(1, depth + 1)]
+    levels = [match_level(coarse, fine, n) for n in range(1, depth + 1)]
     tables = [comparison_map(coarse, fine, n, l) for n, l in enumerate(levels, 1)]
     reports = []
     for n, l in enumerate(levels, start=1):
@@ -479,21 +482,26 @@ GENERATORS = {
 }
 
 
-def space_samples(space: str, depth: int,
-                  seed: int = 7) -> tuple[list[M.MetricSample], str]:
+def space_samples(space: str, depth: int, seed: int = 7,
+                  max_elements: int = DEFAULT_MAX_ELEMENTS
+                  ) -> tuple[list[M.MetricSample], str]:
     """The samples of levels 1..depth of a named space and its default mode.
 
     The middle-thirds space needs the relaxed schedule from level 7 on, so
     it defaults to relaxed, as do the two-squares samples; the others
-    default to strict.
+    default to strict.  Each point is a stored element: ResourceCap refuses
+    the first level with more than max_elements before a deeper one is drawn.
     """
-    if space in GENERATORS:
-        samples = [GENERATORS[space](n) for n in range(1, depth + 1)]
-        return samples, RELAXED if space == "cantor" else STRICT
-    if space == "two_squares":
-        return [M.two_squares_sample(n, 120 * 4 ** (n - 1), seed)
-                for n in range(1, depth + 1)], RELAXED
-    raise TowerError(f"unknown space {space!r}")
+    if space not in GENERATORS and space != "two_squares":
+        raise TowerError(f"unknown space {space!r}")
+    samples = []
+    for n in range(1, depth + 1):
+        samples.append(M.two_squares_sample(n, 120 * 4 ** (n - 1), seed)
+                       if space == "two_squares" else GENERATORS[space](n))
+        if len(samples[-1]) > max_elements:
+            raise ResourceCap(f"level {n} has {len(samples[-1])} points, above "
+                              f"the cap of {max_elements} elements")
+    return samples, RELAXED if space in ("cantor", "two_squares") else STRICT
 
 
 def build_tower(space: str, depth: int, max_dim: int = 3, k_max: int = 1,
@@ -501,7 +509,7 @@ def build_tower(space: str, depth: int, max_dim: int = 3, k_max: int = 1,
                 max_elements: int = DEFAULT_MAX_ELEMENTS,
                 tol: float = M.DEFAULT_TOL) -> Tower:
     """Tower over a named space, in its default mode unless one is given."""
-    samples, default_mode = space_samples(space, depth, seed)
+    samples, default_mode = space_samples(space, depth, seed, max_elements)
     return Tower(samples, mode=default_mode if mode is None else mode,
                  max_dim=max_dim, k_max=k_max, tol=tol,
                  max_elements=max_elements, label=space)

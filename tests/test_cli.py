@@ -133,6 +133,33 @@ def test_build_dot_cap(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["generate", "build", "homology", "verify"])
+def test_depth_refused_at_the_first_level_above_the_cap(command, tmp_path, capsys,
+                                                        monkeypatch):
+    # circle level 5 has 2048 points, each a stored element, above the cap
+    # of 1000: the refusal comes before level 6 is drawn and before any term
+    # is built
+    drawn = []
+
+    def circle(level):
+        drawn.append(level)
+        return M.circle_sample(level)
+
+    def no_term(*args, **kwargs):
+        raise AssertionError("build_term called above the element cap")
+
+    monkeypatch.setitem(T.GENERATORS, "circle", circle)
+    monkeypatch.setattr(T, "build_term", no_term)
+    code, out, err = run([command, "--space", "circle", "--depth", "6",
+                          "--max-elements", "1000",
+                          "--out", str(tmp_path / "out")], capsys)
+    assert code == cli.EXIT_RESOURCE
+    assert err == "error: level 5 has 2048 points, above the cap of 1000 elements\n"
+    assert out == ""
+    assert drawn == [1, 2, 3, 4, 5]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_homology_csv(tmp_path, capsys):
     out_path = tmp_path / "betti.csv"
     code, out, err = run(["homology", "--space", "circle", "--depth", "3",

@@ -108,6 +108,6 @@ def test_json_roundtrip_and_dot():
 
 
 def test_dot_cap():
-    sp = powerset_space(range(4))
-    with pytest.raises(F.FiniteSpaceError):
-        F.to_dot(sp, max_elements=10)
+    antichain = F.FiniteSpace(range(F.DOT_CAP + 1))
+    with pytest.raises(F.FiniteSpaceError, match="501 elements"):
+        F.to_dot(antichain)

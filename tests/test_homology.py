@@ -184,31 +184,70 @@ def test_induced_rank_degree_one():
     assert H.induced_rank(cx, cx, const, k=0) == 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.sets(st.integers(0, 6), min_size=2, max_size=3),
-                min_size=1, max_size=10),
-       st.lists(st.integers(0, 6), min_size=7, max_size=7),
-       st.lists(st.sets(st.integers(0, 6), min_size=2, max_size=3),
-                max_size=6),
-       st.sampled_from([None, 2, 3]))
-@example([set(t) for t in RP2_TRIANGLES], list(range(7)), [], 2)
-@example([set(t) for t in RP2_TRIANGLES], list(range(7)), [], 3)
-@example([set(t) for t in RP2_TRIANGLES], list(range(7)), [], None)
-@example([set(t) for t in sphere_2().simplices(2)], [1, 0, 2, 3, 4, 5, 6],
-         [], None)
-def test_induced_map_rank_matches_three_rank_oracle(faces, images, extra, p):
-    # edges and triangles on 7 vertices give nonzero ranks on H_1; the
-    # examples give them on H_2.  A vertex map is simplicial into any
-    # complex that holds the images of the source's simplices.
+# edges and triangles on 7 vertices give nonzero ranks on H_1; the examples
+# give them on H_2
+SIMPLEX = st.sets(st.integers(0, 6), min_size=2, max_size=3)
+FACES = st.lists(SIMPLEX, min_size=1, max_size=10)
+EXTRA = st.lists(SIMPLEX, max_size=6)
+IMAGES = st.lists(st.integers(0, 6), min_size=7, max_size=7)
+RP2_FACES = [set(t) for t in RP2_TRIANGLES]
+SPHERE_FACES = [set(t) for t in sphere_2().simplices(2)]
+SWAP = [1, 0, 2, 3, 4, 5, 6]
+
+
+def mapped_complexes(faces, images, extra):
+    """A complex on faces, a vertex map and a target complex on the images
+    of faces plus extra.  A vertex map is simplicial into any complex that
+    holds the images of the source's simplices."""
     src = S.SimplicialComplex(faces)
     vertex_map = dict(enumerate(images))
     dst = S.SimplicialComplex(list(extra) + [{vertex_map[v] for v in s}
                                              for s in faces])
+    return src, dst, vertex_map
+
+
+@settings(max_examples=60, deadline=None)
+@given(FACES, IMAGES, EXTRA, st.sampled_from([None, 2, 3]))
+@example(RP2_FACES, list(range(7)), [], 2)
+@example(RP2_FACES, list(range(7)), [], 3)
+@example(RP2_FACES, list(range(7)), [], None)
+@example(SPHERE_FACES, SWAP, [], None)
+def test_induced_map_rank_matches_three_rank_oracle(faces, images, extra, p):
+    src, dst, vertex_map = mapped_complexes(faces, images, extra)
     for k in range(4):
         args = (dst.boundary_sparse(k + 1), H.chain_map(src, dst, vertex_map, k),
                 src.boundary_sparse(k), len(dst.simplices(k)))
         assert L.induced_map_rank(*args, p=p) == \
             induced_map_rank_three_ranks(*args, p=p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(FACES, IMAGES, EXTRA)
+@example(RP2_FACES, list(range(7)), [])
+@example(SPHERE_FACES, SWAP, [])
+def test_homology_bases_give_betti_numbers_and_induced_ranks(faces, images, extra):
+    src, dst, vertex_map = mapped_complexes(faces, images, extra)
+    for k in range(3):
+        for cx in (src, dst):
+            basis = H.homology_basis_of(cx, k)
+            assert basis.betti == uncollapsed_homology(cx, k, "q")[0][k]
+            # each representative has the unit vector as its coordinates
+            for i, z in enumerate(basis.reps):
+                assert basis.express(z) == [int(i == j) for j in range(basis.betti)]
+            # no k-cycle or k-boundary has its lowest entry on simplex 0
+            if k and cx.simplices(k):
+                with pytest.raises(ValueError, match="not a cycle"):
+                    basis.express({0: 1})
+        # the induced matrix, its columns scaled to integers, has the rank
+        # of the block reduction
+        columns = zip(*H.induced_matrix(src, dst, vertex_map, k))
+        scaled = []
+        for col in columns:
+            scale = math.lcm(*(x.denominator for x in col))
+            scaled.append({i: int(x * scale) for i, x in enumerate(col) if x})
+        assert L.rank_q(scaled) == L.induced_map_rank(
+            dst.boundary_sparse(k + 1), H.chain_map(src, dst, vertex_map, k),
+            src.boundary_sparse(k), len(dst.simplices(k)))
 
 
 def test_induced_matrix_rotation_is_identity_class():

@@ -199,10 +199,8 @@ def test_points_csv_roundtrip(tmp_path):
     p = tmp_path / "pts.csv"
     pts = np.array([[0.0, 1.5], [2.25, -3.0]])
     M.save_points_csv(p, pts, header="two points")
-    back = M.load_points_csv(p, dimension=2)
+    back = M.load_points_csv(p)
     assert np.allclose(back, pts)
-    with pytest.raises(M.MetricError):
-        M.load_points_csv(p, dimension=3)
 
 
 @settings(max_examples=100, deadline=None)

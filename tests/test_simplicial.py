@@ -43,7 +43,7 @@ def test_rips_circle_levels_2_and_3():
     # 4*eps_3 spans 4 grid gaps: windows of <= 4 consecutive points
     assert cx3.f_vector() == [32, 32 * 3, 32 * 3, 32]
     n0, n1, n2 = (len(cx3.simplices(d)) for d in range(3))
-    d1, d2 = cx3.boundary_matrix(1), cx3.boundary_matrix(2)
+    d1, d2 = cx3.boundary_sparse(1), cx3.boundary_sparse(2)
     r1, r2 = L.rank_q(d1), L.rank_q(d2)
     assert (n0 - r1, n1 - r1 - r2) == (1, 1)   # a circle
 
@@ -216,7 +216,7 @@ def test_collapse_preserves_hollow_square_homology():
     out = S.elementary_collapse(cx)
     # the dangling cone collapses away; the loop cannot
     assert euler_characteristic(out) == 0
-    d1 = out.boundary_matrix(1)
+    d1 = out.boundary_sparse(1)
     n0, n1 = len(out.simplices(0)), len(out.simplices(1))
     b0 = n0 - L.rank_q(d1)
     b1 = n1 - L.rank_q(d1)
@@ -224,13 +224,13 @@ def test_collapse_preserves_hollow_square_homology():
 
 
 def test_rank_q_known():
-    assert L.rank_q(np.array([[1, 2], [2, 4]])) == 1
-    assert L.rank_q(np.array([[1, 0], [0, 1]])) == 2
-    assert L.rank_q(np.zeros((3, 2), dtype=int)) == 0
+    assert L.rank_q(L.to_sparse_columns(np.array([[1, 2], [2, 4]]))) == 1
+    assert L.rank_q(L.to_sparse_columns(np.array([[1, 0], [0, 1]]))) == 2
+    assert L.rank_q(L.to_sparse_columns(np.zeros((3, 2), dtype=int))) == 0
 
 
 def test_rank_gfp_vs_q_differ_on_torsion_like_matrix():
-    mat = np.array([[2]])
+    mat = L.to_sparse_columns(np.array([[2]]))
     assert L.rank_q(mat) == 1
     assert L.rank_gfp(mat, 2) == 0
     assert L.rank_gfp(mat, 3) == 1
@@ -238,9 +238,11 @@ def test_rank_gfp_vs_q_differ_on_torsion_like_matrix():
 
 def test_smith_normal_form_klein_bottle_style():
     # d1 of RP^2-like presentation: invariant factor 2 appears
-    assert L.smith_normal_form(np.array([[2, 0], [0, 3]])) == [1, 6]
-    assert L.smith_normal_form(np.array([[2]])) == [2]
-    assert L.smith_normal_form(np.zeros((2, 2), dtype=int)) == []
+    assert L.smith_normal_form(L.to_sparse_columns(np.array([[2, 0], [0, 3]]))) \
+        == [1, 6]
+    assert L.smith_normal_form(L.to_sparse_columns(np.array([[2]]))) == [2]
+    assert L.smith_normal_form(L.to_sparse_columns(np.zeros((2, 2), dtype=int))) \
+        == []
 
 
 @pytest.mark.parametrize("rows, invariants", [
@@ -260,7 +262,6 @@ def test_smith_normal_form_klein_bottle_style():
 def test_smith_normal_form_unimodular_branches(rows, invariants):
     mat = np.array(rows)
     assert L._smith_dense(mat) == invariants
-    assert L.smith_normal_form(mat) == invariants
     assert L.smith_normal_form(L.to_sparse_columns(mat)) == invariants
 
 
@@ -271,7 +272,6 @@ def test_smith_normal_form_unimodular_branches(rows, invariants):
 def test_smith_normal_form_matches_dense_oracle(columns):
     mat = np.array(columns, dtype=int).T
     expected = L._smith_dense(mat)
-    assert L.smith_normal_form(mat) == expected
     assert L.smith_normal_form(L.to_sparse_columns(mat)) == expected
 
 
@@ -319,15 +319,16 @@ def test_homology_basis_circle_complex():
 def test_ranks_agree_with_smith_normal_form(columns):
     mat = np.array(columns, dtype=int).T
     invariants = L._smith_dense(mat)
-    assert L.rank_q(mat) == len(invariants)
+    cols = L.to_sparse_columns(mat)
+    assert L.rank_q(cols) == len(invariants)
     for p in (2, 3, 5):
-        assert L.rank_gfp(mat, p) == sum(1 for d in invariants if d % p)
+        assert L.rank_gfp(cols, p) == sum(1 for d in invariants if d % p)
 
 
 def test_rank_gfp_rejects_non_prime():
     for p in (0, 1, 4, 9, -3):
         with pytest.raises(ValueError, match="not prime"):
-            L.rank_gfp(np.array([[1]]), p)
+            L.rank_gfp([{0: 1}], p)
 
 
 def test_induced_map_rank_identity_circle():
