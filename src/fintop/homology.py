@@ -1,10 +1,10 @@
 """Simplicial homology and induced maps.
 
-Betti numbers come from exact ranks of boundary matrices: over the
-rationals by default, over GF(p) on request, and over the integers (Smith
-normal form, reporting torsion) for single complexes.  Vertex maps induce
-chain maps with the usual sorting sign and degenerate-image-to-zero
-convention.  The rank of an induced homology map comes from one sparse
+Betti numbers come from exact ranks of the coboundaries, reduced in
+increasing degree with clearing: over the rationals by default, over GF(p)
+on request, and over the integers (Smith invariants, reporting torsion)
+for single complexes.  Vertex maps induce chain maps with the usual
+sorting sign and degenerate-image-to-zero convention.  The rank of an induced homology map comes from one sparse
 reduction of a block matrix, which also holds the ranks of both
 boundaries (`linalg.induced_map_rank`).
 """
@@ -19,7 +19,8 @@ import numpy as np
 
 from . import linalg as L
 from .metric import DEFAULT_TOL
-from .simplicial import SimplicialComplex, elementary_collapse
+# elementary_collapse: the benchmark tracer's wrapper, dropped by ROADMAP item 1
+from .simplicial import SimplicialComplex, elementary_collapse  # noqa: F401
 
 
 class HomologyError(ValueError):
@@ -47,30 +48,41 @@ class HomologyResult:
 
 def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
                   max_simplices: Optional[int] = None) -> HomologyResult:
-    """Betti numbers b_0..b_k_max of a complex.
+    """Betti numbers b_0..b_k_max of a complex, with the torsion over Z.
 
     The complex must contain simplices up to dimension k_max + 1 wherever
-    they exist, or the top Betti number would be overcounted.  The ranks are
-    taken after elementary collapses, which remove free pairs and are
-    homology-neutral.
+    they exist, or the top Betti number would be overcounted.  The ranks
+    come from the coboundaries delta_0, ..., delta_k_max (delta_d is the
+    transpose of the boundary of dimension d + 1, `coboundary_sparse`),
+    reduced in that order with clearing: a column of delta_d whose index
+    is a pivot low of delta_{d-1} is skipped.  The reduced pivot with that
+    low is a coboundary whose entry there is nonzero, so over a field the
+    column is a combination of earlier ones.  Over Z only the unit lows
+    clear: the column is then replaced by an integer combination with
+    coefficient +-1 on itself, which keeps the Smith invariants.  Those of
+    delta_d are the invariants of the boundary of dimension d + 1, and
+    give the torsion of H_d.
     """
     if max_simplices is not None and len(cx) > max_simplices:
         raise HomologyError(
             f"complex has {len(cx)} simplices, above the cap of {max_simplices}")
-    cx = elementary_collapse(cx)
     tag, p = parse_field(field_spec)
-    counts = [len(cx.simplices(d)) for d in range(k_max + 2)]
-    boundaries = [cx.boundary_sparse(d) for d in range(1, k_max + 2)]
-    torsion = None
-    if tag == "z":
-        # one reduction per boundary: the rank is the number of invariants
-        invariants = [L.smith_normal_form(b) for b in boundaries]
-        ranks = [0] + [len(inv) for inv in invariants]
-        torsion = [[v for v in inv if v > 1] for inv in invariants]
-    else:
-        ranks = [0] + [L.rank_q(b) if p is None else L.rank_gfp(b, p)
-                       for b in boundaries]
-    betti = [counts[d] - ranks[d] - ranks[d + 1] for d in range(k_max + 1)]
+    ranks = [0]                       # ranks[d] = rank of the boundary of dim d
+    torsion = [] if tag == "z" else None
+    cleared: set[int] = set()
+    for d in range(k_max + 1):
+        cols = [col for j, col in enumerate(cx.coboundary_sparse(d))
+                if j not in cleared]
+        if tag == "z":
+            invariants, lows = L.smith_pivots(cols)
+            ranks.append(len(invariants))
+            torsion.append([v for v in invariants if v > 1])
+        else:
+            lows = L.pivot_lows(cols, p)
+            ranks.append(len(lows))
+        cleared = set(lows)
+    betti = [len(cx.simplices(d)) - ranks[d] - ranks[d + 1]
+             for d in range(k_max + 1)]
     return HomologyResult(betti=betti, torsion=torsion)
 
 

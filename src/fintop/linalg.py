@@ -9,7 +9,10 @@ bases and coordinates in them.  Where a reduction must record its row
 operations, the columns carry extra rows: a block matrix gives an induced
 rank (`induced_map_rank`), augmented columns give kernel bases and
 coordinates (`SparseHomology`).  Only the pivots whose low entries are
-not units go on to a dense Smith form.  No floating point is used.
+not units go on to a dense Smith form.  The lowest rows of the pivots
+(`pivot_lows`, and the unit ones of `smith_pivots`) are what a cohomology
+reduction clears in the next degree (`homology.betti_numbers`).  No
+floating point is used.
 """
 
 from __future__ import annotations
@@ -174,38 +177,43 @@ def _extend_echelon(cols: list[SparseCol], pivots: dict, field) -> list[int]:
     return lows
 
 
-def _rank(matrix: list[SparseCol], field) -> int:
-    return len(_extend_echelon([field.entries(c) for c in matrix], {}, field))
+def pivot_lows(matrix: list[SparseCol], p: Optional[int] = None) -> list[int]:
+    """Lowest rows of the pivots of an integer matrix of sparse columns,
+    reduced over GF(p), or over Q when p is None.
+
+    Unimodular column operations keep the rank over Q, so the Smith
+    reduction's field object serves there too.
+    """
+    field = _Unimodular if p is None else _ModP(p)
+    return _extend_echelon([field.entries(c) for c in matrix], {}, field)
 
 
 def rank_q(matrix: list[SparseCol]) -> int:
-    """Exact rank over the rationals of an integer matrix of sparse columns.
-
-    Unimodular column operations keep the rank over Q, so the Smith
-    reduction's field object serves here too.
-    """
-    return _rank(matrix, _Unimodular)
+    """Exact rank over the rationals of an integer matrix of sparse columns."""
+    return len(pivot_lows(matrix))
 
 
 def rank_gfp(matrix: list[SparseCol], p: int) -> int:
     """Rank over GF(p)."""
-    return _rank(matrix, _ModP(p))
+    return len(pivot_lows(matrix, p))
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form (sparse unimodular reduction, dense non-unit residue)
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(matrix: list[SparseCol]) -> list[int]:
+def smith_pivots(matrix: list[SparseCol]) -> tuple[list[int], list[int]]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix of
-    sparse columns.
+    sparse columns, and the lowest rows of its unit pivots.
 
     Unimodular column operations (`_Unimodular`) bring the columns to
     echelon form without changing the invariants.  A pivot whose low entry
     is a unit splits off an invariant 1: the other pivots can be cleared in
     its row by column operations, and then its own column by row
     operations.  The non-unit pivots, cleared in the unit rows, are the
-    residue that `_smith_dense` reduces; usually there is none.
+    residue that `_smith_dense` reduces; usually there is none.  Only the
+    unit lows may clear a column of the next coboundary over Z
+    (`homology.betti_numbers`).
     """
     pivots: dict = {}
     _extend_echelon([_Unimodular.entries(c) for c in matrix], pivots, _Unimodular)
@@ -220,11 +228,18 @@ def smith_normal_form(matrix: list[SparseCol]) -> list[int]:
             if r < low and r in col:
                 _sub_multiple(col, col[r] * units[r][r], units[r])
         residue.append(col)
-    if not residue:
-        return [1] * len(units)
-    rows = sorted(set().union(*residue))
-    return [1] * len(units) + _smith_dense(
-        [[col.get(r, 0) for col in residue] for r in rows])
+    invariants = [1] * len(units)
+    if residue:
+        rows = sorted(set().union(*residue))
+        invariants += _smith_dense([[col.get(r, 0) for col in residue]
+                                    for r in rows])
+    return invariants, list(units)
+
+
+def smith_normal_form(matrix: list[SparseCol]) -> list[int]:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix of
+    sparse columns (`smith_pivots`)."""
+    return smith_pivots(matrix)[0]
 
 
 def _smith_dense(matrix) -> list[int]:

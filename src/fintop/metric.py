@@ -190,11 +190,14 @@ class MetricSample:
                               f"gamma={self.gamma!r} is not a number")
         # compared after normalisation (angles mod 2 pi); distinct points are
         # at a positive distance, as the explicit matrix is 0 only on its
-        # diagonal
+        # diagonal.  Sorted, equal rows are neighbours; == counts -0.0 equal
+        # to 0.0, and a NaN equal to nothing
         n = len(self.points)
-        rows = self.points.reshape(n, -1).tolist() if n else []
-        if len(set(map(tuple, rows))) < n:
-            raise MetricError("sample points must be pairwise distinct")
+        if n > 1:
+            rows = self.points.reshape(n, -1)
+            rows = rows[np.lexsort(rows.T)]
+            if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+                raise MetricError("sample points must be pairwise distinct")
         if self.gamma is not None and self.gamma >= self.epsilon:
             self.warnings.append(
                 f"gamma={self.gamma:.6g} is not below epsilon={self.epsilon:.6g}; "

@@ -1,6 +1,6 @@
 """Simplicial complexes: clique complexes (Vietoris-Rips and, through the
-comparability graph, order complexes), boundary matrices and elementary
-collapses.
+comparability graph, order complexes), boundary and coboundary matrices,
+and elementary collapses, which only the tests use.
 
 Simplices are stored as sorted tuples of hashable vertex ids grouped by
 dimension; the vertex order of the tuple fixes the orientation used by the
@@ -95,6 +95,28 @@ class SimplicialComplex:
                 face = s[:i] + s[i + 1:]
                 col[row_ix[face]] = (-1) ** i
             out.append(col)
+        return out
+
+    def coboundary_sparse(self, dim: int) -> list[dict]:
+        """Coboundary C^dim -> C^{dim+1}, the transpose of the boundary of
+        dim + 1, as sparse columns with both simplex orders reversed.
+
+        Column j is the dim-simplex n_dim - 1 - j, and row i is the
+        (dim+1)-simplex n_{dim+1} - 1 - i.
+        """
+        n = len(self.simplices(dim))
+        cofaces = self.simplices(dim + 1)
+        out: list[dict] = [{} for _ in range(n)]
+        if not (n and cofaces):
+            return out
+        last, top = n - 1, len(cofaces) - 1
+        col_ix = self._index[dim]
+        # combinations drops the vertices last to first: face k lacks
+        # vertex dim + 1 - k
+        signs = [(-1) ** (dim + 1 - k) for k in range(dim + 2)]
+        for q, s in enumerate(cofaces):
+            for face, sign in zip(combinations(s, dim + 1), signs):
+                out[last - col_ix[face]][top - q] = sign
         return out
 
     def boundary_matrix(self, dim: int) -> np.ndarray:

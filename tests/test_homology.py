@@ -31,9 +31,16 @@ def projective_plane():
     return S.SimplicialComplex(RP2_TRIANGLES)
 
 
+def suspension(cx):
+    """The join of cx, on the vertices 0..n-1, with the vertices n, n + 1."""
+    n = len(cx.simplices(0))
+    return S.SimplicialComplex([s + (pole,) for s in cx.all_simplices()
+                                for pole in (n, n + 1)])
+
+
 def uncollapsed_homology(cx, k_max, field_spec):
     """(Betti numbers, torsion) from the ranks of the boundaries of cx
-    itself, without collapses: the oracle for betti_numbers."""
+    itself, neither collapsed nor cleared: the oracle for betti_numbers."""
     boundaries = [cx.boundary_sparse(d) for d in range(1, k_max + 2)]
     torsion = None
     if field_spec == "z":
@@ -69,6 +76,9 @@ def test_betti_rp2_field_dependence():
     rz = H.betti_numbers(cx, k_max=2, field_spec="z")
     assert rz.betti == [1, 0, 0]
     assert rz.torsion == [[], [2], []]
+    # the suspension moves the torsion up one degree
+    rz = H.betti_numbers(suspension(cx), 3, "z")
+    assert (rz.betti, rz.torsion) == ([1, 0, 0, 0], [[], [], [2], []])
 
 
 def test_betti_rp2_subdivision_torsion():
@@ -95,17 +105,71 @@ def test_betti_collapse_agrees():
     assert H.betti_numbers(cx, k_max=1).betti == betti == [1, 1]
 
 
+@st.composite
+def lattice_rips(draw):
+    """A Vietoris-Rips complex of 3-25 distinct integer-lattice points in
+    dimension 1-3 at an integer threshold, which some distances equal."""
+    dim = draw(st.integers(1, 3))
+    # a small box keeps the points close; the largest cliques stay below
+    # ten vertices
+    side, top = {1: (12, 3), 2: (5, 3), 3: (3, 2)}[dim]
+    threshold = draw(st.integers(2, top))
+    size = draw(st.integers(3, min(25, side ** dim)))
+    points = draw(st.lists(st.tuples(*[st.integers(0, side - 1)] * dim),
+                           min_size=size, max_size=size, unique=True))
+    sample = M.MetricSample(M.euclidean(dim), points, epsilon=1.0)
+    return S.vietoris_rips(sample.pairwise(), threshold, max_dim=4)
+
+
+# triangles and tetrahedra on at most 7 vertices
+FACE_COMPLEXES = st.lists(st.sets(st.integers(0, 6), min_size=3, max_size=4),
+                          min_size=1, max_size=10).map(S.SimplicialComplex)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.sets(st.integers(0, 6), min_size=3, max_size=4),
-                min_size=1, max_size=10),
-       st.sampled_from(["q", "p:2", "z"]))
-@example([set(t) for t in RP2_TRIANGLES], "z")
-@example([set(t) for t in RP2_TRIANGLES], "p:2")
-def test_betti_after_collapse_equals_uncollapsed(faces, field_spec):
-    # triangles and tetrahedra on at most 7 vertices; collapses keep homology
-    cx = S.SimplicialComplex(faces)
+@given(st.one_of(FACE_COMPLEXES, lattice_rips()),
+       st.sampled_from(["q", "p:2", "p:3", "z"]))
+@example(projective_plane(), "z")
+@example(projective_plane(), "p:2")
+@example(F.face_poset(projective_plane()).order_complex(), "z")
+@example(suspension(projective_plane()), "z")
+def test_betti_numbers_equal_boundary_ranks(cx, field_spec):
+    # cleared coboundary ranks against the boundary ranks of cx itself
     r = H.betti_numbers(cx, 3, field_spec)
     assert (r.betti, r.torsion) == uncollapsed_homology(cx, 3, field_spec)
+
+
+def test_betti_numbers_collapse_nothing(monkeypatch):
+    def collapse(cx):
+        raise AssertionError("elementary_collapse on the Betti path")
+    monkeypatch.setattr(S, "elementary_collapse", collapse)
+    monkeypatch.setattr(H, "elementary_collapse", collapse)
+    for field_spec in ("q", "p:2", "z"):
+        assert H.betti_numbers(projective_plane(), 2, field_spec).betti[0] == 1
+
+
+def test_integer_clearing_skips_non_unit_lows(monkeypatch):
+    # RP^2's one non-unit pivot is in d_1, and the columns of d_2 it could
+    # clear are zero, so no Betti number or torsion shows whether it clears
+    built, calls = {}, []
+    coboundary, smith = S.SimplicialComplex.coboundary_sparse, L.smith_pivots
+
+    def spy_coboundary(cx, d):
+        built[d] = coboundary(cx, d)
+        return built[d]
+
+    def spy_smith(cols):
+        calls.append((cols, smith(cols)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(S.SimplicialComplex, "coboundary_sparse", spy_coboundary)
+    monkeypatch.setattr(L, "smith_pivots", spy_smith)
+    assert H.betti_numbers(projective_plane(), 2, "z").torsion == [[], [2], []]
+    (cols_1, (_, unit_lows)), (cols_2, _) = calls[1], calls[2]
+    assert len(set(L.pivot_lows(cols_1)) - set(unit_lows)) == 1
+    kept = {id(col) for col in cols_2}
+    cleared = {j for j, col in enumerate(built[2]) if id(col) not in kept}
+    assert cleared == set(unit_lows)
 
 
 def test_betti_cap():

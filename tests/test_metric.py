@@ -52,8 +52,10 @@ def test_explicit_matrix_is_zero_only_on_the_diagonal():
 @pytest.mark.parametrize("ctx, points", [
     (M.euclidean(2), [[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]]),
     (M.euclidean(1), [[0.0], [-0.0]]),
+    (M.euclidean(2), [[1.0, -0.0], [0.0, 5.0], [1.0, 0.0]]),
     (M.circle_geodesic(), [0.0, 1.0, 2 * math.pi]),
     (M.explicit(np.ones((3, 3)) - np.eye(3)), [0, 2, 2]),
+    (M.explicit(np.ones((3, 3)) - np.eye(3)), [2, 0, 1, 2]),
 ])
 def test_sample_points_must_be_distinct(ctx, points):
     with pytest.raises(M.MetricError, match="pairwise distinct"):

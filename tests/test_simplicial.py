@@ -33,6 +33,14 @@ def test_boundary_squares_to_zero():
             assert not prod.any()
 
 
+def test_coboundary_is_the_reversed_transpose_of_the_boundary():
+    cx = S.SimplicialComplex([(0, 1, 2, 3), (2, 4), (3, 4, 5)])
+    for d in range(-1, cx.dimension + 2):
+        # both simplex orders reversed
+        dense = cx.boundary_matrix(d + 1)[::-1, ::-1].T
+        assert L.to_sparse_columns(dense) == cx.coboundary_sparse(d)
+
+
 def test_rips_circle_levels_2_and_3():
     s2 = M.circle_sample(2)
     cx2 = S.vietoris_rips(s2.pairwise(), 4 * s2.epsilon, max_dim=3)
