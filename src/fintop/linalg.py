@@ -1,24 +1,25 @@
 """Exact linear algebra over Q, GF(p) and Z, on sparse columns.
 
 Every rank, induced rank and homology basis comes from one column
-reduction with lowest-row pivots (`_reduce`) and a field object, called
-once per column or elimination, never per entry: unimodular integer
-column operations for ranks over Q and for the Smith normal form, which
-gives ranks and torsion over Z; mod p for GF(p); Fraction for homology
-bases and coordinates in them.  Where a reduction must record its row
-operations, the columns carry extra rows: a block matrix gives an induced
+reduction with lowest-row pivots (`_reduce`), one driver (`_echelon`) and
+a field object with two methods, `entries` and `eliminate`, called once
+per column or elimination, never per entry: unimodular integer column
+operations for ranks over Q and for the Smith normal form, which gives
+ranks and torsion over Z; mod p for GF(p); Fraction for homology bases
+and coordinates in them.  No pivot is rescaled.  Where a reduction must
+record its row operations, the columns carry extra rows, right of a left
+block reduced first in the same pass: a block matrix gives an induced
 rank (`induced_map_rank`), augmented columns give kernel bases and
-coordinates (`SparseHomology`).  Only the pivots whose low entries are
-not units go on to a dense Smith form.  The lowest rows of the pivots
-(`pivot_lows`, and the unit ones of `smith_pivots`) are what a cohomology
-reduction clears in the next degree (`homology.betti_numbers`).  No
-floating point is used.
+coordinates (`SparseHomology`).  Only non-unit pivots go on to a dense
+Smith form.  The pivot lows (`pivot_lows`, the unit ones of
+`smith_pivots`) are what a cohomology reduction clears in the next degree
+(`homology.betti_numbers`).  No floating point is used.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +54,7 @@ def _sub_multiple(vec: SparseCol, lam, other: SparseCol) -> None:
 
 
 class _ModP:
-    """Arithmetic in GF(p); pivot columns are scaled to a lowest entry 1."""
+    """Arithmetic in GF(p)."""
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -64,15 +65,9 @@ class _ModP:
         p = self.p
         return {r: v % p for r, v in col.items() if v % p}
 
-    def make_pivot(self, col: SparseCol, low: int) -> None:
-        p = self.p
-        inv = pow(col[low], -1, p)
-        for r in col:
-            col[r] = col[r] * inv % p
-
     def eliminate(self, col: SparseCol, pivot_col: SparseCol, low: int) -> None:
         p = self.p
-        factor = col[low]
+        factor = col[low] * pow(pivot_col[low], -1, p)
         for r, v in pivot_col.items():
             nv = (col.get(r, 0) - factor * v) % p
             if nv:
@@ -87,10 +82,6 @@ class _Rationals:
     @staticmethod
     def entries(col: SparseCol) -> SparseCol:
         return {r: Fraction(v) for r, v in col.items()}
-
-    @staticmethod
-    def make_pivot(col: SparseCol, low: int) -> None:
-        """Pivot columns stay as reduced, so bases keep their coefficients."""
 
     @staticmethod
     def eliminate(col: SparseCol, pivot_col: SparseCol, low: int) -> None:
@@ -118,10 +109,6 @@ class _Unimodular:
     @staticmethod
     def entries(col: SparseCol) -> SparseCol:
         return dict(col)
-
-    @staticmethod
-    def make_pivot(col: SparseCol, low: int) -> None:
-        """Pivot columns keep their entries; their low entries may be non-units."""
 
     @staticmethod
     def eliminate(col: SparseCol, pivot_col: SparseCol, low: int) -> None:
@@ -162,19 +149,23 @@ def _reduce(col: SparseCol, pivots: dict, field) -> Optional[int]:
     return None
 
 
-def _extend_echelon(cols: list[SparseCol], pivots: dict, field) -> list[int]:
-    """Reduce the columns in turn, adding the nonzero ones to pivots.
+def _echelon(right: Sequence[SparseCol], field,
+             left: Sequence[SparseCol] = ()) -> tuple[dict, list[int]]:
+    """Reduce copies of the left columns, then of the right ones, against
+    one pivot table {lowest row -> column} that each nonzero result joins.
 
-    Returns the lowest rows of the added columns.
+    Returns the table and the lowest rows of the right-hand pivots.
     """
-    lows = []
-    for col in cols:
-        low = _reduce(col, pivots, field)
-        if low is not None:
-            field.make_pivot(col, low)
-            pivots[low] = col
-            lows.append(low)
-    return lows
+    pivots: dict = {}
+    for block in (left, right):
+        lows = []
+        for col in block:
+            col = field.entries(col)
+            low = _reduce(col, pivots, field)
+            if low is not None:
+                pivots[low] = col
+                lows.append(low)
+    return pivots, lows
 
 
 def pivot_lows(matrix: list[SparseCol], p: Optional[int] = None) -> list[int]:
@@ -184,8 +175,7 @@ def pivot_lows(matrix: list[SparseCol], p: Optional[int] = None) -> list[int]:
     Unimodular column operations keep the rank over Q, so the Smith
     reduction's field object serves there too.
     """
-    field = _Unimodular if p is None else _ModP(p)
-    return _extend_echelon([field.entries(c) for c in matrix], {}, field)
+    return _echelon(matrix, _Unimodular if p is None else _ModP(p))[1]
 
 
 def rank_q(matrix: list[SparseCol]) -> int:
@@ -215,8 +205,7 @@ def smith_pivots(matrix: list[SparseCol]) -> tuple[list[int], list[int]]:
     unit lows may clear a column of the next coboundary over Z
     (`homology.betti_numbers`).
     """
-    pivots: dict = {}
-    _extend_echelon([_Unimodular.entries(c) for c in matrix], pivots, _Unimodular)
+    pivots, _ = _echelon(matrix, _Unimodular)
     units = {low: col for low, col in pivots.items() if abs(col[low]) == 1}
     unit_rows = sorted(units, reverse=True)
     residue = []
@@ -309,36 +298,28 @@ def _smith_dense(matrix) -> list[int]:
 class SparseHomology:
     """Basis of H_k = ker d_k / im d_{k+1} from sparse integer boundaries.
 
-    Column j of d_k, augmented to [e_j; d_k e_j] with the d_k rows below
-    the n chain rows, reduces to a kernel vector once its low falls among
-    the chain rows.  The kernel vectors that stay independent modulo an
-    echelon of d_{k+1} (and each other) are the class representatives,
-    reduced as they go on that echelon.  `express` reduces a cycle below
-    b coordinate rows, where representative i carries a unit in row i.
+    One `_echelon` pass reduces d_{k+1}, then each column j of d_k
+    augmented to [e_j; d_k e_j], with the d_k rows below the n chain rows.
+    A column whose low falls among the chain rows is a kernel vector; if it
+    stays nonzero, it is a class representative.  Lows only fall, so a
+    column meets only augmented pivots until it is a kernel vector, and
+    then only pivots of d_{k+1} and earlier representatives: the arithmetic
+    of reducing all augmented columns first, the kernel vectors after.
+    `express` reduces a cycle below b coordinate rows, where representative
+    i carries a unit in row i.
     """
 
     def __init__(self, boundary_k: list[SparseCol],
                  boundary_k1: list[SparseCol]):
-        field = _Rationals
-        echelon: dict[int, dict] = {}     # low row -> reduced column
-        _extend_echelon([field.entries(c) for c in boundary_k1], echelon, field)
         n = len(boundary_k)
-        pivots: dict = {}                 # pivots in the shifted d_k rows only
-        kernel = []
-        for j, col in enumerate(boundary_k):
-            aug = field.entries({j: 1, **_shifted(col, n)})
-            # never None: pivots come from earlier columns, so row j stays
-            low = _reduce(aug, pivots, field)
-            if low < n:
-                kernel.append(aug)
-            else:
-                pivots[low] = aug
-        lows = _extend_echelon(kernel, echelon, field)
-        self.reps: list[dict] = [echelon[low] for low in lows]
+        augmented = [{j: 1, **_shifted(col, n)} for j, col in enumerate(boundary_k)]
+        pivots, lows = _echelon(augmented, _Rationals, left=boundary_k1)
+        lows = [low for low in lows if low < n]
+        self.reps: list[dict] = [pivots[low] for low in lows]
         b = len(lows)
         units = {low: {i: Fraction(1)} for i, low in enumerate(lows)}
         self._augmented = {low + b: {**units.get(low, {}), **_shifted(col, b)}
-                           for low, col in echelon.items()}
+                           for low, col in pivots.items() if low < n}
 
     @property
     def betti(self) -> int:
@@ -374,9 +355,8 @@ def induced_map_rank(boundary_y_k1: list[SparseCol], chain_map_k: list[SparseCol
     reduction of dX_k alone: the right-hand pivots with low rows there
     number rank dX_k, and the others number rank H_k(f).
     """
-    field = _Unimodular if p is None else _ModP(p)
-    pivots: dict = {}
-    _extend_echelon([field.entries(c) for c in boundary_y_k1], pivots, field)
-    right = [field.entries({**col, **_shifted(dx, rows_y_k)})
+    right = [{**col, **_shifted(dx, rows_y_k)}
              for col, dx in zip(chain_map_k, boundary_x_k)]
-    return sum(low < rows_y_k for low in _extend_echelon(right, pivots, field))
+    _, lows = _echelon(right, _Unimodular if p is None else _ModP(p),
+                       left=boundary_y_k1)
+    return sum(low < rows_y_k for low in lows)

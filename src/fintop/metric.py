@@ -35,6 +35,12 @@ class MetricError(ValueError):
     pass
 
 
+def _is_number(v) -> bool:
+    """Whether v is a real number: not a bool, which a JSON true reads as,
+    nor a string, which numpy would read as the number it spells."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def below(d, radius, tol: float, closed: bool = False):
     """Whether distance d lies in the open (or closed) ball of the radius.
 
@@ -78,6 +84,8 @@ class MetricContext:
                 raise MetricError("explicit matrix is zero off the diagonal")
             if not np.allclose(m, m.T):
                 raise MetricError("explicit matrix must be symmetric")
+            # one stored distance per pair, whichever triangle reads it
+            m = np.triu(m) + np.triu(m, 1).T
             n = m.shape[0]
             for k in range(n):
                 via = m[:, [k]] + m[[k], :]
@@ -117,8 +125,7 @@ def _points_array(ctx: MetricContext, points) -> np.ndarray:
     values = np.asarray(points, dtype=object)
     n = len(ctx.matrix)
     for v in values.ravel():
-        if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real) \
-                or not (0 <= v < n and float(v).is_integer()):
+        if not (_is_number(v) and 0 <= v < n and float(v).is_integer()):
             raise MetricError(f"explicit point index {v!r} is not an integer "
                               f"in 0..{n - 1}")
     return values.astype(int)
@@ -182,12 +189,18 @@ class MetricSample:
 
     def __post_init__(self):
         self.points = _points_array(self.context, self.points)
-        if self.epsilon <= 0:
-            raise MetricError("epsilon must be positive")
-        if self.gamma is not None and (isinstance(self.gamma, bool) or
-                                       not isinstance(self.gamma, numbers.Real)):
-            raise MetricError(f"{self.label or 'sample'}: "
-                              f"gamma={self.gamma!r} is not a number")
+        name = self.label or "sample"
+        if not (_is_number(self.epsilon) and math.isfinite(self.epsilon)
+                and self.epsilon > 0):
+            raise MetricError(f"{name}: epsilon={self.epsilon!r} must be a "
+                              "finite number above 0")
+        if self.gamma is not None and not _is_number(self.gamma):
+            raise MetricError(f"{name}: gamma={self.gamma!r} is not a number")
+        # a negative gamma would loosen the strict bound (eps - gamma) / 2
+        if self.gamma is not None and not (math.isfinite(self.gamma)
+                                           and self.gamma >= 0):
+            raise MetricError(f"{name}: gamma={self.gamma!r} must be finite "
+                              "and at least 0")
         # compared after normalisation (angles mod 2 pi); distinct points are
         # at a positive distance, as the explicit matrix is 0 only on its
         # diagonal.  Sorted, equal rows are neighbours; == counts -0.0 equal
@@ -521,15 +534,17 @@ def load_points_csv(path) -> np.ndarray:
 
 def point_rows(rows: list, where) -> np.ndarray:
     """Points given as rows of coordinates, or as single numbers, as one array."""
-    if len({np.shape(r) for r in rows}) > 1:
+    cells = np.array(rows, dtype=object).ravel()
+    # rows of different lengths leave sequences among the cells
+    if any(isinstance(v, (list, tuple)) for v in cells):
         raise MetricError(f"inconsistent coordinate arity in {where}")
-    # a JSON true would read as the number 1
-    if any(isinstance(v, bool) for v in np.array(rows, dtype=object).ravel()):
+    # a JSON null reads as NaN, which is refused below as non-finite
+    if not all(v is None or _is_number(v) for v in cells):
         raise MetricError(f"non-numeric coordinate in {where}")
     try:
         pts = np.array(rows, dtype=float)
-    except (TypeError, ValueError):
-        raise MetricError(f"non-numeric coordinate in {where}") from None
+    except OverflowError:               # an integer beyond the largest float
+        raise MetricError(f"non-finite coordinate in {where}") from None
     if not np.isfinite(pts).all():
         raise MetricError(f"non-finite coordinate in {where}")
     return pts

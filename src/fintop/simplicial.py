@@ -120,17 +120,13 @@ class SimplicialComplex:
         return out
 
     def boundary_matrix(self, dim: int) -> np.ndarray:
-        """Integer matrix of the boundary map C_dim -> C_{dim-1}."""
-        rows = self.simplices(dim - 1)
-        cols = self.simplices(dim)
-        mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        if dim <= 0 or not cols:
-            return mat
-        row_ix = self._index[dim - 1]
-        for j, s in enumerate(cols):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                mat[row_ix[face], j] = (-1) ** i
+        """Integer matrix of the boundary map C_dim -> C_{dim-1}, the dense
+        form of `boundary_sparse`."""
+        mat = np.zeros((len(self.simplices(dim - 1)), len(self.simplices(dim))),
+                       dtype=np.int64)
+        for j, col in enumerate(self.boundary_sparse(dim)):
+            for i, v in col.items():
+                mat[i, j] = v
         return mat
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -539,17 +540,19 @@ CONFIG_SETTINGS = {"max_dim": (int, 3), "k_max": (int, 1),
 
 def _config_number(table: dict, key: str, kind: Callable, default=None,
                   where: str = ""):
-    """table[key] (default if absent) as kind; TowerError names a bad value."""
+    """table[key] (default if absent) as kind; TowerError names a value that
+    is not a finite JSON number of that kind."""
     value = table.get(key, default)
-    if isinstance(value, bool):         # JSON true/false
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TowerError(f"{where}{key}={value!r} is not a number")
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise TowerError(f"{where}{key}={value!r} is not a number") from None
-    if kind is int and isinstance(value, float) and number != value:
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise TowerError(f"{where}{key}={value!r} is not finite")
+    if kind is int and value != int(value):
         raise TowerError(f"{where}{key}={value!r} is not an integer")
-    return number
+    try:
+        return kind(value)
+    except OverflowError:               # an integer beyond the largest float
+        raise TowerError(f"{where}{key}={value!r} is not finite") from None
 
 
 def config_settings(cfg: dict) -> dict:
@@ -573,6 +576,8 @@ def config_settings(cfg: dict) -> dict:
         raise TowerError(f"context={spec!r} needs a matrix_file")
     out = {key: _config_number(cfg, key, kind, default)
            for key, (kind, default) in CONFIG_SETTINGS.items()}
+    if out["max_elements"] < 1:
+        raise TowerError(f"max_elements={out['max_elements']} must be at least 1")
     out["epsilon"] = [_config_number(lvl, "epsilon", float, where=f"level {i + 1}: ")
                       if "epsilon" in lvl else None
                       for i, lvl in enumerate(levels)]

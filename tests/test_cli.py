@@ -97,6 +97,8 @@ def test_flags_override_the_config(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--depth", "0"], "--depth 0 must be at least 1"),
     (["--seed", "-5"], "--seed -5 must be at least 0"),
+    (["--max-elements", "0"], "max_elements=0 must be at least 1"),
+    (["--max-elements", "-5"], "max_elements=-5 must be at least 1"),
 ])
 def test_depth_and_seed_are_checked_first(command, argv, message, tmp_path,
                                           capsys):
@@ -395,9 +397,33 @@ POINTS = {"points": [[0.0], [1.0]], "epsilon": 1.0}
      "level 2: points=None is not a non-empty list"),
     ({"levels": [dict(POINTS, points=[])]}, cli.EXIT_USAGE,
      "level 1: points=[] is not a non-empty list"),
+    # numbers must be finite JSON numbers: json writes NaN and Infinity
+    ({"levels": [dict(POINTS, epsilon=math.nan)]}, cli.EXIT_USAGE,
+     "level 1: epsilon=nan is not finite"),
+    ({"levels": [dict(POINTS, epsilon=math.inf)]}, cli.EXIT_USAGE,
+     "level 1: epsilon=inf is not finite"),
+    ({"levels": [dict(POINTS, epsilon="0.5")]}, cli.EXIT_USAGE,
+     "level 1: epsilon='0.5' is not a number"),
+    ({"max_dim": "3", "levels": [POINTS]}, cli.EXIT_USAGE,
+     "max_dim='3' is not a number"),
+    ({"tolerance": "1e-9", "levels": [POINTS]}, cli.EXIT_USAGE,
+     "tolerance='1e-9' is not a number"),
+    ({"levels": [{"generator": "circle", "level": "2"}]}, cli.EXIT_USAGE,
+     "level 1: level='2' is not a number"),
+    ({"levels": [dict(POINTS, gamma=math.nan)]}, cli.EXIT_VALIDATION,
+     "level 1: gamma=nan must be finite and at least 0"),
+    ({"levels": [dict(POINTS, gamma=-0.5)]}, cli.EXIT_VALIDATION,
+     "level 1: gamma=-0.5 must be finite and at least 0"),
+    ({"levels": [dict(POINTS, points=[["0.5"], [1.0]])]}, cli.EXIT_VALIDATION,
+     "non-numeric coordinate in level 1 points"),
+    ({"max_elements": -1, "levels": [POINTS]}, cli.EXIT_USAGE,
+     "max_elements=-1 must be at least 1"),
 ], ids=["level-not-object", "levels-not-list", "context-not-object",
         "generator-level", "explicit-without-matrix", "gamma-boolean",
-        "points-number", "points-null", "points-empty"])
+        "points-number", "points-null", "points-empty", "epsilon-nan",
+        "epsilon-inf", "epsilon-string", "max-dim-string", "tolerance-string",
+        "generator-level-string", "gamma-nan", "gamma-negative",
+        "point-string", "element-cap"])
 def test_config_shape_errors_exit_cleanly(cfg, code, message, tmp_path,
                                           capsys):
     p = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ builds the order complexes of the face posets of both levels and maps them
 by the bonding element assignment itself.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -64,3 +65,33 @@ def test_ill_defined_bonding_gives_none():
     report = tw.bonding_element_map(1, 2)[1]
     assert not report.well_defined and not report.empty_images
     assert cli.induced_bonding_rank(tw, 1, 2, 0) is None
+
+
+# SHA-256 of what test_bases_and_induced_maps_are_pinned hashes
+PINNED_DIGEST = "a568f2cdf9b2dad44c35ae8e94926aa10d4cc7131a60ddfbab416ec510bc989b"
+
+
+def test_bases_and_induced_maps_are_pinned():
+    """Homology bases, induced matrices and induced ranks are byte-identical
+    to the pinned ones: on the order complexes (max_chain=3) of circle 3,
+    mapped by the bonding assignment, and on the Rips complexes of cantor 4,
+    mapped by the selection vertex map."""
+    digest = hashlib.sha256()
+    for space, depth, max_chain in (("circle", 3, 3), ("cantor", 4, None)):
+        tw = T.build_tower(space, depth, k_max=2, seed=7)
+        levels = range(1, depth + 1)
+        cxs = {n: tw.term(n).space().order_complex(max_chain) if max_chain
+               else tw.term(n).complex for n in levels}
+        degrees = range(max_chain - 1 if max_chain else tw.k_max + 1)
+        for cx in cxs.values():
+            for k in degrees:
+                digest.update(repr(H.homology_basis_of(cx, k).reps).encode())
+        for n, m in itertools.combinations(levels, 2):
+            f = dict(enumerate(tw.bonding_element_map(n, m)[0])) if max_chain \
+                else {v: min(tw.bond(n, m, frozenset((v,))))
+                      for (v,) in cxs[m].simplices(0)}
+            for k in degrees:
+                digest.update(repr(H.induced_matrix(cxs[m], cxs[n], f, k)).encode())
+                digest.update(repr([H.induced_rank(cxs[m], cxs[n], f, k, field)
+                                    for field in ("q", "p:2", "p:3")]).encode())
+    assert digest.hexdigest() == PINNED_DIGEST

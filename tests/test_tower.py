@@ -60,6 +60,19 @@ def test_term_element_diameter_bound():
     assert not t.is_element(too_wide)
 
 
+def test_explicit_elements_pass_their_own_membership_test():
+    # symmetric within allclose only: the Rips graph reads d(0, 1) = 1 from
+    # the upper triangle, the diameters would read 1 + 1e-9 from the lower
+    m = [[0, 1, 2], [1 + 1e-9, 0, 1], [2, 1, 0]]
+    ctx = M.explicit(m)
+    assert ctx.matrix[1, 0] == ctx.matrix[0, 1] == 1
+    sample = M.MetricSample(ctx, [0, 1, 2], epsilon=(1 + 1.5e-9) / 4)
+    term = T.build_term(sample, 2)
+    assert frozenset({0, 1}) in term.index
+    assert term.is_element(frozenset({0, 1}))
+    assert T.element_report(term, term.elements, M.DEFAULT_TOL).worst_diameter == 1
+
+
 def test_term_space_reverse_inclusion():
     tw = circle_tower(2)
     sp = tw.term(2).space()
