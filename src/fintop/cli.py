@@ -6,7 +6,8 @@ Subcommands:
   homology   Betti numbers per level as CSV, plus component counts
   verify     schedule, bonding and thread certificates
 
-Exit codes: 0 success, 1 usage error, 2 validation failure, 3 resource cap.
+Exit codes: 0 success; 1 usage error, a flag or config value of the wrong
+type, shape or range; 2 validation failure, bad tower data; 3 resource cap.
 All numeric output is printed to 12 significant digits.
 """
 
@@ -50,7 +51,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, default=3,
                    help="number of levels for --space (default 3)")
     p.add_argument("--out", help="output path (default: stdout)")
-    # no defaults here: _tower_settings ranks a given flag above the config
+    # no defaults here: a given flag ranks above the config
     p.add_argument("--tolerance", type=float,
                    help="relative tolerance for distance comparisons")
     p.add_argument("--max-dim", type=int,
@@ -94,40 +95,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _tower_settings(args, cfg: dict) -> dict:
-    """The tower settings: a flag given on the command line, else the
-    config's value, else the default in CONFIG_SETTINGS.
-
-    Exit 1 on settings that are not numbers or that Tower rejects, and on a
-    --depth or --seed that no named space can take.
-    """
+def _flags(args) -> dict:
+    """The tower settings given on the command line, which rank above a
+    config's; exit 1 on a --depth or --seed that no named space can take."""
     if args.depth < 1:
         raise CliError(f"--depth {args.depth} must be at least 1", EXIT_USAGE)
     if args.seed < 0:
         raise CliError(f"--seed {args.seed} must be at least 0", EXIT_USAGE)
-    given = {key: getattr(args, key) for key in T.CONFIG_SETTINGS
-             if getattr(args, key) is not None}
-    try:
-        nums = T.config_settings({**cfg, **given})
-        T.check_degrees(nums["max_dim"], nums["k_max"])
-        T.check_tolerance(nums["tolerance"])
-    except T.TowerError as exc:
-        raise CliError(str(exc), EXIT_USAGE)
-    return {key: nums[key] for key in T.CONFIG_SETTINGS}
+    return {key: getattr(args, key) for key in T.CONFIG_SETTINGS
+            if getattr(args, key) is not None}
 
 
 def make_tower(args) -> T.Tower:
-    if getattr(args, "config", None):
-        try:
-            cfg = T.load_config(args.config)
-        except T.TowerError as exc:
-            raise CliError(str(exc), EXIT_USAGE)
-        cfg.update(_tower_settings(args, cfg))
+    flags = _flags(args)
+    if args.config:
+        cfg = {**T.load_config(args.config), **flags}
         if args.relaxed:
             cfg["mode"] = T.RELAXED
         return T.tower_from_config(cfg, base_dir=os.path.dirname(args.config) or ".")
-    if getattr(args, "space", None):
-        nums = _tower_settings(args, {})
+    if args.space:
+        nums = T.config_settings(flags)
         mode = T.RELAXED if args.relaxed else None
         return T.build_tower(args.space, args.depth, max_dim=nums["max_dim"],
                              k_max=nums["k_max"], mode=mode, seed=args.seed,
@@ -143,7 +130,7 @@ def _open_out(args):
 def cmd_generate(args) -> int:
     if not args.space:
         raise CliError("generate needs --space", EXIT_USAGE)
-    settings = _tower_settings(args, {})
+    settings = T.config_settings(_flags(args))
     samples, mode = T.space_samples(args.space, args.depth, args.seed,
                                     settings["max_elements"])
     if args.relaxed:
@@ -344,6 +331,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except T.ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (M.MetricError, T.TowerError, F.FiniteSpaceError,
             H.HomologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

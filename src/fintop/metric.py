@@ -12,6 +12,7 @@ import csv
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -39,6 +40,11 @@ def _is_number(v) -> bool:
     """Whether v is a real number: not a bool, which a JSON true reads as,
     nor a string, which numpy would read as the number it spells."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def is_finite(v) -> bool:
+    """Whether the number v is finite; an integer beyond the floats is not."""
+    return abs(v) <= sys.float_info.max
 
 
 def below(d, radius, tol: float, closed: bool = False):
@@ -76,6 +82,9 @@ class MetricContext:
             m = np.asarray(m, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise MetricError("explicit matrix must be square")
+            if not np.isfinite(m).all():
+                raise MetricError("explicit matrix has an entry that is not "
+                                  "a finite distance")
             if np.any(m < 0):
                 raise MetricError("explicit matrix has negative entries")
             if np.any(np.abs(np.diag(m)) > 0):
@@ -190,14 +199,14 @@ class MetricSample:
     def __post_init__(self):
         self.points = _points_array(self.context, self.points)
         name = self.label or "sample"
-        if not (_is_number(self.epsilon) and math.isfinite(self.epsilon)
+        if not (_is_number(self.epsilon) and is_finite(self.epsilon)
                 and self.epsilon > 0):
             raise MetricError(f"{name}: epsilon={self.epsilon!r} must be a "
                               "finite number above 0")
         if self.gamma is not None and not _is_number(self.gamma):
             raise MetricError(f"{name}: gamma={self.gamma!r} is not a number")
         # a negative gamma would loosen the strict bound (eps - gamma) / 2
-        if self.gamma is not None and not (math.isfinite(self.gamma)
+        if self.gamma is not None and not (is_finite(self.gamma)
                                            and self.gamma >= 0):
             raise MetricError(f"{name}: gamma={self.gamma!r} must be finite "
                               "and at least 0")
@@ -517,16 +526,20 @@ def two_squares_sample(level: int, count: int, seed: int) -> MetricSample:
 def load_points_csv(path) -> np.ndarray:
     """One point per line, decimal coordinates; '#' lines are comments."""
     rows = []
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append([float(v) for v in line.replace(",", " ").split()])
-            except ValueError:
-                raise MetricError(
-                    f"non-numeric coordinate in {path}, line {lineno}") from None
+    try:
+        # a byte that is not text reads as U+FFFD, a non-numeric coordinate
+        with open(path, newline="", errors="replace") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    rows.append([float(v) for v in line.replace(",", " ").split()])
+                except ValueError:
+                    raise MetricError(
+                        f"non-numeric coordinate in {path}, line {lineno}") from None
+    except OSError as exc:
+        raise MetricError(f"cannot read {path}: {exc.strerror}") from None
     if not rows:
         raise MetricError(f"no points in {path}")
     return point_rows(rows, path)
@@ -534,12 +547,14 @@ def load_points_csv(path) -> np.ndarray:
 
 def point_rows(rows: list, where) -> np.ndarray:
     """Points given as rows of coordinates, or as single numbers, as one array."""
-    cells = np.array(rows, dtype=object).ravel()
+    cells = np.array(rows, dtype=object)
     # rows of different lengths leave sequences among the cells
-    if any(isinstance(v, (list, tuple)) for v in cells):
+    if any(isinstance(v, (list, tuple)) for v in cells.ravel()):
         raise MetricError(f"inconsistent coordinate arity in {where}")
-    # a JSON null reads as NaN, which is refused below as non-finite
-    if not all(v is None or _is_number(v) for v in cells):
+    # a third axis holds coordinates that are lists; a JSON null reads as
+    # NaN, which is refused below as non-finite
+    if cells.ndim > 2 or not all(v is None or _is_number(v)
+                                 for v in cells.ravel()):
         raise MetricError(f"non-numeric coordinate in {where}")
     try:
         pts = np.array(rows, dtype=float)

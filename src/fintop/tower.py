@@ -27,11 +27,15 @@ import numpy as np
 
 from . import metric as M
 from .finite_space import FiniteSpace, face_poset
-from .simplicial import SimplicialComplex, vietoris_rips
+from .simplicial import SimplicialComplex, SimplicialError, vietoris_rips
 
 
 class TowerError(ValueError):
     pass
+
+
+class ConfigError(TowerError):
+    """A setting or config value of the wrong type, shape or range."""
 
 
 class ResourceCap(RuntimeError):
@@ -53,7 +57,7 @@ def validate_schedule(samples: list[M.MetricSample], mode: str,
     relaxed mode needs eps_{n+1} < eps_n / 2.
     """
     if mode not in (STRICT, RELAXED):
-        raise TowerError(f"unknown schedule mode {mode!r}")
+        raise ConfigError(f"unknown schedule mode {mode!r}")
     problems = []
     for n in range(len(samples) - 1):
         eps, nxt = samples[n].epsilon, samples[n + 1].epsilon
@@ -115,7 +119,7 @@ def build_term(sample: M.MetricSample, max_dim: int, threshold_factor: float = 4
         cx = vietoris_rips(sample.pairwise(), threshold_factor * sample.epsilon,
                            max_dim=max_dim, tol=tol,
                            max_simplices=max_elements)
-    except Exception as exc:
+    except SimplicialError as exc:      # the clique cap
         raise ResourceCap(str(exc)) from exc
     elements = [frozenset(s) for s in cx.all_simplices()]
     term = Term(sample=sample, threshold_factor=threshold_factor, complex=cx,
@@ -127,17 +131,17 @@ def build_term(sample: M.MetricSample, max_dim: int, threshold_factor: float = 4
 def check_degrees(max_dim: int, k_max: int) -> None:
     """H_k_max needs the stored (k_max+1)-simplices, or it is overcounted."""
     if k_max < 0:
-        raise TowerError(f"k_max={k_max} must be at least 0")
+        raise ConfigError(f"k_max={k_max} must be at least 0")
     if max_dim < k_max + 1:
-        raise TowerError(
+        raise ConfigError(
             f"max_dim={max_dim} must be at least k_max + 1 = {k_max + 1}, "
             f"or H_{k_max} and the induced ranks in it are overcounted")
 
 
 def check_tolerance(tol: float) -> None:
     """Distance ties within tol resolve by mode; tol < 0 would flip them."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise TowerError(f"tolerance={tol} must be finite and at least 0")
+    if not (M.is_finite(tol) and tol >= 0):
+        raise ConfigError(f"tolerance={tol} must be finite and at least 0")
 
 
 @dataclass(frozen=True)
@@ -517,18 +521,16 @@ def build_tower(space: str, depth: int, max_dim: int = 3, k_max: int = 1,
 
 
 def load_config(path) -> dict:
+    """The JSON object in the file at path; tower_from_config checks it."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise TowerError(f"cannot read config {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise TowerError(f"config {path} is not valid JSON: {exc}") from None
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
-        raise TowerError(f"config {path} must be a JSON object")
-    for key in ("mode", "levels"):
-        if key not in cfg:
-            raise TowerError(f"config is missing {key!r}")
+        raise ConfigError(f"config {path} must be a JSON object")
     return cfg
 
 
@@ -540,101 +542,93 @@ CONFIG_SETTINGS = {"max_dim": (int, 3), "k_max": (int, 1),
 
 def _config_number(table: dict, key: str, kind: Callable, default=None,
                   where: str = ""):
-    """table[key] (default if absent) as kind; TowerError names a value that
+    """table[key] (default if absent) as kind; ConfigError names a value that
     is not a finite JSON number of that kind."""
     value = table.get(key, default)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TowerError(f"{where}{key}={value!r} is not a number")
-    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
-        raise TowerError(f"{where}{key}={value!r} is not finite")
+        raise ConfigError(f"{where}{key}={value!r} is not a number")
+    if not M.is_finite(value):
+        raise ConfigError(f"{where}{key}={value!r} is not finite")
     if kind is int and value != int(value):
-        raise TowerError(f"{where}{key}={value!r} is not an integer")
-    try:
-        return kind(value)
-    except OverflowError:               # an integer beyond the largest float
-        raise TowerError(f"{where}{key}={value!r} is not finite") from None
+        raise ConfigError(f"{where}{key}={value!r} is not an integer")
+    return kind(value)
 
 
 def config_settings(cfg: dict) -> dict:
-    """The numbers of a config: the CONFIG_SETTINGS, defaults filled in, and
-    per level "epsilon" and the generator "level" (None where absent).
-    TowerError names the key and level of a value of the wrong shape."""
-    levels = cfg.get("levels", [])
-    if not isinstance(levels, list):
-        raise TowerError(f"levels={levels!r} is not a list")
-    for i, lvl in enumerate(levels):
-        if not isinstance(lvl, dict):
-            raise TowerError(f"level {i + 1}: {lvl!r} is not an object")
-        pts = lvl.get("points")
-        if "points" in lvl and not (isinstance(pts, list) and pts):
-            raise TowerError(f"level {i + 1}: points={pts!r} is not a non-empty list")
-    spec = cfg.get("context")
-    if spec is not None and not isinstance(spec, dict):
-        raise TowerError(f"context={spec!r} is not an object")
-    if spec and spec.get("kind") == "explicit" \
-            and not isinstance(spec.get("matrix_file"), str):
-        raise TowerError(f"context={spec!r} needs a matrix_file")
+    """The CONFIG_SETTINGS of a config or of the given flags, defaults
+    filled in.  ConfigError names a value that is not a number of its kind,
+    an element cap below 1, and degrees or a tolerance that Tower refuses."""
     out = {key: _config_number(cfg, key, kind, default)
            for key, (kind, default) in CONFIG_SETTINGS.items()}
     if out["max_elements"] < 1:
-        raise TowerError(f"max_elements={out['max_elements']} must be at least 1")
-    out["epsilon"] = [_config_number(lvl, "epsilon", float, where=f"level {i + 1}: ")
-                      if "epsilon" in lvl else None
-                      for i, lvl in enumerate(levels)]
-    out["level"] = [_config_number(lvl, "level", int, i + 1, f"level {i + 1}: ")
-                    if "generator" in lvl else None
-                    for i, lvl in enumerate(levels)]
+        raise ConfigError(f"max_elements={out['max_elements']} must be at least 1")
+    check_degrees(out["max_dim"], out["k_max"])
+    check_tolerance(out["tolerance"])
     return out
 
 
-def _config_context(cfg: dict, dimension: int, base_dir) -> M.MetricContext:
-    spec = cfg.get("context")
-    if spec is None or spec.get("kind") == "euclidean":
-        return M.euclidean(dimension)
-    if spec["kind"] == "circle_geodesic":
-        return M.circle_geodesic()
-    if spec["kind"] == "explicit":
-        return M.load_matrix_csv(os.path.join(base_dir, spec["matrix_file"]))
-    raise TowerError(f"unknown context kind {spec.get('kind')!r}")
-
-
 def tower_from_config(cfg: dict, base_dir=".") -> Tower:
-    """Tower from a config; its file names are relative to base_dir."""
+    """Tower from a config object; its file names are relative to base_dir.
+
+    The one check of a config.  ConfigError names a value of the wrong
+    type, shape or range; TowerError and MetricError name bad tower data.
+    Levels are read in order, so an error names the first bad level.
+    """
     settings = config_settings(cfg)
-    samples, ctx = [], None
+    for key in ("mode", "levels"):
+        if key not in cfg:
+            raise ConfigError(f"config is missing {key!r}")
+    if not isinstance(cfg["levels"], list):
+        raise ConfigError(f"levels={cfg['levels']!r} is not a list")
+    spec = cfg.get("context", {"kind": "euclidean"})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"context={spec!r} is not an object")
+    if spec.get("kind") not in ("euclidean", "circle_geodesic", "explicit"):
+        raise ConfigError(f"context={spec!r} needs a kind: euclidean, "
+                          "circle_geodesic or explicit")
+    # one context per config: a matrix is read once, and a euclidean
+    # context takes its dimension from the first level
+    ctx = None
+    if spec["kind"] == "circle_geodesic":
+        ctx = M.circle_geodesic()
+    elif spec["kind"] == "explicit":
+        if not isinstance(spec.get("matrix_file"), str):
+            raise ConfigError(f"context={spec!r} needs a matrix_file")
+        ctx = M.load_matrix_csv(os.path.join(base_dir, spec["matrix_file"]))
+    samples = []
     for i, lvl in enumerate(cfg["levels"]):
-        eps = settings["epsilon"][i]
-        if "generator" in lvl:
-            name, n = lvl["generator"], settings["level"][i]
-            if name not in GENERATORS:
-                raise TowerError(f"unknown generator {name!r}")
-            s = GENERATORS[name](n)
-            if eps is not None and not np.isclose(eps, s.epsilon):
-                raise TowerError(
-                    f"level {i + 1}: epsilon {lvl['epsilon']} does not match "
-                    f"the generator value {s.epsilon}")
-        elif "points_file" in lvl or "points" in lvl:
-            if eps is None:
-                raise TowerError(f"level {i + 1}: needs epsilon")
-            if "points_file" in lvl:
-                pts = M.load_points_csv(os.path.join(base_dir, lvl["points_file"]))
-            else:
-                pts = M.point_rows(lvl["points"], f"level {i + 1} points")
-            dim = pts.shape[1] if pts.ndim > 1 else 1
-            ctx = ctx or _config_context(cfg, dim, base_dir)    # read once
-            want = ctx.dimension if ctx.kind == "euclidean" else 1
-            if dim != want:
-                raise TowerError(f"level {i + 1}: points of dimension {dim}, "
-                                 f"the {ctx.kind} context has dimension {want}")
-            if ctx.kind == "circle_geodesic":
-                pts = pts.ravel()
-            s = M.MetricSample(ctx, pts, epsilon=eps,
-                               gamma=lvl.get("gamma"),
-                               gamma_exact=bool(lvl.get("gamma_exact", False)),
-                               label=f"level {i + 1}")
+        where = f"level {i + 1}: "
+        if not isinstance(lvl, dict):
+            raise ConfigError(f"{where}{lvl!r} is not an object")
+        if "points_file" in lvl:
+            if not isinstance(lvl["points_file"], str):
+                raise ConfigError(f"{where}points_file={lvl['points_file']!r} "
+                                  "is not a string")
+            pts = M.load_points_csv(os.path.join(base_dir, lvl["points_file"]))
+        elif "points" in lvl:
+            if not (isinstance(lvl["points"], list) and lvl["points"]):
+                raise ConfigError(f"{where}points={lvl['points']!r} "
+                                  "is not a non-empty list")
+            pts = M.point_rows(lvl["points"], f"level {i + 1} points")
         else:
-            raise TowerError(f"level {i + 1}: needs generator, points or points_file")
-        samples.append(s)
+            raise TowerError(f"{where}needs points or points_file")
+        if "epsilon" not in lvl:
+            raise TowerError(f"{where}needs epsilon")
+        eps = _config_number(lvl, "epsilon", float, where=where)
+        if eps <= 0:
+            raise ConfigError(f"{where}epsilon={lvl['epsilon']!r} must be above 0")
+        dim = pts.shape[1] if pts.ndim > 1 else 1
+        ctx = ctx or M.euclidean(dim)
+        want = ctx.dimension if ctx.kind == "euclidean" else 1
+        if dim != want:
+            raise TowerError(f"{where}points of dimension {dim}, "
+                             f"the {ctx.kind} context has dimension {want}")
+        if ctx.kind == "circle_geodesic":
+            pts = pts.ravel()
+        samples.append(M.MetricSample(ctx, pts, epsilon=eps,
+                                      gamma=lvl.get("gamma"),
+                                      gamma_exact=bool(lvl.get("gamma_exact", False)),
+                                      label=f"level {i + 1}"))
     return Tower(samples, mode=cfg["mode"], max_dim=settings["max_dim"],
                  k_max=settings["k_max"], tol=settings["tolerance"],
                  max_elements=settings["max_elements"],

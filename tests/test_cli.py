@@ -1,9 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fintop import cli
 from fintop import homology as H
@@ -385,8 +389,9 @@ POINTS = {"points": [[0.0], [1.0]], "epsilon": 1.0}
     ({"levels": 5}, cli.EXIT_USAGE, "levels=5 is not a list"),
     ({"context": "euclidean", "levels": [POINTS]}, cli.EXIT_USAGE,
      "context='euclidean' is not an object"),
-    ({"levels": [{"generator": "circle", "level": "x"}]}, cli.EXIT_USAGE,
-     "level 1: level='x' is not a number"),
+    # a named space enters a tower through --space or generate, not a level
+    ({"levels": [{"generator": "circle", "level": 1}]}, cli.EXIT_VALIDATION,
+     "level 1: needs points or points_file"),
     ({"context": {"kind": "explicit"}, "levels": [POINTS]}, cli.EXIT_USAGE,
      "context={'kind': 'explicit'} needs a matrix_file"),
     ({"levels": [dict(POINTS, gamma=True)]}, cli.EXIT_VALIDATION,
@@ -408,8 +413,21 @@ POINTS = {"points": [[0.0], [1.0]], "epsilon": 1.0}
      "max_dim='3' is not a number"),
     ({"tolerance": "1e-9", "levels": [POINTS]}, cli.EXIT_USAGE,
      "tolerance='1e-9' is not a number"),
-    ({"levels": [{"generator": "circle", "level": "2"}]}, cli.EXIT_USAGE,
-     "level 1: level='2' is not a number"),
+    ({"levels": [dict(POINTS, epsilon=0)]}, cli.EXIT_USAGE,
+     "level 1: epsilon=0 must be above 0"),
+    ({"levels": [POINTS, dict(POINTS, epsilon=-1)]}, cli.EXIT_USAGE,
+     "level 2: epsilon=-1 must be above 0"),
+    ({"context": {"kind": "torus"}, "levels": [POINTS]}, cli.EXIT_USAGE,
+     "context={'kind': 'torus'} needs a kind: euclidean, circle_geodesic "
+     "or explicit"),
+    ({"context": {}, "levels": [POINTS]}, cli.EXIT_USAGE,
+     "context={} needs a kind: euclidean, circle_geodesic or explicit"),
+    ({"mode": "lenient", "levels": [POINTS]}, cli.EXIT_USAGE,
+     "unknown schedule mode 'lenient'"),
+    ({"levels": [{"points_file": 5, "epsilon": 1.0}]}, cli.EXIT_USAGE,
+     "level 1: points_file=5 is not a string"),
+    ({"levels": [dict(POINTS, gamma=10 ** 400)]}, cli.EXIT_VALIDATION,
+     f"level 1: gamma={10 ** 400} must be finite and at least 0"),
     ({"levels": [dict(POINTS, gamma=math.nan)]}, cli.EXIT_VALIDATION,
      "level 1: gamma=nan must be finite and at least 0"),
     ({"levels": [dict(POINTS, gamma=-0.5)]}, cli.EXIT_VALIDATION,
@@ -422,7 +440,9 @@ POINTS = {"points": [[0.0], [1.0]], "epsilon": 1.0}
         "generator-level", "explicit-without-matrix", "gamma-boolean",
         "points-number", "points-null", "points-empty", "epsilon-nan",
         "epsilon-inf", "epsilon-string", "max-dim-string", "tolerance-string",
-        "generator-level-string", "gamma-nan", "gamma-negative",
+        "epsilon-zero", "epsilon-negative", "context-unknown-kind",
+        "context-without-kind", "mode-unknown", "points-file-number",
+        "gamma-beyond-floats", "gamma-nan", "gamma-negative",
         "point-string", "element-cap"])
 def test_config_shape_errors_exit_cleanly(cfg, code, message, tmp_path,
                                           capsys):
@@ -457,10 +477,13 @@ def test_verify_thread_uses_the_tower_tolerance(tmp_path, capsys, monkeypatch):
     ('{"mode": "relaxed", "levels": [', "is not valid JSON"),
     ("[1, 2]", "must be a JSON object"),
     (None, "cannot read config"),
-], ids=["truncated", "not-an-object", "missing"])
+    (b'\xff{"mode": "relaxed"}', "is not valid JSON"),
+], ids=["truncated", "not-an-object", "missing", "not-text"])
 def test_config_file_must_be_a_json_object(text, message, tmp_path, capsys):
     p = tmp_path / "cfg.json"
-    if text is not None:
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    elif text is not None:
         p.write_text(text)
     code, out, err = run(["homology", "--config", str(p)], capsys)
     assert code == cli.EXIT_USAGE
@@ -509,11 +532,13 @@ def test_config_points_must_have_one_arity(tmp_path, capsys):
      "non-numeric coordinate in level 1 points"),
     ({"points": [[0.0], [None]]}, None,
      "non-finite coordinate in level 1 points"),
+    ({"points": [[[0.5]], [[1.5]]]}, None,
+     "non-numeric coordinate in level 1 points"),
     ({"points_file": "pts.csv"}, "0.0\n# comment\nabc\n",
      "non-numeric coordinate in {dir}/pts.csv, line 3"),
     ({"points": [[0.0], [1.0]], "gamma": "x"}, None,
      "level 1: gamma='x' is not a number"),
-], ids=["inline-points", "inline-null", "csv-cell", "gamma"])
+], ids=["inline-points", "inline-null", "inline-nested", "csv-cell", "gamma"])
 def test_config_values_must_be_numeric(level, points_file, message, tmp_path,
                                        capsys):
     cfg = {"mode": "relaxed", "levels": [dict(level, epsilon=1.0)]}
@@ -529,6 +554,34 @@ def test_config_values_must_be_numeric(level, points_file, message, tmp_path,
         assert code == cli.EXIT_VALIDATION
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("context, level", [
+    ({}, {"points_file": "nope.csv"}),
+    ({}, {"points_file": "."}),
+    ({"context": {"kind": "explicit", "matrix_file": "nope.csv"}},
+     {"points": [0, 1]}),
+], ids=["points-missing", "points-directory", "matrix-missing"])
+def test_config_files_that_cannot_be_read(context, level, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"mode": "relaxed", **context,
+                             "levels": [dict(level, epsilon=1.0)]}))
+    name = level.get("points_file", "nope.csv")
+    code, out, err = run(["homology", "--config", str(p)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith(f"error: cannot read {os.path.join(tmp_path, name)}: ")
+    assert err.count("\n") == 1
+
+
+def test_config_points_file_that_is_not_text(tmp_path, capsys):
+    (tmp_path / "pts.csv").write_bytes(b"0.0\n\xff\xfe\n")
+    cfg = _config(tmp_path, [{"points_file": "pts.csv", "epsilon": 1.0}])
+    code, out, err = run(["homology", "--config", cfg], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert out == ""
+    assert err == ("error: non-numeric coordinate in "
+                   f"{os.path.join(tmp_path, 'pts.csv')}, line 2\n")
 
 
 @pytest.mark.parametrize("space, depth", [("circle", 4), ("cantor", 6),
@@ -645,3 +698,116 @@ def test_verify_names_the_element_with_a_wide_image(capsys, monkeypatch):
         "ok bonding 3->2: worst diameter 2 < 2.2, empty=0, capped=0",
         "FAIL square at level 1: union diameter 3 < 2.4; "
         "witness: level 3 element 2 [0, 1], image diameter 3"]
+
+
+# -- input contracts: every config or flag value exits with a code and one
+# line, or gives numbers ------------------------------------------------------
+
+CONTRACT_CONFIGS = [
+    {"mode": "relaxed", "max_dim": 2, "k_max": 1, "tolerance": 1e-9,
+     "max_elements": 1000, "label": "fuzz", "context": {"kind": "euclidean"},
+     "levels": [{"points": [[0.0], [1.0]], "epsilon": 1.0, "gamma": 0.5,
+                 "gamma_exact": False},
+                {"points_file": "pts.csv", "epsilon": 0.4}]},
+    {"mode": "strict",
+     "context": {"kind": "explicit", "matrix_file": "m.csv"},
+     "levels": [{"points": [0, 4], "epsilon": 1.6, "gamma": 0.8},
+                {"points": [0, 2, 4, 6], "epsilon": 0.7}]},
+]
+DROP = object()
+VALUES = [None, True, "x", "nope.csv", -1, 0, 2.5, 10 ** 400, math.nan,
+          math.inf, [], {}, [[0.0, 1.0], [2.0]], [[[0.5]], [[1.5]]]]
+# values argparse takes for each flag; it refuses the rest with its usage text
+FLAG_VALUES = {
+    "--depth": ["-1", "0", "1", "2"], "--seed": ["-5", "0", "3"],
+    "--max-dim": ["-1", "0", "1", "3"], "--k-max": ["-1", "0", "2"],
+    "--tolerance": ["-1", "nan", "inf", "1e400", "0.001"],
+    "--max-elements": ["-5", "0", "3", "1000"],
+}
+COMMAND_FLAGS = {
+    "homology": {"--field": ["q", "z", "p:2", "p:4", "p:x", "r"]},
+    "verify": {"--thread": ["0.5", "x", "nan", "0.5,0.5", "0.5,"]},
+    "build": {"--dot": ["0", "1", "2", "9"]},
+}
+
+
+def _paths(node, path=()):
+    """Every key path below node, dict keys and list indices alike."""
+    items = node.items() if isinstance(node, dict) \
+        else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _edit(cfg, path, value):
+    """cfg with the value at path replaced, or its key dropped; an edit
+    whose path an earlier edit removed does nothing."""
+    node = cfg
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        if value is DROP:
+            if isinstance(node, dict):
+                del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@st.composite
+def contract_runs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    if draw(st.integers(0, 3)):
+        base = draw(st.sampled_from(CONTRACT_CONFIGS))
+        cfg = copy.deepcopy(base)
+        paths = list(_paths(base))
+        for _ in range(draw(st.integers(1, 3))):
+            _edit(cfg, draw(st.sampled_from(paths)),
+                  draw(st.sampled_from(VALUES + [DROP])))
+        source = None
+    else:
+        cfg, source = None, ["--space", draw(st.sampled_from(
+            ["circle", "interval", "cantor"])), "--depth", "2"]
+    table = {**FLAG_VALUES, **COMMAND_FLAGS[command]}
+    flags = []
+    for flag in draw(st.lists(st.sampled_from(sorted(table)), max_size=2)):
+        flags += [flag, draw(st.sampled_from(table[flag]))]
+    if draw(st.booleans()):
+        flags.append("--relaxed")
+    return command, cfg, source, flags
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contracts")
+    (d / "pts.csv").write_text("0\n0.5\n1\n")
+    write_circle_matrix(d / "m.csv")
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_spec=contract_runs())
+def test_bad_values_exit_with_one_line(run_spec, contract_dir):
+    """A config with one to three values replaced or dropped, or bad flag
+    values: the exit code is documented, nothing escapes cli.main, and a
+    nonzero exit writes one line "error: ..." -- except verify, which exits
+    2 with FAIL lines on stdout when a certificate fails."""
+    command, cfg, source, flags = run_spec
+    if cfg is not None:
+        path = contract_dir / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        source = ["--config", str(path)]
+    argv = [command] + source + flags
+    if command == "build":
+        argv += ["--out", str(contract_dir / "t.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    if code == 2 and not err:
+        assert command == "verify" and "\nFAIL " in "\n" + out, argv
+    elif code:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

@@ -44,6 +44,15 @@ def test_explicit_matrix_validation():
         M.explicit([[0, 5, 1], [5, 0, 1], [1, 1, 0]])  # triangle violation
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+@pytest.mark.parametrize("at", [(0, 1), (1, 1)], ids=["off", "diagonal"])
+def test_explicit_matrix_entries_are_finite(entry, at):
+    m = np.array([[0.0, 1.0], [1.0, 0.0]])
+    m[at] = m[at[::-1]] = entry
+    with pytest.raises(M.MetricError, match="not a finite distance"):
+        M.explicit(m)
+
+
 def test_explicit_matrix_is_zero_only_on_the_diagonal():
     with pytest.raises(M.MetricError, match="zero off the diagonal"):
         M.explicit([[0, 0, 1], [0, 0, 1], [1, 1, 0]])

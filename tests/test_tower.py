@@ -178,6 +178,15 @@ def test_resource_cap():
         T.build_tower("circle", 3, max_dim=3, max_elements=100)
 
 
+def test_only_the_clique_cap_is_a_resource_cap(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a fault, not a cap")
+
+    monkeypatch.setattr(T, "vietoris_rips", broken)
+    with pytest.raises(ZeroDivisionError):
+        T.build_term(M.circle_sample(2), 2)
+
+
 def test_nearest_point_tower_interval():
     samples = [M.interval_sample(n) for n in range(1, 4)]
     tw = T.NearestPointTower(samples, mode=T.STRICT, max_dim=3, k_max=1)
@@ -234,21 +243,23 @@ def test_match_level_failure():
 
 
 def test_config_roundtrip(tmp_path):
+    samples = [M.circle_sample(n) for n in (1, 2, 3)]
     cfg = {
         "mode": "strict",
         "max_dim": 3,
         "k_max": 1,
         "tolerance": 1e-9,
-        "levels": [
-            {"generator": "circle", "level": 1},
-            {"generator": "circle", "level": 2},
-            {"generator": "circle", "level": 3},
-        ],
+        "context": {"kind": "circle_geodesic"},
+        "levels": [{"points": s.points.tolist(), "epsilon": s.epsilon,
+                    "gamma": s.gamma, "gamma_exact": s.gamma_exact}
+                   for s in samples],
     }
     p = tmp_path / "tower.json"
     p.write_text(json.dumps(cfg))
     tw = T.tower_from_config(T.load_config(p))
     assert len(tw) == 3 and len(tw.term(3).elements) == 256
+    assert [t.complex.f_vector() for t in tw.terms] == \
+        [t.complex.f_vector() for t in circle_tower(3).terms]
 
 
 def test_config_points_inline():
@@ -261,13 +272,6 @@ def test_config_points_inline():
     }
     tw = T.tower_from_config(cfg)
     assert len(tw.term(2).elements) == 3   # two singletons and the pair
-
-
-def test_config_epsilon_mismatch():
-    cfg = {"mode": "strict",
-           "levels": [{"generator": "circle", "level": 1, "epsilon": 1.0}]}
-    with pytest.raises(T.TowerError):
-        T.tower_from_config(cfg)
 
 
 def test_dump_tower_self_contained():
