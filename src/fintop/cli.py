@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 usage error, a flag or config value of the wrong
 type, shape or range; 2 validation failure, bad tower data; 3 resource cap.
-All numeric output is printed to 12 significant digits.
+Printed numbers have 12 significant digits; the point files of generate
+hold every coordinate exactly.
 """
 
 from __future__ import annotations
@@ -146,7 +147,6 @@ def cmd_generate(args) -> int:
         entry = {"points_file": fname, "epsilon": sample.epsilon}
         if sample.gamma is not None:
             entry["gamma"] = sample.gamma
-            entry["gamma_exact"] = sample.gamma_exact
         levels.append(entry)
         for w in sample.warnings:
             print(f"warning: level {n}: {w}", file=sys.stderr)
@@ -245,9 +245,9 @@ def induced_bonding_rank(tower: T.Tower, n: int, m: int, k: int,
     return H.induced_rank(src, tower.term(n).complex, select, k, field_spec)
 
 
-def _thread_point(spec: str, ctx: M.MetricContext):
-    """The point a --thread value names: an angle on the geodesic circle,
-    else a vector with one coordinate per Euclidean dimension."""
+def _thread_point(spec: str, ctx: M.MetricContext) -> np.ndarray:
+    """The point a --thread value names: one coordinate per dimension of
+    the space, an angle on the geodesic circle."""
     if ctx.kind == "explicit":
         raise CliError("--thread needs a euclidean or circle space", EXIT_USAGE)
     try:
@@ -258,12 +258,10 @@ def _thread_point(spec: str, ctx: M.MetricContext):
     if not all(np.isfinite(coords)):
         raise CliError(f"--thread {spec!r}: coordinates must be finite",
                        EXIT_USAGE)
-    circle = ctx.kind == "circle_geodesic"
-    need = 1 if circle else ctx.dimension
-    if len(coords) != need:
+    if len(coords) != ctx.dimension:
         raise CliError(f"--thread {spec!r}: {len(coords)} coordinates given, "
-                       f"the space needs {need}", EXIT_USAGE)
-    return coords[0] if circle else np.array(coords)
+                       f"the space needs {ctx.dimension}", EXIT_USAGE)
+    return np.array(coords)
 
 
 def _witness(tower: T.Tower, m: int, rep: T.BondingReport) -> str:

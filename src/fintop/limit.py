@@ -59,7 +59,6 @@ class ThreadReport:
     convergence_ok: bool
     ball_bound_ok: bool                 # C_n inside the open 2 eps_n ball at x
     inter_level_ok: bool                # d_H(C_n, C_m) < 2 eps_n - gamma_n / 2
-    stabilized: list[bool]
 
 
 def verify_thread(tower: Tower, thread: Thread) -> ThreadReport:
@@ -91,8 +90,7 @@ def verify_thread(tower: Tower, thread: Thread) -> ThreadReport:
                                     bound, tol) for p in pts[n + 1:])
     return ThreadReport(compatible=compatible, element_levels=element_levels,
                         convergence=convergence, convergence_ok=conv_ok,
-                        ball_bound_ok=conv_ok, inter_level_ok=inter_ok,
-                        stabilized=list(thread.stabilized))
+                        ball_bound_ok=conv_ok, inter_level_ok=inter_ok)
 
 
 def threads_disjoint_levels(tower: Tower, tx: Thread, ty: Thread,

@@ -13,7 +13,7 @@ import itertools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -66,7 +66,7 @@ class MetricContext:
     """Euclidean space, the geodesic circle, or an explicit distance matrix."""
 
     kind: str                       # "euclidean" | "circle_geodesic" | "explicit"
-    dimension: int = 0              # euclidean only
+    dimension: int = 0              # coordinates per point: 1 unless euclidean
     matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -74,8 +74,9 @@ class MetricContext:
             if self.dimension < 1:
                 raise MetricError("euclidean dimension must be positive")
         elif self.kind == "circle_geodesic":
-            pass
+            object.__setattr__(self, "dimension", 1)    # an angle
         elif self.kind == "explicit":
+            object.__setattr__(self, "dimension", 1)    # an index
             m = self.matrix
             if m is None:
                 raise MetricError("explicit context needs a matrix")
@@ -117,27 +118,32 @@ def explicit(matrix) -> MetricContext:
     return MetricContext("explicit", matrix=np.asarray(matrix, dtype=float))
 
 
-def _points_array(ctx: MetricContext, points) -> np.ndarray:
+def _points_array(ctx: MetricContext, points, where: str = "") -> np.ndarray:
+    """points as rows of ctx.dimension coordinates, a flat input read as
+    consecutive points: the one shape and the one check of a point set."""
+    a = np.asarray(points, dtype=object if ctx.kind == "explicit" else float)
+    if a.ndim < 2 and a.size % ctx.dimension == 0:
+        a = a.reshape(-1, ctx.dimension)
+    if a.ndim != 2:
+        raise MetricError(f"{where}points of shape {a.shape} are not rows of "
+                          f"{ctx.dimension} coordinates")
+    if a.shape[1] != ctx.dimension:
+        raise MetricError(f"{where}points of dimension {a.shape[1]}, the "
+                          f"{ctx.kind} context has dimension {ctx.dimension}")
     if ctx.kind == "euclidean":
-        a = np.asarray(points, dtype=float)
-        if a.ndim == 1:
-            a = a.reshape(-1, ctx.dimension)
-        if a.shape[1] != ctx.dimension:
-            raise MetricError("dimension mismatch")
         return a
     if ctx.kind == "circle_geodesic":
         # np.mod rounds a tiny negative angle up to 2 pi itself
-        a = np.mod(np.asarray(points, dtype=float), TWO_PI)
+        a = np.mod(a, TWO_PI)
         return np.where(a < TWO_PI, a, 0.0)
     # indices into the matrix: an int cast would read -1 as the last point
     # and 0.5 as point 0
-    values = np.asarray(points, dtype=object)
     n = len(ctx.matrix)
-    for v in values.ravel():
+    for v in a.ravel():
         if not (_is_number(v) and 0 <= v < n and float(v).is_integer()):
             raise MetricError(f"explicit point index {v!r} is not an integer "
                               f"in 0..{n - 1}")
-    return values.astype(int)
+    return a.astype(int)
 
 
 def cross_distances(ctx: MetricContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -185,20 +191,20 @@ def points_distance_matrix(ctx: MetricContext, points: np.ndarray) -> np.ndarray
 
 @dataclass
 class MetricSample:
-    """A finite point set at scale epsilon, with optional coverage radius."""
+    """A finite point set at scale epsilon, one row per point, with optional
+    coverage radius: every sample's points, epsilon and gamma pass here."""
 
     context: MetricContext
     points: np.ndarray
     epsilon: float
     gamma: Optional[float] = None
-    gamma_exact: bool = False
     label: str = ""
     warnings: list = field(default_factory=list)
     _pairwise: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.points = _points_array(self.context, self.points)
         name = self.label or "sample"
+        self.points = _points_array(self.context, self.points, f"{name}: ")
         if not (_is_number(self.epsilon) and is_finite(self.epsilon)
                 and self.epsilon > 0):
             raise MetricError(f"{name}: epsilon={self.epsilon!r} must be a "
@@ -214,10 +220,8 @@ class MetricSample:
         # at a positive distance, as the explicit matrix is 0 only on its
         # diagonal.  Sorted, equal rows are neighbours; == counts -0.0 equal
         # to 0.0, and a NaN equal to nothing
-        n = len(self.points)
-        if n > 1:
-            rows = self.points.reshape(n, -1)
-            rows = rows[np.lexsort(rows.T)]
+        if len(self.points) > 1:
+            rows = self.points[np.lexsort(self.points.T)]
             if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
                 raise MetricError("sample points must be pairwise distinct")
         if self.gamma is not None and self.gamma >= self.epsilon:
@@ -279,21 +283,17 @@ def hausdorff_distance(ctx: MetricContext, C: Sequence, D: Sequence) -> float:
     return float(max(m.min(axis=1).max(), m.min(axis=0).max()))
 
 
-def coverage_radius(sample: MetricSample, reference=None) -> float:
+def coverage_radius(sample: MetricSample, reference) -> float:
     """sup over the reference points of the distance to the sample.
 
-    Without a reference, returns the exact analytic gamma recorded by a
-    generator; estimated gammas require a reference.  In a Euclidean
-    context most reference points take their distance from the samples in
-    the cells around them (`_cell_distances`); the rest, and every
-    reference point of the other contexts, sweep all samples.
+    In a Euclidean context most reference points take their distance from
+    the samples in the cells around them (`_cell_distances`); the rest, and
+    every reference point of the other contexts, sweep all samples.
     """
-    if reference is None or len(reference) == 0:
-        if sample.gamma is not None and sample.gamma_exact:
-            return sample.gamma
-        raise MetricError("no reference points and no exact gamma available")
     ctx = sample.context
     ref = _points_array(ctx, reference)
+    if len(ref) == 0:
+        raise MetricError("coverage radius needs reference points")
     radius = -math.inf
     if ctx.kind == "euclidean":
         near = _cell_distances(sample, ref)
@@ -369,12 +369,12 @@ def circle_sample(level: int) -> MetricSample:
     ctx = circle_geodesic()
     if level == 1:
         return MetricSample(ctx, np.array([0.0]), epsilon=3 * math.pi,
-                            gamma=math.pi, gamma_exact=True, label="circle L1")
+                            gamma=math.pi, label="circle L1")
     count = 2 ** (3 * level - 4)
     angles = TWO_PI * np.arange(count) / count
     eps = math.pi / 2 ** (3 * level - 5)
     return MetricSample(ctx, angles, epsilon=eps, gamma=eps / 2,
-                        gamma_exact=True, label=f"circle L{level}")
+                        label=f"circle L{level}")
 
 
 def cantor_intervals(stage: int) -> list[tuple[Fraction, Fraction]]:
@@ -401,9 +401,8 @@ def cantor_sample(level: int) -> MetricSample:
     pts = sorted({e for ab in cantor_intervals(level + 1) for e in ab})
     eps = 1.0 / 2 ** (2 * (level - 1))
     gamma = float(Fraction(1, 3 ** (level + 1)))
-    return MetricSample(euclidean(1), np.array([float(p) for p in pts]).reshape(-1, 1),
-                        epsilon=eps, gamma=gamma, gamma_exact=True,
-                        label=f"cantor L{level}")
+    return MetricSample(euclidean(1), np.array([float(p) for p in pts]),
+                        epsilon=eps, gamma=gamma, label=f"cantor L{level}")
 
 
 def interval_sample(level: int) -> MetricSample:
@@ -412,12 +411,12 @@ def interval_sample(level: int) -> MetricSample:
         raise MetricError("level must be >= 1")
     if level == 1:
         return MetricSample(euclidean(1), np.array([[0.0]]), epsilon=2.0,
-                            gamma=1.0, gamma_exact=True, label="interval L1")
+                            gamma=1.0, label="interval L1")
     m = 3 ** (2 * level - 3)
     pts = np.arange(m + 1, dtype=float).reshape(-1, 1) / m
     eps = 1.0 / m
     return MetricSample(euclidean(1), pts, epsilon=eps, gamma=0.5 / m,
-                        gamma_exact=True, label=f"interval L{level}")
+                        label=f"interval L{level}")
 
 
 # the two-squares wire frame: five segments, total length 7
@@ -499,7 +498,7 @@ def two_squares_sample(level: int, count: int, seed: int) -> MetricSample:
 
     epsilon_n = 1/2^(2(n-1)).  The draw is thinned to a farthest-point net
     at separation 0.75 * epsilon, which keeps the complexes at desk scale;
-    gamma is estimated against a dense grid.
+    gamma is estimated against a dense grid and checked like a given one.
     """
     if level < 1 or count < 1:
         raise MetricError("level and count must be >= 1")
@@ -509,14 +508,7 @@ def two_squares_sample(level: int, count: int, seed: int) -> MetricSample:
     sample = MetricSample(euclidean(2), pts, epsilon=eps,
                           label=f"two_squares L{level} seed={seed}")
     grid = two_squares_grid(min(eps / 8.0, 0.05))
-    sample.gamma = coverage_radius(sample, grid)
-    sample.gamma_exact = False
-    if sample.gamma >= eps:
-        sample.warnings.append(
-            f"estimated gamma {sample.gamma:.6g} >= epsilon {eps:.6g}: "
-            "count too small for an epsilon-approximation at this level"
-        )
-    return sample
+    return replace(sample, gamma=coverage_radius(sample, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +538,8 @@ def load_points_csv(path) -> np.ndarray:
 
 
 def point_rows(rows: list, where) -> np.ndarray:
-    """Points given as rows of coordinates, or as single numbers, as one array."""
+    """Points given as rows of coordinates, or as single numbers, as one
+    array of rows: a single number is a point of one coordinate."""
     cells = np.array(rows, dtype=object)
     # rows of different lengths leave sequences among the cells
     if any(isinstance(v, (list, tuple)) for v in cells.ravel()):
@@ -562,19 +555,18 @@ def point_rows(rows: list, where) -> np.ndarray:
         raise MetricError(f"non-finite coordinate in {where}") from None
     if not np.isfinite(pts).all():
         raise MetricError(f"non-finite coordinate in {where}")
-    return pts
+    return pts[:, None] if pts.ndim == 1 else pts
 
 
 def save_points_csv(path, points: np.ndarray, header: str = "") -> None:
-    pts = np.asarray(points)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    """One point per line, each coordinate the shortest decimal that reads
+    back as the same float."""
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(f"# {header}\n")
         w = csv.writer(fh)
-        for p in pts:
-            w.writerow([f"{v:.12g}" for v in p])
+        for p in points:
+            w.writerow([repr(float(v)) for v in p])
 
 
 def load_matrix_csv(path) -> MetricContext:

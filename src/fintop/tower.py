@@ -567,6 +567,13 @@ def config_settings(cfg: dict) -> dict:
     return out
 
 
+def _known_keys(table: dict, known, where: str = "") -> None:
+    """ConfigError names the first key of table that a tower does not read."""
+    for key in table:
+        if key not in known:
+            raise ConfigError(f"{where}unknown key {key!r}")
+
+
 def tower_from_config(cfg: dict, base_dir=".") -> Tower:
     """Tower from a config object; its file names are relative to base_dir.
 
@@ -574,6 +581,7 @@ def tower_from_config(cfg: dict, base_dir=".") -> Tower:
     type, shape or range; TowerError and MetricError name bad tower data.
     Levels are read in order, so an error names the first bad level.
     """
+    _known_keys(cfg, {"mode", "levels", "context", "label", *CONFIG_SETTINGS})
     settings = config_settings(cfg)
     for key in ("mode", "levels"):
         if key not in cfg:
@@ -583,6 +591,7 @@ def tower_from_config(cfg: dict, base_dir=".") -> Tower:
     spec = cfg.get("context", {"kind": "euclidean"})
     if not isinstance(spec, dict):
         raise ConfigError(f"context={spec!r} is not an object")
+    _known_keys(spec, ("kind", "matrix_file"), "context: ")
     if spec.get("kind") not in ("euclidean", "circle_geodesic", "explicit"):
         raise ConfigError(f"context={spec!r} needs a kind: euclidean, "
                           "circle_geodesic or explicit")
@@ -600,6 +609,9 @@ def tower_from_config(cfg: dict, base_dir=".") -> Tower:
         where = f"level {i + 1}: "
         if not isinstance(lvl, dict):
             raise ConfigError(f"{where}{lvl!r} is not an object")
+        _known_keys(lvl, ("points", "points_file", "epsilon", "gamma"), where)
+        if "points" in lvl and "points_file" in lvl:
+            raise ConfigError(f"{where}give points or points_file, not both")
         if "points_file" in lvl:
             if not isinstance(lvl["points_file"], str):
                 raise ConfigError(f"{where}points_file={lvl['points_file']!r} "
@@ -617,17 +629,9 @@ def tower_from_config(cfg: dict, base_dir=".") -> Tower:
         eps = _config_number(lvl, "epsilon", float, where=where)
         if eps <= 0:
             raise ConfigError(f"{where}epsilon={lvl['epsilon']!r} must be above 0")
-        dim = pts.shape[1] if pts.ndim > 1 else 1
-        ctx = ctx or M.euclidean(dim)
-        want = ctx.dimension if ctx.kind == "euclidean" else 1
-        if dim != want:
-            raise TowerError(f"{where}points of dimension {dim}, "
-                             f"the {ctx.kind} context has dimension {want}")
-        if ctx.kind == "circle_geodesic":
-            pts = pts.ravel()
+        ctx = ctx or M.euclidean(pts.shape[1])
         samples.append(M.MetricSample(ctx, pts, epsilon=eps,
                                       gamma=lvl.get("gamma"),
-                                      gamma_exact=bool(lvl.get("gamma_exact", False)),
                                       label=f"level {i + 1}"))
     return Tower(samples, mode=cfg["mode"], max_dim=settings["max_dim"],
                  k_max=settings["k_max"], tol=settings["tolerance"],
@@ -643,8 +647,7 @@ def dump_tower(tower: Tower) -> dict:
         entry = {
             "epsilon": t.sample.epsilon,
             "gamma": t.sample.gamma,
-            # one row per point, also for circle angles and explicit indices
-            "points": t.sample.points.reshape(len(t.sample), -1).tolist(),
+            "points": t.sample.points.tolist(),
             "elements": [sorted(e) for e in t.elements],
         }
         if n > 1:

@@ -68,7 +68,7 @@ def _small_circle_samples(levels):
     for npts, eps in levels:
         ang = np.arange(npts) * (2 * math.pi / npts)
         out.append(M.MetricSample(ctx, ang.reshape(-1, 1), eps,
-                                  gamma=math.pi / npts, gamma_exact=True))
+                                  gamma=math.pi / npts))
     return out
 
 
@@ -283,7 +283,7 @@ def test_criterion_6_diagram_suite(circle4, cantor8, squares5):
         base = M.circle_sample(n)
         pts = (base.points + 0.05) % (2 * math.pi)
         rotated.append(M.MetricSample(base.context, pts, base.epsilon,
-                                      gamma=base.gamma, gamma_exact=True))
+                                      gamma=base.gamma))
     fine_rot = T.Tower(rotated, mode=T.STRICT)
     rot_reports = T.two_tower_comparison(coarse, fine_rot, depth=2)
     for rep in self_reports + rot_reports:

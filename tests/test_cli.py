@@ -71,6 +71,27 @@ def test_generate_writes_the_tower_that_space_builds(tmp_path, capsys):
     assert tables[0] == tables[1]
 
 
+@pytest.mark.parametrize("space", ["circle", "cantor", "interval",
+                                   "two_squares"])
+def test_generate_writes_points_exactly(space, tmp_path, capsys):
+    # the config tower has the points of --space bit for bit, so its dump
+    # is byte-identical
+    code, _, err = run(["generate", "--space", space, "--depth", "3",
+                        "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_OK, err
+    dumps = []
+    for source in (["--config", str(tmp_path / f"{space}_tower.json")],
+                   ["--space", space, "--depth", "3"]):
+        out = tmp_path / f"dump{len(dumps)}.json"
+        code, _, err = run(["build", *source, "--out", str(out)], capsys)
+        assert code == cli.EXIT_OK, err
+        dumps.append(out.read_bytes())
+    assert dumps[0] == dumps[1]
+    if space == "circle":
+        assert (tmp_path / "circle_level2.csv").read_text().splitlines()[2] \
+            == repr(math.pi / 2)
+
+
 def test_flags_override_the_config(tmp_path, capsys):
     cfg = {"mode": "strict", "max_dim": 2, "k_max": 1, "tolerance": 0.001,
            "max_elements": 500,
@@ -390,8 +411,8 @@ POINTS = {"points": [[0.0], [1.0]], "epsilon": 1.0}
     ({"context": "euclidean", "levels": [POINTS]}, cli.EXIT_USAGE,
      "context='euclidean' is not an object"),
     # a named space enters a tower through --space or generate, not a level
-    ({"levels": [{"generator": "circle", "level": 1}]}, cli.EXIT_VALIDATION,
-     "level 1: needs points or points_file"),
+    ({"levels": [{"generator": "circle", "level": 1}]}, cli.EXIT_USAGE,
+     "level 1: unknown key 'generator'"),
     ({"context": {"kind": "explicit"}, "levels": [POINTS]}, cli.EXIT_USAGE,
      "context={'kind': 'explicit'} needs a matrix_file"),
     ({"levels": [dict(POINTS, gamma=True)]}, cli.EXIT_VALIDATION,
@@ -453,6 +474,42 @@ def test_config_shape_errors_exit_cleanly(cfg, code, message, tmp_path,
     assert out == ""
     assert err == f"error: {message}\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cfg: cfg.update({"k-max": 2}), "unknown key 'k-max'"),
+    (lambda cfg: cfg["levels"][0].update(gama=0.5),
+     "level 1: unknown key 'gama'"),
+    (lambda cfg: cfg["levels"][1].update(gamma_exact=False),
+     "level 2: unknown key 'gamma_exact'"),
+    (lambda cfg: cfg.update(context={"kind": "explicit", "matrixfile": "m.csv"}),
+     "context: unknown key 'matrixfile'"),
+    # the file would win over the inline points without a word
+    (lambda cfg: cfg["levels"][1].update(points_file="pts.csv"),
+     "level 2: give points or points_file, not both"),
+], ids=["setting", "level", "gamma-exact", "context", "both-points"])
+def test_config_keys_are_those_a_tower_reads(edit, message, tmp_path, capsys):
+    (tmp_path / "pts.csv").write_text("0\n5\n")
+    cfg = {"mode": "relaxed", "levels": [{"points": [[0.0], [1.0]],
+                                          "epsilon": 1.0},
+                                         {"points": [[0.0], [1.0]],
+                                          "epsilon": 0.4}]}
+    edit(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(["homology", "--config", str(p)], capsys)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_a_dump_is_not_a_config(tmp_path, capsys):
+    # circle angles read as Euclidean points gave a wrong Betti row
+    dump = str(tmp_path / "t.json")
+    code, _, _ = run(["build", "--space", "circle", "--depth", "4",
+                      "--out", dump], capsys)
+    assert code == cli.EXIT_OK
+    code, out, err = run(["homology", "--config", dump], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: unknown key 'threshold_factor'\n"
 
 
 def test_verify_thread_uses_the_tower_tolerance(tmp_path, capsys, monkeypatch):
@@ -706,8 +763,7 @@ def test_verify_names_the_element_with_a_wide_image(capsys, monkeypatch):
 CONTRACT_CONFIGS = [
     {"mode": "relaxed", "max_dim": 2, "k_max": 1, "tolerance": 1e-9,
      "max_elements": 1000, "label": "fuzz", "context": {"kind": "euclidean"},
-     "levels": [{"points": [[0.0], [1.0]], "epsilon": 1.0, "gamma": 0.5,
-                 "gamma_exact": False},
+     "levels": [{"points": [[0.0], [1.0]], "epsilon": 1.0, "gamma": 0.5},
                 {"points_file": "pts.csv", "epsilon": 0.4}]},
     {"mode": "strict",
      "context": {"kind": "explicit", "matrix_file": "m.csv"},

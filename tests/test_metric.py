@@ -84,12 +84,43 @@ def test_distinct_sample_fills_no_distance_matrix():
     assert sample.pairwise()[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("ctx", [M.euclidean(1), M.euclidean(2),
+                                 M.circle_geodesic(),
+                                 M.explicit(np.ones((4, 4)) - np.eye(4))],
+                         ids=["euclidean-1", "euclidean-2", "circle",
+                              "explicit"])
+def test_points_are_rows_in_every_context(ctx):
+    flat = [0.0, 1.0, 2.0, 3.0]
+    sample = M.MetricSample(ctx, flat, 1.0)
+    assert sample.points.shape == (4 // ctx.dimension, ctx.dimension)
+    rows = sample.points.tolist()
+    assert M.MetricSample(ctx, rows, 1.0).points.tolist() == rows
+    wide = ctx.dimension + 1
+    with pytest.raises(M.MetricError, match=re.escape(
+            f"level 2: points of dimension {wide}, the {ctx.kind} context "
+            f"has dimension {ctx.dimension}")):
+        M.MetricSample(ctx, [[0.0] * wide], 1.0, label="level 2")
+
+
+def test_flat_points_must_be_whole_points():
+    # a list of single numbers is a column of points
+    assert M.point_rows([0.0, 1.0, 2.0], "x").shape == (3, 1)
+    # a MetricError, not numpy's ValueError from reshape
+    with pytest.raises(M.MetricError, match=re.escape(
+            "level 2: points of shape (5,) are not rows of 2 coordinates")):
+        M.MetricSample(M.euclidean(2), [0.0, 1.0, 2.0, 3.0, 0.5], 1.0,
+                       label="level 2")
+    with pytest.raises(M.MetricError, match=re.escape(
+            "sample: points of shape (2, 1, 1) are not rows of 1 coordinates")):
+        M.MetricSample(M.euclidean(1), [[[0.5]], [[1.5]]], 1.0)
+
+
 @pytest.mark.parametrize("bad", [-1, 0.5, 9, True])
 def test_explicit_points_are_indices_of_the_matrix(bad):
     # an index is an integer of 0..n-1: -1 is not the last point, 0.5 is
     # not point 0, and 9 is named before it reaches the distance kernel
     ctx = M.explicit(np.ones((8, 8)) - np.eye(8))
-    assert M.MetricSample(ctx, [0, 2.0, 7], 1.0).points.tolist() == [0, 2, 7]
+    assert M.MetricSample(ctx, [0, 2.0, 7], 1.0).points.tolist() == [[0], [2], [7]]
     message = f"explicit point index {bad!r} is not an integer in 0..7"
     with pytest.raises(M.MetricError, match=re.escape(message)):
         M.MetricSample(ctx, [0, bad], 1.0)
@@ -101,7 +132,8 @@ def test_explicit_points_are_indices_of_the_matrix(bad):
 def test_ball_query_circle_level2():
     s = M.circle_sample(2)     # angles 0, pi/2, pi, 3pi/2
     got = M.ball_query(s, math.pi / 4, math.pi / 2, mode="open")
-    assert [float(s.points[i]) for i in got] == pytest.approx([0.0, math.pi / 2])
+    assert s.points.shape == (4, 1)
+    assert [s.points[i][0] for i in got] == pytest.approx([0.0, math.pi / 2])
     # boundary hit resolved by mode
     edge_open = M.ball_query(s, 0.0, math.pi / 2, mode="open")
     edge_closed = M.ball_query(s, 0.0, math.pi / 2, mode="closed")
@@ -142,13 +174,29 @@ def test_interval_generator_values():
     assert len(s2) == 4 and s2.epsilon == pytest.approx(1 / 3)
 
 
-def test_coverage_radius_exact_and_estimated():
+def test_coverage_radius_estimated_needs_reference():
     s2 = M.circle_sample(2)
-    assert M.coverage_radius(s2) == pytest.approx(math.pi / 4)
+    for ref in ([], np.empty((0, 1))):
+        with pytest.raises(M.MetricError, match="needs reference points"):
+            M.coverage_radius(s2, ref)
+    with pytest.raises(TypeError):
+        M.coverage_radius(s2)
     ref = 2 * math.pi * np.arange(40) / 40
     est = M.coverage_radius(s2, ref)
     assert est <= math.pi / 4 + 1e-9
     assert est >= math.pi / 4 - 0.2
+
+
+def test_two_squares_gamma_is_checked_like_a_given_one():
+    # the estimate enters the sample through __post_init__, not by assignment
+    with mock.patch.object(M, "coverage_radius", return_value=math.nan):
+        with pytest.raises(M.MetricError, match="gamma=nan must be finite"):
+            M.two_squares_sample(1, 20, 0)
+    with mock.patch.object(M, "coverage_radius", return_value=2.0):
+        sample = M.two_squares_sample(1, 20, 0)
+    assert sample.gamma == 2.0
+    assert sample.warnings == ["gamma=2 is not below epsilon=1; sample is not "
+                               "certified as an epsilon-approximation"]
 
 
 def test_coverage_radius_cantor_grid():

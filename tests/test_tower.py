@@ -2,13 +2,16 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fintop import finite_space as F
+from fintop import homology as H
 from fintop import limit as L
 from fintop import metric as M
 from fintop import tower as T
@@ -27,7 +30,7 @@ def test_schedule_strict_circle():
 
 def test_schedule_strict_violation():
     ctx = M.euclidean(1)
-    a = M.MetricSample(ctx, [[0.0], [1.0]], epsilon=1.0, gamma=0.5, gamma_exact=True)
+    a = M.MetricSample(ctx, [[0.0], [1.0]], epsilon=1.0, gamma=0.5)
     b = M.MetricSample(ctx, [[0.0], [0.5], [1.0]], epsilon=0.3)
     # strict bound is (1 - 0.5)/2 = 0.25 < 0.3
     probs = T.validate_schedule([a, b], T.STRICT)
@@ -251,7 +254,7 @@ def test_config_roundtrip(tmp_path):
         "tolerance": 1e-9,
         "context": {"kind": "circle_geodesic"},
         "levels": [{"points": s.points.tolist(), "epsilon": s.epsilon,
-                    "gamma": s.gamma, "gamma_exact": s.gamma_exact}
+                    "gamma": s.gamma}
                    for s in samples],
     }
     p = tmp_path / "tower.json"
@@ -290,7 +293,8 @@ def test_dump_tower_writes_one_row_per_point():
     # circle angles are one coordinate per point, not one row of n angles
     tw = circle_tower(3)
     for t, lvl in zip(tw.terms, T.dump_tower(tw)["levels"]):
-        assert lvl["points"] == [[a] for a in t.sample.points.tolist()]
+        assert t.sample.points.shape == (len(t.sample), 1)
+        assert lvl["points"] == t.sample.points.tolist()
     tw = T.build_tower("two_squares", 2)
     for t, lvl in zip(tw.terms, T.dump_tower(tw)["levels"]):
         assert lvl["points"] == t.sample.points.tolist()
@@ -530,8 +534,7 @@ def rotated_circle(depth, shift):
     for n in range(1, depth + 1):
         base = M.circle_sample(n)
         samples.append(M.MetricSample(base.context, base.points + shift,
-                                      base.epsilon, gamma=base.gamma,
-                                      gamma_exact=True))
+                                      base.epsilon, gamma=base.gamma))
     return T.Tower(samples, mode=T.STRICT)
 
 
@@ -580,3 +583,75 @@ def test_is_element_matches_the_pair_loop(data):
     payload = frozenset(data.draw(st.sets(st.integers(0, size - 1), max_size=5)))
     tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-3]))
     assert term.is_element(payload, tol) is is_element_oracle(term, payload, tol)
+
+
+def _lattice(draw, dim, size):
+    """Distinct points of the integer lattice {0..4}^dim, as rows."""
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 4)] * dim), min_size=1,
+                         max_size=size, unique=True))
+    return [[float(v) for v in row] for row in rows]
+
+
+@st.composite
+def config_levels(draw):
+    """A context kind, its dimension, its matrix (explicit only) and 2-3
+    levels of inline points on a relaxed schedule, as a config writes them."""
+    kind = draw(st.sampled_from(["euclidean", "circle_geodesic", "explicit"]))
+    matrix = None
+    if kind == "euclidean":
+        dim = draw(st.integers(1, 3))
+    else:
+        dim = 1
+        if kind == "explicit":
+            base = np.array(_lattice(draw, draw(st.integers(1, 2)), 8))
+            matrix = M.points_distance_matrix(M.euclidean(base.shape[1]), base)
+    levels = []
+    eps = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    for _ in range(draw(st.integers(2, 3))):
+        if kind == "euclidean":
+            pts = _lattice(draw, dim, 6)
+        elif kind == "circle_geodesic":
+            pts = [[2 * math.pi * k / 16] for k in draw(st.lists(
+                st.integers(0, 15), min_size=1, max_size=6, unique=True))]
+        else:
+            pts = [[k] for k in draw(st.lists(st.integers(0, len(matrix) - 1),
+                                              min_size=1, unique=True))]
+        # a level of single coordinates may be written flat
+        if dim == 1 and draw(st.booleans()):
+            pts = [row[0] for row in pts]
+        level = {"points": pts, "epsilon": eps}
+        if draw(st.booleans()):
+            level["gamma"] = eps * draw(st.sampled_from([0.0, 0.25, 0.5]))
+        levels.append(level)
+        eps /= draw(st.sampled_from([2.5, 3.0, 4.0]))
+    return kind, dim, matrix, levels
+
+
+@settings(max_examples=40, deadline=None)
+@given(config_levels())
+def test_an_accepted_config_is_the_library_tower(spec):
+    kind, dim, matrix, levels = spec
+    cfg = {"mode": "relaxed", "max_dim": 2, "k_max": 1,
+           "context": {"kind": kind}, "levels": levels}
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind == "explicit":
+            cfg["context"]["matrix_file"] = "m.csv"
+            M.save_points_csv(os.path.join(tmp, "m.csv"), matrix)
+            ctx = M.explicit(matrix)
+        else:
+            ctx = M.circle_geodesic() if kind == "circle_geodesic" \
+                else M.euclidean(dim)
+        from_config = T.tower_from_config(json.loads(json.dumps(cfg)),
+                                          base_dir=tmp)
+    from_library = T.Tower([M.MetricSample(ctx, lvl["points"], lvl["epsilon"],
+                                           lvl.get("gamma"))
+                            for lvl in levels],
+                           mode=T.RELAXED, max_dim=2, k_max=1)
+
+    def summary(tw):
+        assert all(t.sample.points.ndim == 2 for t in tw.terms)
+        return ([t.complex.f_vector() for t in tw.terms],
+                [tw.bonding_element_map(n, n + 1)[0] for n in range(1, len(tw))],
+                [H.betti_numbers(t.complex, 1).betti for t in tw.terms])
+
+    assert summary(from_config) == summary(from_library)
