@@ -3,10 +3,13 @@
 Betti numbers come from exact ranks of the coboundaries, reduced in
 increasing degree with clearing: over the rationals by default, over GF(p)
 on request, and over the integers (Smith invariants, reporting torsion)
-for single complexes.  Vertex maps induce chain maps with the usual
-sorting sign and degenerate-image-to-zero convention.  The rank of an induced homology map comes from one sparse
-reduction of a block matrix, which also holds the ranks of both
-boundaries (`linalg.induced_map_rank`).
+for single complexes.  Over a field the reduction is kept per complex as
+masks of the simplices it pairs (`_pairs`, cached on the complex), and the
+ranks of induced maps read the same masks.  Vertex maps induce chain
+maps with the usual sorting sign and degenerate-image-to-zero convention.
+The rank of an induced homology map comes from one sparse reduction of a
+block matrix (`linalg.induced_map_rank`), cleared in both blocks by those
+pairs (`induced_rank`).
 """
 
 from __future__ import annotations
@@ -46,6 +49,42 @@ class HomologyResult:
     torsion: Optional[list[list[int]]] = None   # per degree, integer mode only
 
 
+def _pairs(cx: SimplicialComplex, k: int,
+           p: Optional[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Masks (up, down) of the simplices that the cleared coboundary
+    reduction of delta_0, ..., delta_k pairs, over GF(p), or over Q when p
+    is None, cached on the complex.
+
+    up[d] marks the d-simplices paired with a (d+1)-simplex, down[d] those
+    paired with a (d-1)-simplex.  delta_d is reduced without the columns
+    of down[d], as `betti_numbers` describes; a pivot of column j and low i
+    pairs the d-simplex n_d - 1 - j with the (d+1)-simplex n_{d+1} - 1 - i
+    (`coboundary_sparse` reverses both orders).  A pivot pair of a reduced
+    matrix is fixed by the ranks of its lower-left submatrices, and delta_d
+    is the boundary of dimension d + 1 turned by a half turn, which maps
+    those submatrices to each other: these are the pairs of the lowest-row
+    reduction of that boundary, where the pivot column of a (d+1)-simplex
+    has its low on the paired d-simplex (de Silva, Morozov and
+    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).
+    Only the masks are kept, no reduced column.
+    """
+    cache = vars(cx).setdefault("_pairs_cache", {})
+    up, down = cache.setdefault(
+        p, ([], [np.zeros(len(cx.simplices(0)), dtype=bool)]))
+    for d in range(len(up), k + 1):
+        n, m = len(cx.simplices(d)), len(cx.simplices(d + 1))
+        cols = cx.coboundary_sparse(d)
+        kept = np.flatnonzero(~down[d][::-1])
+        pairs = L.pivot_pairs([cols[j] for j in kept.tolist()], p)
+        columns = np.fromiter(pairs, dtype=np.intp, count=len(pairs))
+        lows = np.fromiter(pairs.values(), dtype=np.intp, count=len(pairs))
+        up.append(np.zeros(n, dtype=bool))
+        up[d][n - 1 - kept[columns]] = True
+        down.append(np.zeros(m, dtype=bool))
+        down[d + 1][m - 1 - lows] = True
+    return up, down
+
+
 def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
                   max_simplices: Optional[int] = None) -> HomologyResult:
     """Betti numbers b_0..b_k_max of a complex, with the torsion over Z.
@@ -57,29 +96,30 @@ def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
     reduced in that order with clearing: a column of delta_d whose index
     is a pivot low of delta_{d-1} is skipped.  The reduced pivot with that
     low is a coboundary whose entry there is nonzero, so over a field the
-    column is a combination of earlier ones.  Over Z only the unit lows
-    clear: the column is then replaced by an integer combination with
-    coefficient +-1 on itself, which keeps the Smith invariants.  Those of
-    delta_d are the invariants of the boundary of dimension d + 1, and
-    give the torsion of H_d.
+    column is a combination of earlier ones.  Over a field the reduction
+    is the cached one of `_pairs`, and b_d counts the d-simplices it
+    leaves unpaired.  Over Z only the unit lows clear: the column is then
+    replaced by an integer combination with coefficient +-1 on itself,
+    which keeps the Smith invariants.  Those of delta_d are the invariants
+    of the boundary of dimension d + 1, and give the torsion of H_d.
     """
     if max_simplices is not None and len(cx) > max_simplices:
         raise HomologyError(
             f"complex has {len(cx)} simplices, above the cap of {max_simplices}")
     tag, p = parse_field(field_spec)
+    if tag != "z":
+        up, down = _pairs(cx, k_max, p)
+        return HomologyResult(betti=[int(np.count_nonzero(~(up[d] | down[d])))
+                                     for d in range(k_max + 1)])
     ranks = [0]                       # ranks[d] = rank of the boundary of dim d
-    torsion = [] if tag == "z" else None
+    torsion = []
     cleared: set[int] = set()
     for d in range(k_max + 1):
         cols = [col for j, col in enumerate(cx.coboundary_sparse(d))
                 if j not in cleared]
-        if tag == "z":
-            invariants, lows = L.smith_pivots(cols)
-            ranks.append(len(invariants))
-            torsion.append([v for v in invariants if v > 1])
-        else:
-            lows = L.pivot_lows(cols, p)
-            ranks.append(len(lows))
+        invariants, lows = L.smith_pivots(cols)
+        ranks.append(len(invariants))
+        torsion.append([v for v in invariants if v > 1])
         cleared = set(lows)
     betti = [len(cx.simplices(d)) - ranks[d] - ranks[d + 1]
              for d in range(k_max + 1)]
@@ -135,13 +175,55 @@ def compose_sparse(a: list[L.SparseCol], b: list[L.SparseCol]) -> list[L.SparseC
     return out
 
 
+def _check_simplicial(src: SimplicialComplex, dst: SimplicialComplex,
+                      vertex_map: Mapping, k: int) -> None:
+    """Raise unless the image of every k-simplex of src is in dst: the
+    check of `chain_map` without building its columns."""
+    for s in src.simplices(k):
+        t = {vertex_map[v] for v in s}
+        if t not in dst:
+            raise HomologyError(
+                f"image simplex {tuple(sorted(t))} of the {k}-simplex {s} "
+                f"missing from the target complex: the vertex map is not "
+                f"simplicial in dimension {k}")
+
+
 def induced_rank(src: SimplicialComplex, dst: SimplicialComplex,
                  vertex_map: Mapping, k: int, field_spec: str = "q") -> int:
-    """Rank of H_k of the map induced by a vertex map."""
+    """Rank of H_k of the map induced by a vertex map, over GF(p) for
+    'p:P' and over Q otherwise.
+
+    The vertex map must be simplicial on the k- and (k+1)-simplices of
+    src; otherwise HomologyError.  The block reduction of
+    `linalg.induced_map_rank` runs on fewer columns, chosen by the cached
+    pairs of both complexes (`_pairs`), reduced through delta_k:
+
+    Right block.  The column [F_k; dX_k] of a k-simplex of X = src paired
+    with a (k+1)-simplex is dropped.  These simplices are the set P of
+    lows of the reduced boundary dX_{k+1}.  Every nonzero boundary is a
+    combination of those reduced columns, whose lows differ, so its lowest
+    row is in P.  Hence Z_k(X) = Z' + B_k(X), with Z' the cycles supported
+    off P: a cycle loses its entries in P, highest first, by subtracting
+    the reduced column with that low, and no nonzero boundary lies in Z'.
+    The vertex map is simplicial in dimension k + 1, so F_k dX_{k+1} =
+    dY_{k+1} F_{k+1} and F(B_k(X)) lies in B_k(Y).  So F(Z') + B_k(Y) =
+    F(Z_k(X)) + B_k(Y), and the rank is read from the columns off P, whose
+    dX rows reduce as those of dX_k restricted to them, with kernel Z'.
+
+    Left block.  Only the dY_{k+1} columns of the (k+1)-simplices of Y =
+    dst paired with a k-simplex are kept.  The others reduce to zero
+    against the earlier columns, so they add no pivot low, and the span of
+    the pivots, which is all the count of right-hand lows depends on, is
+    the same.
+    """
     _, p = parse_field(field_spec)
-    return L.induced_map_rank(dst.boundary_sparse(k + 1),
-                              chain_map(src, dst, vertex_map, k),
-                              src.boundary_sparse(k),
+    _check_simplicial(src, dst, vertex_map, k + 1)
+    off_p = np.flatnonzero(~_pairs(src, k, p)[0][k]).tolist()
+    paired_y = np.flatnonzero(_pairs(dst, k, p)[1][k + 1]).tolist()
+    fk, dx = chain_map(src, dst, vertex_map, k), src.boundary_sparse(k)
+    dy = dst.boundary_sparse(k + 1)
+    return L.induced_map_rank([dy[j] for j in paired_y],
+                              [fk[j] for j in off_p], [dx[j] for j in off_p],
                               rows_y_k=len(dst.simplices(k)), p=p)
 
 

@@ -11,9 +11,13 @@ record its row operations, the columns carry extra rows, right of a left
 block reduced first in the same pass: a block matrix gives an induced
 rank (`induced_map_rank`), augmented columns give kernel bases and
 coordinates (`SparseHomology`).  Only non-unit pivots go on to a dense
-Smith form.  The pivot lows (`pivot_lows`, the unit ones of
-`smith_pivots`) are what a cohomology reduction clears in the next degree
-(`homology.betti_numbers`).  No floating point is used.
+Smith form.  The pivots of a coboundary, as pairs {column: low}
+(`pivot_pairs`, and the unit lows of `smith_pivots` over Z), are what a
+cohomology reduction clears in the next degree (`homology.betti_numbers`).
+The same pairs clear both blocks of an induced rank before it reaches
+`induced_map_rank`: the right-hand columns of the simplices paired
+upwards, and the left-hand columns that would reduce to zero
+(`homology.induced_rank`).  No floating point is used.
 """
 
 from __future__ import annotations
@@ -150,42 +154,46 @@ def _reduce(col: SparseCol, pivots: dict, field) -> Optional[int]:
 
 
 def _echelon(right: Sequence[SparseCol], field,
-             left: Sequence[SparseCol] = ()) -> tuple[dict, list[int]]:
+             left: Sequence[SparseCol] = ()) -> tuple[dict, dict]:
     """Reduce copies of the left columns, then of the right ones, against
     one pivot table {lowest row -> column} that each nonzero result joins.
 
-    Returns the table and the lowest rows of the right-hand pivots.
+    Returns the table and {position among the right columns: lowest row}
+    of the right-hand pivots.
     """
     pivots: dict = {}
     for block in (left, right):
-        lows = []
-        for col in block:
+        lows = {}
+        for j, col in enumerate(block):
             col = field.entries(col)
             low = _reduce(col, pivots, field)
             if low is not None:
                 pivots[low] = col
-                lows.append(low)
+                lows[j] = low
     return pivots, lows
 
 
-def pivot_lows(matrix: list[SparseCol], p: Optional[int] = None) -> list[int]:
-    """Lowest rows of the pivots of an integer matrix of sparse columns,
-    reduced over GF(p), or over Q when p is None.
+def pivot_pairs(matrix: list[SparseCol], p: Optional[int] = None) -> dict:
+    """{column: lowest row} of the pivots of an integer matrix of sparse
+    columns, reduced over GF(p), or over Q when p is None.
 
     Unimodular column operations keep the rank over Q, so the Smith
-    reduction's field object serves there too.
+    reduction's field object serves there too.  They also keep the pairs:
+    after the first j columns the pivots span what those input columns
+    span, which fixes the set of their lows, and column j adds the low it
+    ends with exactly when it adds to that span, as over Q.
     """
     return _echelon(matrix, _Unimodular if p is None else _ModP(p))[1]
 
 
 def rank_q(matrix: list[SparseCol]) -> int:
     """Exact rank over the rationals of an integer matrix of sparse columns."""
-    return len(pivot_lows(matrix))
+    return len(pivot_pairs(matrix))
 
 
 def rank_gfp(matrix: list[SparseCol], p: int) -> int:
     """Rank over GF(p)."""
-    return len(pivot_lows(matrix, p))
+    return len(pivot_pairs(matrix, p))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +322,7 @@ class SparseHomology:
         n = len(boundary_k)
         augmented = [{j: 1, **_shifted(col, n)} for j, col in enumerate(boundary_k)]
         pivots, lows = _echelon(augmented, _Rationals, left=boundary_k1)
-        lows = [low for low in lows if low < n]
+        lows = [low for low in lows.values() if low < n]
         self.reps: list[dict] = [pivots[low] for low in lows]
         b = len(lows)
         units = {low: {i: Fraction(1)} for i, low in enumerate(lows)}
@@ -353,10 +361,13 @@ def induced_map_rank(boundary_y_k1: list[SparseCol], chain_map_k: list[SparseCol
     A right-hand column meets a pivot of the left block only once its dX
     rows are zero, so in those rows the right-hand columns undergo a
     reduction of dX_k alone: the right-hand pivots with low rows there
-    number rank dX_k, and the others number rank H_k(f).
+    number rank dX_k, and the others number rank H_k(f).  For any columns
+    the count is dim (F(Z) + B) / B, with B the span of the left block and
+    Z the cycles that the right one combines; `homology.induced_rank`
+    passes fewer columns with the same B and F(Z) + B.
     """
     right = [{**col, **_shifted(dx, rows_y_k)}
              for col, dx in zip(chain_map_k, boundary_x_k)]
     _, lows = _echelon(right, _Unimodular if p is None else _ModP(p),
                        left=boundary_y_k1)
-    return sum(low < rows_y_k for low in lows)
+    return sum(low < rows_y_k for low in lows.values())

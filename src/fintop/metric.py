@@ -121,7 +121,12 @@ def explicit(matrix) -> MetricContext:
 def _points_array(ctx: MetricContext, points, where: str = "") -> np.ndarray:
     """points as rows of ctx.dimension coordinates, a flat input read as
     consecutive points: the one shape and the one check of a point set."""
-    a = np.asarray(points, dtype=object if ctx.kind == "explicit" else float)
+    try:
+        a = np.asarray(points, dtype=object if ctx.kind == "explicit" else float)
+    except (TypeError, ValueError):
+        # rows of different lengths, or a coordinate that is not a number
+        raise MetricError(f"{where}points are not rows of {ctx.dimension} "
+                          f"numbers") from None
     if a.ndim < 2 and a.size % ctx.dimension == 0:
         a = a.reshape(-1, ctx.dimension)
     if a.ndim != 2:
@@ -248,8 +253,11 @@ def ball_images(sample: MetricSample, centres, radius, tol: float = DEFAULT_TOL,
     nearest-point set.  Centres are normalised like sample points (angles
     mod 2 pi), and membership is decided by `below`.
     """
-    if radius is not None and np.any(np.asarray(radius) < 0):
-        raise MetricError("radius must be nonnegative")
+    # a NaN radius fails every comparison, and an infinite one makes the
+    # tolerance NaN: either would put no point in a ball
+    if radius is not None and not np.all(np.isfinite(radius)
+                                         & (np.asarray(radius) >= 0)):
+        raise MetricError("radius must be finite and nonnegative")
     centres = _points_array(sample.context, centres)
     images = []
     for rows, d in _distance_blocks(sample.context, centres, sample.points):

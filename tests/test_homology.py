@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from fintop import homology as H
 from fintop import linalg as L
 from fintop import metric as M
 from fintop import simplicial as S
+from fintop import tower as T
 
 from oracles import induced_map_rank_three_ranks
 
@@ -106,9 +108,9 @@ def test_betti_collapse_agrees():
 
 
 @st.composite
-def lattice_rips(draw):
-    """A Vietoris-Rips complex of 3-25 distinct integer-lattice points in
-    dimension 1-3 at an integer threshold, which some distances equal."""
+def lattice_points(draw):
+    """3-25 distinct integer-lattice points in dimension 1-3, the side of
+    their box and an integer threshold, which some distances equal."""
     dim = draw(st.integers(1, 3))
     # a small box keeps the points close; the largest cliques stay below
     # ten vertices
@@ -117,8 +119,17 @@ def lattice_rips(draw):
     size = draw(st.integers(3, min(25, side ** dim)))
     points = draw(st.lists(st.tuples(*[st.integers(0, side - 1)] * dim),
                            min_size=size, max_size=size, unique=True))
-    sample = M.MetricSample(M.euclidean(dim), points, epsilon=1.0)
+    return points, side, threshold
+
+
+def rips_of(points, threshold):
+    sample = M.MetricSample(M.euclidean(len(points[0])), points, epsilon=1.0)
     return S.vietoris_rips(sample.pairwise(), threshold, max_dim=4)
+
+
+def lattice_rips():
+    """A Vietoris-Rips complex of lattice points at a tied threshold."""
+    return lattice_points().map(lambda case: rips_of(case[0], case[2]))
 
 
 # triangles and tetrahedra on at most 7 vertices
@@ -166,7 +177,7 @@ def test_integer_clearing_skips_non_unit_lows(monkeypatch):
     monkeypatch.setattr(L, "smith_pivots", spy_smith)
     assert H.betti_numbers(projective_plane(), 2, "z").torsion == [[], [2], []]
     (cols_1, (_, unit_lows)), (cols_2, _) = calls[1], calls[2]
-    assert len(set(L.pivot_lows(cols_1)) - set(unit_lows)) == 1
+    assert len(set(L.pivot_pairs(cols_1).values()) - set(unit_lows)) == 1
     kept = {id(col) for col in cols_2}
     cleared = {j for j, col in enumerate(built[2]) if id(col) not in kept}
     assert cleared == set(unit_lows)
@@ -246,6 +257,136 @@ def test_induced_rank_degree_one():
     const = {0: 0, 1: 0, 2: 0}
     assert H.induced_rank(cx, cx, const, k=1) == 0
     assert H.induced_rank(cx, cx, const, k=0) == 1
+
+
+def test_induced_rank_refuses_a_map_not_simplicial_above_k():
+    # H_0 of the edge's inclusion into its two vertices: the full block
+    # gives 2, the cleared one 1, and neither is a rank of a chain map
+    edge, ends = S.SimplicialComplex([(0, 1)]), S.SimplicialComplex([(0,), (1,)])
+    with pytest.raises(H.HomologyError, match="not simplicial in dimension 1"):
+        H.induced_rank(edge, ends, {0: 0, 1: 1}, 0)
+
+
+def moved_lattice(points, threshold, moves, extra=()):
+    """The Rips complex X of lattice points, the vertex map that moves
+    coordinate i of each point x_i to moves[i][x_i], and the Rips complex Y
+    at the same threshold of the images and the extra points.
+
+    When every step of every moves[i] is -1, 0 or 1, no distance grows, so
+    a clique of X maps to a clique of Y and the vertex map is simplicial in
+    every dimension."""
+    images = [tuple(move[x] for move, x in zip(moves, pt)) for pt in points]
+    targets = list(dict.fromkeys(images + list(extra)))
+    position = {pt: i for i, pt in enumerate(targets)}
+    return (rips_of(points, threshold), rips_of(targets, threshold),
+            {i: position[pt] for i, pt in enumerate(images)})
+
+
+@st.composite
+def lattice_maps(draw):
+    """`moved_lattice` of drawn lattice points, steps and up to three extra
+    points.  A coordinate keeps its steps 1 about half the time, so that
+    holes often survive the map."""
+    points, side, threshold = draw(lattice_points())
+    steps = st.lists(st.sampled_from([1, 0, -1]), min_size=side - 1,
+                     max_size=side - 1)
+    moves = [np.cumsum([0] + draw(st.one_of(st.just([1] * (side - 1)), steps)))
+             .tolist() for _ in points[0]]
+    extra = draw(st.lists(st.tuples(*[st.integers(-side, side)] * len(moves)),
+                          max_size=3))
+    return moved_lattice(points, threshold, moves, extra)
+
+
+# the lattice square of side 5 and the cube of side 3 without their
+# centres, at threshold 2, which the diagonals of the holes tie: H_1 and
+# H_2 of rank 1
+PUNCTURED_SQUARE = [pt for pt in itertools.product(range(5), repeat=2)
+                    if pt != (2, 2)]
+PUNCTURED_CUBE = [pt for pt in itertools.product(range(3), repeat=3)
+                  if pt != (1, 1, 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_maps(), st.sampled_from([("q", None), ("p:2", 2), ("p:3", 3)]))
+@example(moved_lattice(PUNCTURED_SQUARE, 2, [range(5)] * 2), ("q", None))
+@example(moved_lattice(PUNCTURED_SQUARE, 2, [range(5)] * 2, [(2, 2)]), ("p:2", 2))
+@example(moved_lattice(PUNCTURED_SQUARE, 2, [[0, 1, 2, 1, 0], range(5)]),
+         ("p:3", 3))
+@example(moved_lattice(PUNCTURED_CUBE, 2, [range(3)] * 3), ("p:2", 2))
+def test_cleared_induced_rank_equals_the_full_block(case, field):
+    src, dst, vertex_map = case
+    field_spec, p = field
+    for k in range(3):
+        args = (dst.boundary_sparse(k + 1), H.chain_map(src, dst, vertex_map, k),
+                src.boundary_sparse(k), len(dst.simplices(k)))
+        assert H.induced_rank(src, dst, vertex_map, k, field_spec) == \
+            L.induced_map_rank(*args, p=p) == \
+            induced_map_rank_three_ranks(*args, p=p)
+        # the k-skeleton of dst holds the image of a (k+1)-simplex of src
+        # only when the map squeezes it
+        skeleton = S.SimplicialComplex([s for s in dst.all_simplices()
+                                        if len(s) <= k + 1])
+        if any(len({vertex_map[v] for v in s}) == k + 2
+               for s in src.simplices(k + 1)):
+            with pytest.raises(H.HomologyError, match="not simplicial"):
+                H.induced_rank(src, skeleton, vertex_map, k, field_spec)
+        else:
+            args = (skeleton.boundary_sparse(k + 1),
+                    H.chain_map(src, skeleton, vertex_map, k),
+                    src.boundary_sparse(k), len(skeleton.simplices(k)))
+            assert H.induced_rank(src, skeleton, vertex_map, k, field_spec) \
+                == L.induced_map_rank(*args, p=p)
+
+
+def circle_bonding():
+    """Fresh Rips complexes of circle levels 4 and 3 and the selection
+    vertex map of the bonding between them, whose ranks on H_0 and H_1 are
+    1 over every field."""
+    tw = T.build_tower("circle", 4, k_max=1)
+    src = tw.term(4).complex
+    return src, tw.term(3).complex, {v: min(tw.bond(3, 4, frozenset((v,))))
+                                      for (v,) in src.simplices(0)}
+
+
+def test_cached_pairs_give_the_numbers_of_fresh_complexes(monkeypatch):
+    fields = ("q", "p:2")
+    want_betti = {(i, f): H.betti_numbers(circle_bonding()[i], 1, f).betti
+                  for i in (0, 1) for f in fields}
+    want_rank = {(k, f): H.induced_rank(*circle_bonding(), k, f)
+                 for k in (0, 1) for f in fields}
+    assert want_rank == {(k, f): 1 for k in (0, 1) for f in fields}
+    # Betti numbers first, then ranks; and a rank in degree 0, which
+    # reduces delta_0 alone, before Betti numbers that need delta_1
+    for order in (("betti", 0, 1), (0, "betti", 1)):
+        src, dst, vertex_map = circle_bonding()
+        for step, f in itertools.product(order, fields):
+            if step == "betti":
+                assert [H.betti_numbers(cx, 1, f).betti for cx in (src, dst)] \
+                    == [want_betti[0, f], want_betti[1, f]]
+            else:
+                assert H.induced_rank(src, dst, vertex_map, step, f) \
+                    == want_rank[step, f]
+    # the Betti numbers over Z come from Smith forms and fill no record:
+    # the rank over Q then reduces both complexes, and the Betti numbers
+    # over Q read what it left
+    src, dst, vertex_map = circle_bonding()
+    for cx in (src, dst):
+        H.betti_numbers(cx, 1, "z")
+    reduced = []
+    coboundary = S.SimplicialComplex.coboundary_sparse
+
+    def spy(cx, d):
+        reduced.append((cx, d))
+        return coboundary(cx, d)
+
+    monkeypatch.setattr(S.SimplicialComplex, "coboundary_sparse", spy)
+    assert H.induced_rank(src, dst, vertex_map, 1, "z") == want_rank[1, "q"]
+    assert sorted(reduced, key=lambda r: (r[0] is dst, r[1])) == \
+        [(src, 0), (src, 1), (dst, 0), (dst, 1)]
+    reduced.clear()
+    assert [H.betti_numbers(cx, 1, "q").betti for cx in (src, dst)] == \
+        [want_betti[0, "q"], want_betti[1, "q"]]
+    assert reduced == []
 
 
 # edges and triangles on 7 vertices give nonzero ranks on H_1; the examples

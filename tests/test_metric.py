@@ -115,6 +115,19 @@ def test_flat_points_must_be_whole_points():
         M.MetricSample(M.euclidean(1), [[[0.5]], [[1.5]]], 1.0)
 
 
+def test_ragged_or_non_numeric_points_raise_metric_error():
+    # a MetricError naming the points, not numpy's ValueError or TypeError
+    ctx = M.euclidean(2)
+    for bad in ([[0, 1], [2]], [[0, 1], ["x", 1]]):
+        with pytest.raises(M.MetricError, match=re.escape(
+                "level 1: points are not rows of 2 numbers")):
+            M.MetricSample(ctx, bad, 1.0, label="level 1")
+        with pytest.raises(M.MetricError, match="not rows of 2 numbers"):
+            M.hausdorff_distance(ctx, [[0, 1]], bad)
+        with pytest.raises(M.MetricError, match="not rows of 2 numbers"):
+            M.ball_images(M.MetricSample(ctx, [[0, 1]], 1.0), bad, 1.0)
+
+
 @pytest.mark.parametrize("bad", [-1, 0.5, 9, True])
 def test_explicit_points_are_indices_of_the_matrix(bad):
     # an index is an integer of 0..n-1: -1 is not the last point, 0.5 is
@@ -139,6 +152,18 @@ def test_ball_query_circle_level2():
     edge_closed = M.ball_query(s, 0.0, math.pi / 2, mode="closed")
     assert edge_open == [0]
     assert sorted(edge_closed) == [0, 1, 3]
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0, [1.0, math.nan]])
+def test_ball_radius_must_be_finite_and_nonnegative(radius):
+    # NaN fails every comparison and inf makes the tolerance NaN: both used
+    # to give an empty ball without a word
+    s2 = M.circle_sample(2)
+    with pytest.raises(M.MetricError, match="finite and nonnegative"):
+        M.ball_images(s2, [0.0, 1.0], radius)
+    if np.ndim(radius) == 0:
+        with pytest.raises(M.MetricError, match="finite and nonnegative"):
+            M.ball_query(s2, 0.0, radius)
 
 
 def test_ball_query_cantor_level1():
