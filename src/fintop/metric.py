@@ -3,13 +3,14 @@
 A sample is a finite point set A together with a scale epsilon; when A is
 within epsilon of every point of the model space it is an
 epsilon-approximation.  The coverage radius gamma = sup_x d(x, A) controls
-the strict schedule inequality used by the tower module.
+the strict schedule inequality used by the tower module; the generators
+give it exactly, and `coverage_radius` bounds it from above over a union
+of segments.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import numbers
 import sys
@@ -27,8 +28,9 @@ DEFAULT_TOL = 1e-9
 #: entries in one block of a distance sweep, which bounds its memory
 BLOCK_ENTRIES = 2_000_000
 
-#: relative widening of a search window against rounding; a point the window
-#: keeps in needlessly costs time, never a result
+#: relative widening against rounding: of a search window, where a point kept
+#: in needlessly costs time, never a result, and of the coverage radius, which
+#: it makes an upper bound
 _SLACK = 1e-9
 
 
@@ -135,6 +137,9 @@ def _points_array(ctx: MetricContext, points, where: str = "") -> np.ndarray:
     if a.shape[1] != ctx.dimension:
         raise MetricError(f"{where}points of dimension {a.shape[1]}, the "
                           f"{ctx.kind} context has dimension {ctx.dimension}")
+    # np.mod would turn an infinite angle into NaN, and NaN into angle 0
+    if ctx.kind != "explicit" and not np.isfinite(a).all():
+        raise MetricError(f"{where}points have a coordinate that is not finite")
     if ctx.kind == "euclidean":
         return a
     if ctx.kind == "circle_geodesic":
@@ -291,74 +296,54 @@ def hausdorff_distance(ctx: MetricContext, C: Sequence, D: Sequence) -> float:
     return float(max(m.min(axis=1).max(), m.min(axis=0).max()))
 
 
-def coverage_radius(sample: MetricSample, reference) -> float:
-    """sup over the reference points of the distance to the sample.
+def coverage_radius(sample: MetricSample, segments) -> float:
+    """sup over a union of segments of the distance to a Euclidean sample,
+    rounded up to an upper bound.
 
-    In a Euclidean context most reference points take their distance from
-    the samples in the cells around them (`_cell_distances`); the rest, and
-    every reference point of the other contexts, sweep all samples.
+    On a segment a + t u (|u| = 1, 0 <= t <= L) the squared distance to a
+    sample point p is the parabola (t - t_p)^2 + h_p^2.  One pass over the
+    points sorted by t_p builds the parabolas' lower envelope (Felzenszwalb
+    and Huttenlocher, "Distance transforms of sampled functions", 2012):
+    pieces of [0, L], each nearest to one point.
+
+    Rounding: the float breakpoints still rise from 0 to L, so every t lies
+    in a piece, and as the squared distance to the piece's point is convex
+    in t, it is at most the larger of its values at the piece's ends.  The
+    largest end distance r thus bounds the supremum, and equals it when
+    nothing rounds.  Each end distance takes a few float operations on
+    coordinates at most R, the segments' largest, so it errs by well under
+    2^-50 (r + R), and adding _SLACK (r + R) leaves an upper bound.
     """
-    ctx = sample.context
-    ref = _points_array(ctx, reference)
-    if len(ref) == 0:
-        raise MetricError("coverage radius needs reference points")
-    radius = -math.inf
-    if ctx.kind == "euclidean":
-        near = _cell_distances(sample, ref)
-        found = ~np.isnan(near)
-        radius = float(near[found].max(initial=radius))
-        ref = ref[~found]
-    return max([radius] + [float(d.min(axis=1).max())
-                           for _, d in _distance_blocks(ctx, ref, sample.points)])
-
-
-def _cell_distances(sample: MetricSample, ref: np.ndarray) -> np.ndarray:
-    """Each Euclidean reference point's distance to the sample, or nan where
-    the cells around it cannot settle that distance.
-
-    The samples fall into cells of side epsilon and are sorted by cell key.
-    A reference point gathers the samples of the 3^d cells around its own.
-    When the nearest of them is closer than epsilon, less a margin for the
-    rounding of the cell coordinates, every sample as near lies in those
-    cells, so it is the nearest sample of all.  A cell outside the
-    samples' range may share its key with a cell inside; that adds
-    candidates and never drops one.
-    """
-    ctx, side = sample.context, sample.epsilon
-    origin = sample.points.min(axis=0)
-    cells = np.floor((sample.points - origin) / side)
-    extent = cells.max(axis=0) + 1
-    near = np.full(len(ref), np.nan)
-    if np.prod(extent + 4) >= 2.0 ** 62:    # keys would overflow int64
-        return near
-    extent = extent.astype(np.int64)
-    strides = np.concatenate(([1], np.cumprod(extent[:-1])))
-    key = cells.astype(np.int64) @ strides
-    order = np.argsort(key)
-    key, pts = key[order], sample.points[order]
-    # the most samples in one cell, which bounds the candidates of a cell
-    crowd = np.max(np.searchsorted(key, key, "right") - np.arange(len(key)))
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=ctx.dimension)))
-    settled = side - _SLACK * (side + np.ptp(pts, axis=0).max())
-    step = max(1, BLOCK_ENTRIES // (len(offsets) * int(crowd)))
-    for start in range(0, len(ref), step):
-        r = ref[start:start + step]
-        # clipped, so that the cells of far points fit int64 and lie outside
-        home = np.clip(np.floor((r - origin) / side), -2, extent + 1).astype(np.int64)
-        around_key = (home[:, None, :] + offsets) @ strides
-        first = np.searchsorted(key, around_key, "left")
-        count = (np.searchsorted(key, around_key, "right") - first).ravel()
-        first = first.ravel()
-        # one (reference row, sample) pair per candidate, row by row
-        ends = np.cumsum(count)
-        cand = np.arange(ends[-1]) + np.repeat(first - ends + count, count)
-        total = count.reshape(len(r), -1).sum(axis=1)
-        row = np.repeat(np.arange(len(r)), total)
-        d = cross_distances(ctx, r[row, None], pts[cand, None])[:, 0, 0]
-        best = np.full(len(r), np.inf)
-        best[total > 0] = np.minimum.reduceat(d, (np.cumsum(total) - total)[total > 0])
-        near[start:start + step] = np.where(best < settled, best, np.nan)
-    return near
+    if sample.context.kind != "euclidean" or len(sample) == 0:
+        raise MetricError("coverage radius needs a nonempty euclidean sample")
+    segments = np.asarray(segments, dtype=float)
+    radius = 0.0
+    for a, b in segments:
+        length = float(np.linalg.norm(b - a))
+        u = (b - a) / length
+        t, c = (sample.points - a) @ u, ((sample.points - a) ** 2).sum(axis=1)
+        order = np.lexsort((c, t))          # by t_p, the nearest first on ties
+        order = order[np.r_[True, np.diff(t[order]) > 0]]
+        ts, cs = t[order].tolist(), c[order].tolist()
+        owners, starts = [], []
+        for q in range(len(ts)):
+            s = -math.inf
+            while owners:
+                # where parabola q drops below the last piece's, c = t^2 + h^2
+                p = owners[-1]
+                s = (cs[q] - cs[p]) / (2.0 * (ts[q] - ts[p]))
+                if s > starts[-1]:
+                    break
+                del owners[-1], starts[-1]
+            owners.append(q)
+            starts.append(s)
+        z = np.clip(starts + [math.inf], 0.0, length)
+        piece = (z[1:] > 0) & (z[:-1] < length)
+        near = sample.points[order[owners]][piece]
+        for end in (z[:-1][piece], z[1:][piece]):
+            radius = max(radius, float(np.linalg.norm(
+                a + end[:, None] * u - near, axis=1).max()))
+    return radius + _SLACK * (radius + float(np.abs(segments).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -447,18 +432,6 @@ def two_squares_points(count: int, seed: int) -> np.ndarray:
     return segs[which, 0] + t[:, None] * (segs[which, 1] - segs[which, 0])
 
 
-def two_squares_grid(step: float) -> np.ndarray:
-    """Deterministic dense reference grid on the wire frame."""
-    out = []
-    for (a, b) in _TWO_SQUARES_SEGMENTS:
-        a = np.array(a)
-        b = np.array(b)
-        n = max(2, int(math.ceil(np.linalg.norm(b - a) / step)) + 1)
-        t = np.linspace(0.0, 1.0, n)
-        out.append(a + t[:, None] * (b - a))
-    return np.vstack(out)
-
-
 def farthest_point_net(points: np.ndarray, separation: float) -> np.ndarray:
     """Greedy farthest-point subset: Euclidean separation-net of the points.
 
@@ -506,7 +479,8 @@ def two_squares_sample(level: int, count: int, seed: int) -> MetricSample:
 
     epsilon_n = 1/2^(2(n-1)).  The draw is thinned to a farthest-point net
     at separation 0.75 * epsilon, which keeps the complexes at desk scale;
-    gamma is estimated against a dense grid and checked like a given one.
+    gamma is the coverage radius over the frame's segments, an upper bound,
+    and is checked like a given one.
     """
     if level < 1 or count < 1:
         raise MetricError("level and count must be >= 1")
@@ -515,8 +489,7 @@ def two_squares_sample(level: int, count: int, seed: int) -> MetricSample:
     pts = raw[farthest_point_net(raw, 0.75 * eps)]
     sample = MetricSample(euclidean(2), pts, epsilon=eps,
                           label=f"two_squares L{level} seed={seed}")
-    grid = two_squares_grid(min(eps / 8.0, 0.05))
-    return replace(sample, gamma=coverage_radius(sample, grid))
+    return replace(sample, gamma=coverage_radius(sample, _TWO_SQUARES_SEGMENTS))
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,22 @@ def test_ball_radius_must_be_finite_and_nonnegative(radius):
             M.ball_query(s2, 0.0, radius)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None])
+def test_points_must_be_finite(bad):
+    # None reads as NaN; on the circle np.mod would turn inf into NaN and
+    # NaN into angle 0
+    message = "points have a coordinate that is not finite"
+    with pytest.raises(M.MetricError, match=f"^sample: {message}"):
+        M.MetricSample(M.euclidean(2), [[0, 1], [bad, 1]], 1.0)
+    with pytest.raises(M.MetricError, match=f"^sample: {message}"):
+        M.MetricSample(M.circle_geodesic(), [1.0, bad], 1.0)
+    with pytest.raises(M.MetricError, match=f"^{message}"):
+        M.ball_images(M.circle_sample(2), [[bad]], 0.5)
+    for C, D in (([[0, 1]], [[0, 1], [bad, 1]]), ([[bad, 1]], [[0, 1]])):
+        with pytest.raises(M.MetricError, match=f"^{message}"):
+            M.hausdorff_distance(M.euclidean(2), C, D)
+
+
 def test_ball_query_cantor_level1():
     s = M.cantor_sample(1)
     got = M.ball_query(s, np.array([0.0]), 1.0, mode="open")
@@ -199,21 +215,8 @@ def test_interval_generator_values():
     assert len(s2) == 4 and s2.epsilon == pytest.approx(1 / 3)
 
 
-def test_coverage_radius_estimated_needs_reference():
-    s2 = M.circle_sample(2)
-    for ref in ([], np.empty((0, 1))):
-        with pytest.raises(M.MetricError, match="needs reference points"):
-            M.coverage_radius(s2, ref)
-    with pytest.raises(TypeError):
-        M.coverage_radius(s2)
-    ref = 2 * math.pi * np.arange(40) / 40
-    est = M.coverage_radius(s2, ref)
-    assert est <= math.pi / 4 + 1e-9
-    assert est >= math.pi / 4 - 0.2
-
-
 def test_two_squares_gamma_is_checked_like_a_given_one():
-    # the estimate enters the sample through __post_init__, not by assignment
+    # the radius enters the sample through __post_init__, not by assignment
     with mock.patch.object(M, "coverage_radius", return_value=math.nan):
         with pytest.raises(M.MetricError, match="gamma=nan must be finite"):
             M.two_squares_sample(1, 20, 0)
@@ -222,14 +225,6 @@ def test_two_squares_gamma_is_checked_like_a_given_one():
     assert sample.gamma == 2.0
     assert sample.warnings == ["gamma=2 is not below epsilon=1; sample is not "
                                "certified as an epsilon-approximation"]
-
-
-def test_coverage_radius_cantor_grid():
-    s1 = M.cantor_sample(1)
-    grid = np.array([[k / 9.0] for k in range(10) if k not in (4, 5)])  # E_2 coarse
-    # deepest uncovered point of each kept interval is 1/9 from an endpoint;
-    # against this E_2 endpoint grid the worst gap is exactly 1/9
-    assert M.coverage_radius(s1, grid) == pytest.approx(1 / 9)
 
 
 def test_hausdorff_known_value():
@@ -470,8 +465,8 @@ def _net_by_sweep(points: np.ndarray, separation: float) -> np.ndarray:
 
 
 def _coverage_by_sweep(sample: M.MetricSample, reference) -> float:
-    """The earlier coverage radius: every reference point sweeps all
-    samples."""
+    """sup over the reference points of the distance to the sample: every
+    reference point sweeps all samples."""
     ref = M._points_array(sample.context, reference)
     return max(float(d.min(axis=1).max())
                for _, d in M._distance_blocks(sample.context, ref, sample.points))
@@ -491,10 +486,75 @@ def test_farthest_point_net_matches_a_per_pick_loop(dim, n, rnd):
     assert got.tolist() == _net_by_loop(points, separation)
 
 
+def _frame_grid(h: float) -> np.ndarray:
+    """Points of the two-squares frame, at most h apart along each segment,
+    so that every point of the frame is within h/2 of one."""
+    out = []
+    for a, b in np.array(M._TWO_SQUARES_SEGMENTS):
+        t = np.linspace(0.0, 1.0, int(math.ceil(np.linalg.norm(b - a) / h)) + 1)
+        out.append(a + t[:, None] * (b - a))
+    return np.vstack(out)
+
+
+def _frame_slack(radius: float) -> float:
+    """What coverage_radius adds to the radius over the frame, whose largest
+    coordinate is 2."""
+    return M._SLACK * (radius + 2.0)
+
+
+def _assert_gamma_brackets_the_sweep(sample: M.MetricSample, h: float):
+    # the sweep over grid points of the frame is at most the supremum, and
+    # at least it less h/2
+    got = M.coverage_radius(sample, M._TWO_SQUARES_SEGMENTS)
+    sweep = _coverage_by_sweep(sample, _frame_grid(h))
+    assert sweep <= got <= sweep + h / 2 + _frame_slack(got)
+
+
+@pytest.mark.parametrize("points, exact", [
+    # the midpoints of the six unit edges
+    ([[0, 0], [1, 0], [0, 1], [1, 1], [0, 2], [1, 2]], 0.5),
+    ([[0, 0]], math.sqrt(5)),           # the far corner (1, 2)
+    ([[0.5, 1]], math.sqrt(1.25)),      # the four outer corners
+])
+def test_coverage_radius_of_the_frame_known_values(points, exact):
+    sample = M.MetricSample(M.euclidean(2), points, 1.0)
+    got = M.coverage_radius(sample, M._TWO_SQUARES_SEGMENTS)
+    assert exact <= got <= exact + _frame_slack(exact)
+
+
+def test_coverage_radius_needs_a_nonempty_euclidean_sample():
+    for sample in (M.circle_sample(2), M.MetricSample(M.euclidean(1), [], 1.0)):
+        with pytest.raises(M.MetricError, match="nonempty euclidean sample"):
+            M.coverage_radius(sample, [((0.0,), (1.0,))])
+
+
+@st.composite
+def _near_the_frame(draw):
+    """Up to 8 points on the frame or off it, at eighths along a segment and
+    at offsets that repeat, so that points share their foot on a segment,
+    mirror each other across it, or lie on it."""
+    segments = np.array(M._TWO_SQUARES_SEGMENTS)
+    along = st.one_of(st.integers(0, 8).map(lambda k: k / 8), st.floats(0, 1))
+    off = st.one_of(st.sampled_from([0.0, 0.125, -0.125, 0.5]),
+                    st.floats(-0.6, 0.6))
+    rows = []
+    for i, t, dx, dy in draw(st.lists(st.tuples(st.integers(0, 4), along, off, off),
+                                      min_size=1, max_size=8)):
+        a, b = segments[i]
+        rows.append(tuple(np.round(a + t * (b - a) + (dx, dy), 6)))
+    return M.MetricSample(M.euclidean(2), list(dict.fromkeys(rows)), 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_near_the_frame())
+def test_coverage_radius_brackets_a_sweep_over_the_frame(sample):
+    _assert_gamma_brackets_the_sweep(sample, 1 / 512)
+
+
 @pytest.mark.parametrize("seed", [7, 11, 23])
 def test_two_squares_sampling_matches_the_sweeps(seed):
-    # the windowed net and the cell-grid coverage radius against the sweeps
-    # over all points they replace: the same picks and bitwise the same gamma
+    # the windowed net against the sweep over all points it replaces, for
+    # the same picks; gamma against a sweep over a grid of the frame
     for level in range(1, 6):
         eps = 1.0 / 2 ** (2 * (level - 1))
         count = 120 * 4 ** (level - 1)      # the count build_tower draws
@@ -503,61 +563,7 @@ def test_two_squares_sampling_matches_the_sweeps(seed):
         assert net.tolist() == _net_by_sweep(raw, 0.75 * eps).tolist()
         sample = M.two_squares_sample(level, count, seed)
         assert np.array_equal(sample.points, raw[net])
-        grid = M.two_squares_grid(min(eps / 8.0, 0.05))
-        assert sample.gamma == _coverage_by_sweep(sample, grid)
-
-
-@st.composite
-def _coverage_cases(draw):
-    """A Euclidean sample of dimension 1..3 and reference points: near the
-    samples, on the samples' coordinates, and far outside every cell."""
-    dim = draw(st.integers(1, 3))
-    epsilon = draw(st.sampled_from([0.05, 0.3, 1.0, 2.5]))
-    # multiples of a third of a cell side repeat and sit on cell boundaries;
-    # the other floats are rounded, so that distinct points are at a distance
-    # whose square is not 0
-    coordinate = st.one_of(st.integers(-9, 9).map(lambda k: k * epsilon / 3),
-                           st.floats(-3, 3).map(lambda v: round(v, 6)))
-    shape = draw(st.sampled_from(["scattered", "collinear", "single"]))
-    size = 1 if shape == "single" else 12
-    rows = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=min(size, 2),
-                         max_size=size, unique=True))
-    if shape == "collinear":
-        # every coordinate but the first is that of the first point
-        rows = list(dict.fromkeys((r[0],) + rows[0][1:] for r in rows))
-    samples = np.array(rows)
-    offset = st.floats(-1.2, 1.2).map(lambda t: t * epsilon)
-    near = draw(st.lists(st.tuples(st.sampled_from(range(len(rows))),
-                                   st.lists(offset, min_size=dim, max_size=dim)),
-                         max_size=8))
-    ref = [samples[i] + np.array(o) for i, o in near]
-    ref += [np.array(r) for r in draw(st.lists(st.tuples(*[coordinate] * dim),
-                                               max_size=4))]
-    ref += [np.full(dim, v) for v in draw(st.lists(st.sampled_from([-1e3, 40.0, 1e6]),
-                                                   max_size=2))]
-    if not ref:
-        ref = [samples[0]]
-    return M.MetricSample(M.euclidean(dim), samples, epsilon), np.array(ref)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_coverage_cases(), st.sampled_from([M.BLOCK_ENTRIES, 1]))
-def test_coverage_radius_is_bitwise_the_sweep(case, block_entries):
-    sample, ref = case
-    want = float(M.cross_distances(sample.context, ref, sample.points)
-                 .min(axis=1).max())
-    # a budget of one entry gathers the candidates one reference point a block
-    with mock.patch.object(M, "BLOCK_ENTRIES", block_entries):
-        assert M.coverage_radius(sample, ref) == want
-
-
-def test_coverage_radius_sweeps_for_points_outside_the_cells():
-    sample = M.MetricSample(M.euclidean(2), [[0.0, 0.0], [1.0, 0.0]], 0.5)
-    ref = np.array([[0.1, 0.2], [0.5, 0.0], [30.0, -4.0]])
-    near = M._cell_distances(sample, ref)
-    # the middle point is 0.5 from both samples, not settled within a cell
-    assert near[0] == math.hypot(0.1, 0.2) and np.isnan(near[1:]).all()
-    assert M.coverage_radius(sample, ref) == math.hypot(29.0, 4.0)
+        _assert_gamma_brackets_the_sweep(sample, min(eps / 8.0, 0.05))
 
 
 def test_farthest_point_net_breaks_ties_by_lowest_index():

@@ -13,9 +13,10 @@ ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
 def test_perfbench_tracer_finds_every_wrapped_name():
     # perfbench/tracing.py replaces fintop names with traced wrappers; a name
     # deleted from the library would break `perfbench/run.py --trace 1`
-    code = ("import fintop.linalg as L, tracing\n"
+    code = ("import fintop.linalg as L, fintop.metric as M, tracing\n"
             "tracing.install(tracing.Tracer())\n"
-            "assert hasattr(L.rank_q, '__wrapped__')\n")
+            "assert hasattr(L.rank_q, '__wrapped__')\n"
+            "assert hasattr(M.coverage_radius, '__wrapped__')\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH, env=ENV,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
