@@ -168,7 +168,7 @@ def cmd_build(args) -> int:
         # the face poset has a point per stored element: refuse before
         # building it
         try:
-            F.check_dot_cap(len(term.elements))
+            F.check_dot_cap(len(term.complex))
         except F.FiniteSpaceError as exc:
             raise CliError(str(exc), EXIT_RESOURCE)
         dot = F.to_dot(term.space(), name=f"level_{args.dot}")
@@ -270,7 +270,7 @@ def _witness(tower: T.Tower, m: int, rep: T.BondingReport) -> str:
     image = ("empty image" if rep.empty_images
              else f"image diameter {fmt(rep.worst_diameter)}")
     return (f"; witness: level {m} element {i} "
-            f"{sorted(tower.term(m).elements[i])}, {image}")
+            f"{list(tower.term(m).complex.all_simplices()[i])}, {image}")
 
 
 def cmd_verify(args) -> int:

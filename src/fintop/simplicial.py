@@ -9,7 +9,7 @@ boundary matrices.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -52,8 +52,9 @@ class SimplicialComplex:
         while levels and not levels[-1]:
             levels.pop()
         self._by_dim = levels
-        # per dimension: tuple -> position
-        self._index = [{s: i for i, s in enumerate(level)} for level in levels]
+        # the one map from a simplex to its place in all_simplices()
+        self._index = {s: i for i, s in enumerate(chain.from_iterable(levels))}
+        self._starts = list(accumulate(map(len, levels), initial=0))
 
     @property
     def dimension(self) -> int:
@@ -68,9 +69,7 @@ class SimplicialComplex:
         return [s for level in self._by_dim for s in level]
 
     def __contains__(self, simplex) -> bool:
-        s = tuple(sorted(set(simplex)))
-        d = len(s) - 1
-        return 0 <= d < len(self._index) and s in self._index[d]
+        return tuple(sorted(set(simplex))) in self._index
 
     def __len__(self) -> int:
         return sum(len(level) for level in self._by_dim)
@@ -79,21 +78,26 @@ class SimplicialComplex:
         return [len(level) for level in self._by_dim]
 
     def index(self, simplex) -> int:
+        """The place of a simplex among those of its dimension."""
         s = tuple(sorted(set(simplex)))
-        return self._index[len(s) - 1][s]
+        return self._index[s] - self._starts[len(s) - 1]
+
+    def position(self, vertices) -> Optional[int]:
+        """The place in all_simplices() of the simplex on a vertex set, or None."""
+        return self._index.get(tuple(sorted(vertices)))
 
     def boundary_sparse(self, dim: int) -> list[dict]:
         """Boundary map C_dim -> C_{dim-1} as sparse columns (row -> coeff)."""
         cols = self.simplices(dim)
         if dim <= 0 or not cols:
             return [dict() for _ in cols]
-        row_ix = self._index[dim - 1]
+        ix, start = self._index, self._starts[dim - 1]
         out = []
         for s in cols:
             col = {}
             for i in range(len(s)):
                 face = s[:i] + s[i + 1:]
-                col[row_ix[face]] = (-1) ** i
+                col[ix[face] - start] = (-1) ** i
             out.append(col)
         return out
 
@@ -109,14 +113,14 @@ class SimplicialComplex:
         out: list[dict] = [{} for _ in range(n)]
         if not (n and cofaces):
             return out
-        last, top = n - 1, len(cofaces) - 1
-        col_ix = self._index[dim]
+        ix, top = self._index, len(cofaces) - 1
+        last = self._starts[dim] + n - 1        # the last dim-simplex's place
         # combinations drops the vertices last to first: face k lacks
         # vertex dim + 1 - k
         signs = [(-1) ** (dim + 1 - k) for k in range(dim + 2)]
         for q, s in enumerate(cofaces):
             for face, sign in zip(combinations(s, dim + 1), signs):
-                out[last - col_ix[face]][top - q] = sign
+                out[last - ix[face]][top - q] = sign
         return out
 
     def boundary_matrix(self, dim: int) -> np.ndarray:

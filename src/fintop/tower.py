@@ -83,13 +83,11 @@ def validate_schedule(samples: list[M.MetricSample], mode: str,
 
 @dataclass
 class Term:
-    """One level: the sample, its Rips complex and the finite-space term."""
+    """One level: a sample and its Rips complex, whose simplices are the elements."""
 
     sample: M.MetricSample
     threshold_factor: float            # 4 for the reverse-order term, 2 for FAS
     complex: SimplicialComplex
-    elements: list[frozenset]          # stored enumeration, |C| <= max_dim+1
-    index: dict = field(default_factory=dict)
     _space: Optional[FiniteSpace] = field(default=None, repr=False)
 
     @property
@@ -98,7 +96,7 @@ class Term:
 
     def is_element(self, payload: frozenset, tol: float = M.DEFAULT_TOL) -> bool:
         """Diameter test, independent of the cardinality-capped enumeration."""
-        return element_report(self, [payload], tol).well_defined
+        return element_report(self, [payload], tol)[1].well_defined
 
     def space(self) -> FiniteSpace:
         """Finite T0 space on the stored elements: the face poset of the
@@ -121,11 +119,7 @@ def build_term(sample: M.MetricSample, max_dim: int, threshold_factor: float = 4
                            max_simplices=max_elements)
     except SimplicialError as exc:      # the clique cap
         raise ResourceCap(str(exc)) from exc
-    elements = [frozenset(s) for s in cx.all_simplices()]
-    term = Term(sample=sample, threshold_factor=threshold_factor, complex=cx,
-                elements=elements)
-    term.index = {e: i for i, e in enumerate(elements)}
-    return term
+    return Term(sample=sample, threshold_factor=threshold_factor, complex=cx)
 
 
 def check_degrees(max_dim: int, k_max: int) -> None:
@@ -150,7 +144,7 @@ class BondingReport:
     worst_diameter: float     # inf when an image is empty
     bound: float
     empty_images: int
-    capped_images: int        # images outside the stored enumeration
+    capped_images: int        # nonempty images that are not stored elements
     worst_element: int        # at level m: the first empty image, else the widest
 
 
@@ -192,19 +186,22 @@ def image_diameters(pw: np.ndarray, payloads: list) -> np.ndarray:
     return out
 
 
-def element_report(dst: Term, images: list[frozenset], tol: float) -> BondingReport:
-    """Whether each image payload is an element of dst: nonempty and of
+def element_report(dst: Term, images: list[frozenset], tol: float
+                   ) -> tuple[tuple, BondingReport]:
+    """Each image payload's place among the stored elements of dst (None
+    when not stored), and whether each is an element of dst: nonempty and of
     diameter strictly below dst.threshold within tol.  worst_element indexes
     images: the first empty one, else the widest."""
+    positions = tuple(map(dst.complex.position, images))
     empty = [i for i, img in enumerate(images) if not img]
     widths = image_diameters(dst.sample.pairwise(), [img for img in images if img])
     # without empty images, widths holds every image's diameter
     worst = empty[0] if empty else int(widths.argmax()) if widths.size else 0
-    return BondingReport(
+    return positions, BondingReport(
         well_defined=not empty and bool(np.all(M.below(widths, dst.threshold, tol))),
         worst_diameter=math.inf if empty else float(widths.max(initial=0.0)),
         bound=dst.threshold, empty_images=len(empty),
-        capped_images=sum(img not in dst.index for img in images) - len(empty),
+        capped_images=positions.count(None) - len(empty),
         worst_element=worst)
 
 
@@ -304,11 +301,9 @@ class Tower:
         return list(assignment), report
 
     def _element_map(self, n: int, m: int) -> tuple[tuple, BondingReport]:
-        dst = self.term(n)
         vimg = self._vertex_images(n, m)
-        images = [_image(vimg, c) for c in self.term(m).elements]
-        return (tuple(map(dst.index.get, images)),
-                element_report(dst, images, self.tol))
+        images = [_image(vimg, c) for c in self.term(m).complex.all_simplices()]
+        return element_report(self.term(n), images, self.tol)
 
     def verify_bondings(self) -> list[BondingReport]:
         """Well-definedness of every consecutive bonding map."""
@@ -328,7 +323,7 @@ class Tower:
         h <= f and h <= g pointwise in reverse-inclusion order, so f and g
         are homotopic.  Returns (ok, worst diameter seen).
         """
-        rep = element_report(self.term(n), [f(c) | g(c) for c in source], self.tol)
+        rep = element_report(self.term(n), [f(c) | g(c) for c in source], self.tol)[1]
         return rep.well_defined, rep.worst_diameter
 
     def projection_square_certificate(self, n: int) -> tuple[bool, float]:
@@ -413,13 +408,13 @@ def two_tower_comparison(coarse: Tower, fine: Tower,
     reports = []
     for n, l in enumerate(levels, start=1):
         dst, table = coarse.term(n), tables[n - 1]
-        images = [_image(table, c) for c in fine.term(l).elements]
-        ok = element_report(dst, images, coarse.tol).well_defined
+        images = [_image(table, c) for c in fine.term(l).complex.all_simplices()]
+        ok = element_report(dst, images, coarse.tol)[1].well_defined
         square_ok, worst = True, 0.0
         if n < depth:
             l_next = levels[n]
             square_ok, worst = coarse.union_homotopy_certificate(
-                n, fine.term(l_next).elements,
+                n, fine.term(l_next).complex.all_simplices(),
                 lambda c: _image(table, fine.bond(l, l_next, c)),
                 lambda c: coarse.bond(n, n + 1, _image(tables[n], c)))
         reports.append(TwoTowerReport(level=n, matched_level=l,
@@ -461,11 +456,11 @@ def variant_comparison(reverse: Tower, nearest: NearestPointTower,
     g_p = gamma_map(nearest.term(n).sample, pts_high, nearest.tol)
     g_r = gamma_map(reverse.term(n).sample, pts_high, reverse.tol)
     nearest_in_ball = gamma_in_nearest = gamma_in_ball = literal = True
-    for c in nearest.term(n + 1).elements:
+    for c in nearest.term(n + 1).complex.all_simplices():
         p_img = nearest.bond(n, n + 1, c)
         nearest_in_ball &= p_img <= reverse.bond(n, n + 1, c)
         gamma_in_nearest &= _image(g_p, c) <= p_img
-    for d in reverse.term(n + 1).elements:
+    for d in reverse.term(n + 1).complex.all_simplices():
         q_img = reverse.bond(n, n + 1, d)
         g_img = _image(g_r, d)
         gamma_in_ball &= g_img <= q_img
@@ -648,7 +643,7 @@ def dump_tower(tower: Tower) -> dict:
             "epsilon": t.sample.epsilon,
             "gamma": t.sample.gamma,
             "points": t.sample.points.tolist(),
-            "elements": [sorted(e) for e in t.elements],
+            "elements": t.complex.all_simplices(),
         }
         if n > 1:
             assignment, report = tower.bonding_element_map(n - 1, n)

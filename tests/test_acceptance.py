@@ -253,7 +253,7 @@ def _literal_containment_oracle(tw, n):
     high = tw.term(n + 1).sample
     rows = [distances_from(low.context, high.points, a) for a in low.points]
     violations = 0
-    for d_el in tw.term(n + 1).elements:
+    for d_el in tw.term(n + 1).complex.all_simplices():
         idx = sorted(d_el)
         for row in rows:
             dist = float(row[idx].min())
@@ -374,7 +374,7 @@ def _check_functorial(tw, k_top):
                         f"({n},{l},{m}) entry ({i},{j})"
             triples += 1
     for n in range(1, depth + 1):
-        ident = dict(enumerate(range(len(tw.term(n).elements))))
+        ident = dict(enumerate(range(len(tw.term(n).complex))))
         for k in range(k_top + 1):
             mat = H.induced_matrix(ocs[n], ocs[n], ident, k)
             size = bm[(n, k)]
@@ -449,7 +449,7 @@ def _canonical(simplices) -> S.SimplicialComplex:
 
 
 def _brute_order_complex(tw: T.Tower, n: int, max_chain: int):
-    elements = tw.term(n).elements
+    elements = [frozenset(s) for s in tw.term(n).complex.all_simplices()]
     below = [[j for j in range(len(elements)) if elements[j] < elements[i]]
              for i in range(len(elements))]
     chains = [(i,) for i in range(len(elements))]
@@ -485,7 +485,8 @@ def test_criterion_8_brute_force_equivalence():
                    for n in range(1, len(tw) + 1))
         # terms
         for n in range(1, len(tw) + 1):
-            assert _brute_terms(tw, n) == set(tw.term(n).elements), \
+            assert _brute_terms(tw, n) == set(
+                map(frozenset, tw.term(n).complex.all_simplices())), \
                 f"{tw.label}: level {n} terms differ from brute enumeration"
         # bonding maps, one-step and composed
         vimg = {n: [_brute_vertex_image(tw, n, x)
@@ -494,14 +495,15 @@ def test_criterion_8_brute_force_equivalence():
         for n, m in itertools.combinations(range(1, len(tw) + 1), 2):
             assign, rep = tw.bonding_element_map(n, m)
             assert rep.well_defined and None not in assign
-            for i, C in enumerate(tw.term(m).elements):
+            for i, C in enumerate(tw.term(m).complex.all_simplices()):
                 payload = C
                 for level in range(m - 1, n - 1, -1):
                     acc = set()
                     for x in payload:
                         acc |= vimg[level][x]
                     payload = frozenset(acc)
-                assert payload == tw.term(n).elements[assign[i]], \
+                assert payload == frozenset(
+                    tw.term(n).complex.all_simplices()[assign[i]]), \
                     f"{tw.label}: bonding {n}<-{m} differs at element {i}"
                 assert payload == tw.bond(n, m, C)
         # induced homology matrices on canonically ordered order complexes

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -50,6 +51,24 @@ def test_generate_and_build_roundtrip(tmp_path, capsys):
     dump = json.loads(dump_path.read_text())
     assert len(dump["levels"]) == 3
     assert len(dump["levels"][2]["elements"]) == 256
+
+
+@pytest.mark.parametrize("space, depth, digest", [
+    ("circle", 4,
+     "84d77fcd3b3713df56b25dbdf967e9de8a26f577a2f6ef7f52d9593511a96775"),
+    ("cantor", 5,
+     "6e11a1a079df6aadc9917b8e916d7884aaa4dc782bab5c83f0513a47e4b133d8"),
+    ("two_squares", 3,
+     "7ecc3331764520580fc87e651e1d41d432950e27075fc002953d5018472c1a73"),
+])
+def test_build_dump_bytes_are_pinned(space, depth, digest, capsys):
+    # sha256 of the stdout of `fintop build --space SPACE --depth DEPTH
+    # --seed 7 --k-max 2`: a change to how a dump is stored or written must
+    # keep every byte
+    code, out, err = run(["build", "--space", space, "--depth", str(depth),
+                          "--seed", "7", "--k-max", "2"], capsys)
+    assert code == cli.EXIT_OK, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_generate_writes_the_tower_that_space_builds(tmp_path, capsys):

@@ -112,6 +112,12 @@ def test_complex_keeps_first_appearance_order():
     assert cx.simplices(1) == [(2, 3), (0, 1), (0, 2), (1, 2)]
     assert cx.simplices(2) == [(0, 1, 2)]
     assert [cx.index(s) for s in cx.simplices(1)] == [0, 1, 2, 3]
+    # a vertex set's place in all_simplices(), None when it is not stored:
+    # the empty set, an absent edge, a set above the top dimension
+    assert [cx.position(set(s)) for s in cx.all_simplices()] == list(range(9))
+    assert cx.position({3, 2}) == 4 and cx.position(frozenset({2, 1, 0})) == 8
+    for vertices in (set(), {0, 3}, {5}, {0, 1, 2, 3}):
+        assert cx.position(vertices) is None
     with pytest.raises(S.SimplicialError, match="empty simplex"):
         S.SimplicialComplex([(0,), ()])
 
@@ -153,6 +159,13 @@ def test_clique_complex_matches_brute_force(graph, max_dim):
         for face in combinations(s, len(s) - 1):
             if face:
                 assert position[face] < i
+    # every vertex set, the empty one and those above the top dimension
+    # included, maps to its place in all_simplices() or to None
+    n = len(neighbours)
+    for k in range(n + 1):
+        for c in combinations(range(n), k):
+            assert cx.position(frozenset(c)) == position.get(c)
+            assert (c in cx) is (c in position)
 
 
 @settings(max_examples=200, deadline=None)

@@ -51,13 +51,14 @@ def test_schedule_cantor_needs_relaxed_deep():
 
 def test_term_sizes_circle():
     tw = circle_tower(3)
-    assert [len(t.elements) for t in tw.terms] == [1, 15, 256]
+    assert [len(t.complex) for t in tw.terms] == [1, 15, 256]
 
 
 def test_term_element_diameter_bound():
     tw = circle_tower(3)
     t = tw.term(3)
-    assert T.element_report(t, t.elements, 0.0).worst_diameter < t.threshold
+    assert T.element_report(t, t.complex.all_simplices(), 0.0)[1].worst_diameter \
+        < t.threshold
     # a non-element: 5 consecutive points span 4 gaps = the threshold
     too_wide = frozenset(range(5))
     assert not t.is_element(too_wide)
@@ -71,9 +72,10 @@ def test_explicit_elements_pass_their_own_membership_test():
     assert ctx.matrix[1, 0] == ctx.matrix[0, 1] == 1
     sample = M.MetricSample(ctx, [0, 1, 2], epsilon=(1 + 1.5e-9) / 4)
     term = T.build_term(sample, 2)
-    assert frozenset({0, 1}) in term.index
+    assert frozenset({0, 1}) in term.complex
     assert term.is_element(frozenset({0, 1}))
-    assert T.element_report(term, term.elements, M.DEFAULT_TOL).worst_diameter == 1
+    assert T.element_report(term, term.complex.all_simplices(),
+                            M.DEFAULT_TOL)[1].worst_diameter == 1
 
 
 def test_term_space_reverse_inclusion():
@@ -96,10 +98,11 @@ def test_term_space_matches_the_order_predicate(cls, space, depth):
     for t in tw.terms:
         leq = (lambda c, d: c < d) if cls.threshold_factor == 2 \
             else (lambda c, d: d < c)
-        oracle = F.FiniteSpace(t.elements, leq_pairs=[
-            (c, d) for c in t.elements for d in t.elements if leq(c, d)])
+        elements = [frozenset(s) for s in t.complex.all_simplices()]
+        oracle = F.FiniteSpace(elements, leq_pairs=[
+            (c, d) for c in elements for d in elements if leq(c, d)])
         sp = t.space()
-        assert sp.elements == oracle.elements == t.elements
+        assert sp.elements == oracle.elements == elements
         assert [sp.min_open(x) for x in sp.elements] \
             == [oracle.min_open(x) for x in oracle.elements]
 
@@ -126,7 +129,7 @@ def test_bondings_well_defined_and_monotone():
 
 def test_bonding_composition_is_exact():
     tw = circle_tower(4)
-    for payload in tw.term(4).elements[:50]:
+    for payload in tw.term(4).complex.all_simplices()[:50]:
         via = tw.bond(2, 3, tw.bond(3, 4, payload))
         assert via == tw.bond(2, 4, payload)
 
@@ -197,7 +200,8 @@ def test_nearest_point_tower_interval():
     # and adjacent pairs qualify
     assert tw.threshold_factor == 2
     t2 = tw.term(2)
-    assert T.element_report(t2, t2.elements, 0.0).worst_diameter < 2 / 3
+    assert T.element_report(t2, t2.complex.all_simplices(), 0.0)[1].worst_diameter \
+        < 2 / 3
     # nearest-point bonding of an off-grid-ish deeper point set
     img = tw.bond(1, 2, frozenset([2]))
     assert img == frozenset([0])         # everything maps to the single point
@@ -260,7 +264,7 @@ def test_config_roundtrip(tmp_path):
     p = tmp_path / "tower.json"
     p.write_text(json.dumps(cfg))
     tw = T.tower_from_config(T.load_config(p))
-    assert len(tw) == 3 and len(tw.term(3).elements) == 256
+    assert len(tw) == 3 and len(tw.term(3).complex) == 256
     assert [t.complex.f_vector() for t in tw.terms] == \
         [t.complex.f_vector() for t in circle_tower(3).terms]
 
@@ -274,7 +278,7 @@ def test_config_points_inline():
         ],
     }
     tw = T.tower_from_config(cfg)
-    assert len(tw.term(2).elements) == 3   # two singletons and the pair
+    assert len(tw.term(2).complex) == 3   # two singletons and the pair
 
 
 def test_dump_tower_self_contained():
@@ -342,7 +346,8 @@ def test_dump_after_verify_computes_each_bonding_once(monkeypatch):
 def test_reports_are_plain_python_and_dump_as_json(space, depth):
     tw = T.build_tower(space, depth, max_dim=3, k_max=1)
     term = tw.term(depth)
-    for payload in (frozenset(), frozenset([0]), term.elements[-1]):
+    for payload in (frozenset(), frozenset([0]),
+                    frozenset(term.complex.all_simplices()[-1])):
         assert type(term.is_element(payload)) is bool
     for rep in tw.verify_bondings():
         assert type(rep.worst_diameter) is float
@@ -392,7 +397,7 @@ def square_oracle(tw, n):
     term = tw.term(n)
     pw = term.sample.pairwise()
     worst, ok = 0.0, True
-    for c in tw.term(n + 2).elements:
+    for c in tw.term(n + 2).complex.all_simplices():
         u = tw.bond(n, n + 2, c) | tw.bond(n, n + 1, tw.bond(n + 1, n + 2, c))
         if not u:
             return False, float("inf")
@@ -430,7 +435,7 @@ def test_square_certificate_matches_the_two_path_union(variant, space, depth):
         assert got == square_oracle(tw, n)
         assert [type(v) for v in got] == [bool, float]
         assert tw.union_homotopy_certificate(
-            n, tw.term(n + 2).elements,
+            n, tw.term(n + 2).complex.all_simplices(),
             lambda c: tw.bond(n, n + 2, c),
             lambda c: tw.bond(n, n + 1, tw.bond(n + 1, n + 2, c))) == got
 
@@ -447,13 +452,13 @@ def test_empty_image_fails_square_and_names_its_element():
 
 def test_wide_image_fails_and_names_its_element():
     tw = wide_tower()
-    pair = tw.term(2).elements.index(frozenset([0, 1]))
+    pair = tw.term(2).complex.all_simplices().index((0, 1))
     rep = tw.bonding_element_map(1, 2)[1]
     assert (rep.well_defined, rep.worst_diameter, rep.capped_images,
             rep.worst_element) == (False, 3.0, 1, pair)
     assert tw.projection_square_certificate(1) == square_oracle(tw, 1) == (False, 3.0)
     assert tw.bonding_element_map(1, 3)[1].worst_element == \
-        tw.term(3).elements.index(frozenset([0, 1]))
+        tw.term(3).complex.all_simplices().index((0, 1))
     assert tw.bonding_element_map(2, 3)[1].well_defined
 
 
@@ -509,11 +514,11 @@ def two_tower_oracle(coarse, fine, depth):
         l = T.match_level(coarse, fine, n)
         dst = coarse.term(n)
         ok = all(is_element_oracle(dst, comparison(n, l, c), coarse.tol)
-                 for c in fine.term(l).elements)
+                 for c in fine.term(l).complex.all_simplices())
         square_ok, worst = True, 0.0
         if n < depth:
             l_next = T.match_level(coarse, fine, n + 1)
-            for c in fine.term(l_next).elements:
+            for c in fine.term(l_next).complex.all_simplices():
                 u = comparison(n, l, stepwise_bond(fine, l, l_next, c)) | \
                     coarse.bond(n, n + 1, comparison(n + 1, l_next, c))
                 if not u:
@@ -562,9 +567,9 @@ def test_variant_comparison_matches_the_element_oracle(space, depth):
         low_r, low_p = reverse.term(n).sample, nearest.term(n).sample
         per_c = [(nearest.bond(n, n + 1, c), reverse.bond(n, n + 1, c),
                   gamma(low_p, c, nearest.tol))
-                 for c in nearest.term(n + 1).elements]
+                 for c in nearest.term(n + 1).complex.all_simplices()]
         per_d = [(reverse.bond(n, n + 1, d), gamma(low_r, d, reverse.tol))
-                 for d in reverse.term(n + 1).elements]
+                 for d in reverse.term(n + 1).complex.all_simplices()]
         assert T.variant_comparison(reverse, nearest, n) == \
             T.VariantComparisonReport(
                 level=n,
