@@ -15,6 +15,7 @@ hold every coordinate exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -124,8 +125,20 @@ def make_tower(args) -> T.Tower:
     raise CliError("one of --space or --config is required", EXIT_USAGE)
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Exit 1 with one line when path cannot be written."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_USAGE) from None
+
+
 def _open_out(args):
-    return open(args.out, "w") if args.out else sys.stdout
+    if not args.out:
+        return sys.stdout
+    with _writing(args.out):
+        return open(args.out, "w")
 
 
 def cmd_generate(args) -> int:
@@ -137,13 +150,16 @@ def cmd_generate(args) -> int:
     if args.relaxed:
         mode = T.RELAXED
     outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
+    with _writing(outdir):
+        os.makedirs(outdir, exist_ok=True)
     levels = []
     for n, sample in enumerate(samples, start=1):
         fname = f"{args.space}_level{n}.csv"
-        M.save_points_csv(os.path.join(outdir, fname), sample.points,
-                          header=f"{args.space} level {n} "
-                                 f"epsilon={fmt(sample.epsilon)}")
+        path = os.path.join(outdir, fname)
+        with _writing(path):
+            M.save_points_csv(path, sample.points,
+                              header=f"{args.space} level {n} "
+                                     f"epsilon={fmt(sample.epsilon)}")
         entry = {"points_file": fname, "epsilon": sample.epsilon}
         if sample.gamma is not None:
             entry["gamma"] = sample.gamma
@@ -153,7 +169,7 @@ def cmd_generate(args) -> int:
     cfg = {"mode": mode, **settings, "label": args.space,
            "context": {"kind": samples[0].context.kind}, "levels": levels}
     cfg_path = os.path.join(outdir, f"{args.space}_tower.json")
-    with open(cfg_path, "w") as fh:
+    with _writing(cfg_path), open(cfg_path, "w") as fh:
         json.dump(cfg, fh, indent=2)
     print(f"wrote {args.depth} point files and {cfg_path}")
     return EXIT_OK
@@ -174,7 +190,7 @@ def cmd_build(args) -> int:
         dot = F.to_dot(term.space(), name=f"level_{args.dot}")
         base = args.out or "tower.json"
         dot_path = os.path.splitext(base)[0] + f"_level{args.dot}.dot"
-        with open(dot_path, "w") as fh:
+        with _writing(dot_path), open(dot_path, "w") as fh:
             fh.write(dot + "\n")
         print(f"wrote {dot_path}", file=sys.stderr)
     dump = T.dump_tower(tower)

@@ -123,12 +123,26 @@ def explicit(matrix) -> MetricContext:
 def _points_array(ctx: MetricContext, points, where: str = "") -> np.ndarray:
     """points as rows of ctx.dimension coordinates, a flat input read as
     consecutive points: the one shape and the one check of a point set."""
+    # numpy reads a string as the number it spells and a bool as 0 or 1, so
+    # only a numeric array is not checked cell by cell; explicit indices are
+    # checked below
+    explicit = ctx.kind == "explicit"
+    numeric = not explicit and isinstance(points, np.ndarray) \
+        and points.dtype.kind in "iuf"
+    not_rows = f"{where}points are not rows of {ctx.dimension} numbers"
     try:
-        a = np.asarray(points, dtype=object if ctx.kind == "explicit" else float)
-    except (TypeError, ValueError):
-        # rows of different lengths, or a coordinate that is not a number
-        raise MetricError(f"{where}points are not rows of {ctx.dimension} "
-                          f"numbers") from None
+        a = np.asarray(points, dtype=float if numeric else object)
+    except ValueError:                  # rows of different lengths
+        raise MetricError(not_rows) from None
+    if not (numeric or explicit):
+        # None reads as NaN, refused below as not finite
+        if not all(v is None or _is_number(v) for v in a.flat):
+            raise MetricError(not_rows)
+        try:
+            a = a.astype(float)
+        except OverflowError:           # an integer beyond the largest float
+            raise MetricError(f"{where}points have a coordinate that is not "
+                              "finite") from None
     if a.ndim < 2 and a.size % ctx.dimension == 0:
         a = a.reshape(-1, ctx.dimension)
     if a.ndim != 2:
@@ -138,7 +152,7 @@ def _points_array(ctx: MetricContext, points, where: str = "") -> np.ndarray:
         raise MetricError(f"{where}points of dimension {a.shape[1]}, the "
                           f"{ctx.kind} context has dimension {ctx.dimension}")
     # np.mod would turn an infinite angle into NaN, and NaN into angle 0
-    if ctx.kind != "explicit" and not np.isfinite(a).all():
+    if not explicit and not np.isfinite(a).all():
         raise MetricError(f"{where}points have a coordinate that is not finite")
     if ctx.kind == "euclidean":
         return a

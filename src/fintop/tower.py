@@ -114,7 +114,14 @@ def build_term(sample: M.MetricSample, max_dim: int, threshold_factor: float = 4
                tol: float = M.DEFAULT_TOL,
                max_elements: int = DEFAULT_MAX_ELEMENTS) -> Term:
     try:
-        cx = vietoris_rips(sample.pairwise(), threshold_factor * sample.epsilon,
+        pairwise = sample.pairwise()
+    except MemoryError:
+        n = len(sample)
+        raise ResourceCap(f"{sample.label or 'sample'}: cannot allocate the "
+                          f"{n} x {n} distance matrix "
+                          f"({8 * n * n / 2 ** 30:.3g} GiB)") from None
+    try:
+        cx = vietoris_rips(pairwise, threshold_factor * sample.epsilon,
                            max_dim=max_dim, tol=tol,
                            max_simplices=max_elements)
     except SimplicialError as exc:      # the clique cap

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import json
@@ -204,6 +205,53 @@ def test_depth_refused_at_the_first_level_above_the_cap(command, tmp_path, capsy
     assert out == ""
     assert drawn == [1, 2, 3, 4, 5]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["build", "homology", "verify"])
+def test_a_distance_matrix_that_cannot_be_allocated(command, tmp_path, capsys,
+                                                    monkeypatch):
+    # 2^17 points need a 128 GiB matrix; the stand-in raises as numpy's
+    # allocation would, without allocating anything
+    def no_memory(ctx, points):
+        raise MemoryError(f"Unable to allocate 128. GiB for an array with "
+                          f"shape ({len(points)}, {len(points)})")
+
+    monkeypatch.setattr(M, "points_distance_matrix", no_memory)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "relaxed", "levels": [
+        {"points": [[i / 1000] for i in range(2 ** 17)], "epsilon": 1e-4}]}))
+    code, out, err = run([command, "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_RESOURCE
+    assert err == ("error: level 1: cannot allocate the 131072 x 131072 "
+                   "distance matrix (128 GiB)\n")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, path, errno_", [
+    (["homology", "--out", "{tmp}/missing/b.csv"], "{tmp}/missing/b.csv",
+     errno.ENOENT),
+    (["build", "--out", "{tmp}/missing/t.json"], "{tmp}/missing/t.json",
+     errno.ENOENT),
+    (["homology", "--out", "{tmp}"], "{tmp}", errno.EISDIR),
+    (["build", "--out", "{tmp}"], "{tmp}", errno.EISDIR),
+    (["build", "--dot", "2", "--out", "{tmp}/missing/t.json"],
+     "{tmp}/missing/t_level2.dot", errno.ENOENT),
+    (["generate", "--out", "{tmp}/file"], "{tmp}/file", errno.EEXIST),
+    (["generate", "--out", "{tmp}"], "{tmp}/circle_level1.csv", errno.EISDIR),
+], ids=["homology-missing-dir", "build-missing-dir", "homology-dir",
+        "build-dir", "dot-missing-dir", "generate-onto-file",
+        "generate-onto-dir"])
+def test_unwritable_outputs_exit_with_one_line(argv, path, errno_, tmp_path,
+                                               capsys):
+    (tmp_path / "file").write_text("kept")
+    (tmp_path / "circle_level1.csv").mkdir()
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run(argv + ["--space", "circle", "--depth", "2"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == (f"error: cannot write {path.format(tmp=tmp_path)}: "
+                   f"{os.strerror(errno_)}\n")
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_homology_csv(tmp_path, capsys):

@@ -116,9 +116,11 @@ def test_flat_points_must_be_whole_points():
 
 
 def test_ragged_or_non_numeric_points_raise_metric_error():
-    # a MetricError naming the points, not numpy's ValueError or TypeError
+    # a MetricError naming the points, not numpy's ValueError or TypeError;
+    # numpy would read "1" as 1.0 and True as 1.0, in a list or an array
     ctx = M.euclidean(2)
-    for bad in ([[0, 1], [2]], [[0, 1], ["x", 1]]):
+    for bad in ([[0, 1], [2]], [[0, 1], ["x", 1]], [["1", "2"]],
+                np.array([["1", "2"]]), [[True, 0.5]], np.array([[True, False]])):
         with pytest.raises(M.MetricError, match=re.escape(
                 "level 1: points are not rows of 2 numbers")):
             M.MetricSample(ctx, bad, 1.0, label="level 1")
@@ -166,10 +168,11 @@ def test_ball_radius_must_be_finite_and_nonnegative(radius):
             M.ball_query(s2, 0.0, radius)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None,
+                                 pytest.param(10 ** 400, id="10**400")])
 def test_points_must_be_finite(bad):
     # None reads as NaN; on the circle np.mod would turn inf into NaN and
-    # NaN into angle 0
+    # NaN into angle 0; numpy raises OverflowError on 10 ** 400
     message = "points have a coordinate that is not finite"
     with pytest.raises(M.MetricError, match=f"^sample: {message}"):
         M.MetricSample(M.euclidean(2), [[0, 1], [bad, 1]], 1.0)
