@@ -134,6 +134,16 @@ def _writing(path):
         raise CliError(f"cannot write {path}: {exc.strerror}", EXIT_USAGE) from None
 
 
+def _check_writable(path) -> None:
+    """Exit 1 with one line unless path can be written, before any work is
+    done; an existing file is left as it is, and none is created."""
+    with _writing(path):
+        existed = os.path.exists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 def _open_out(args):
     if not args.out:
         return sys.stdout
@@ -176,6 +186,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_build(args) -> int:
+    if args.dot is not None:
+        base = args.out or "tower.json"
+        dot_path = os.path.splitext(base)[0] + f"_level{args.dot}.dot"
+        _check_writable(dot_path)
+    if args.out:
+        _check_writable(args.out)
     tower = make_tower(args)
     if args.dot is not None:
         if not 1 <= args.dot <= len(tower):
@@ -188,8 +204,6 @@ def cmd_build(args) -> int:
         except F.FiniteSpaceError as exc:
             raise CliError(str(exc), EXIT_RESOURCE)
         dot = F.to_dot(term.space(), name=f"level_{args.dot}")
-        base = args.out or "tower.json"
-        dot_path = os.path.splitext(base)[0] + f"_level{args.dot}.dot"
         with _writing(dot_path), open(dot_path, "w") as fh:
             fh.write(dot + "\n")
         print(f"wrote {dot_path}", file=sys.stderr)
@@ -208,6 +222,8 @@ def cmd_homology(args) -> int:
         H.parse_field(args.field)
     except H.HomologyError as exc:
         raise CliError(str(exc), EXIT_USAGE)
+    if args.out:
+        _check_writable(args.out)
     tower = make_tower(args)
     rows = []
     torsion_notes = []
@@ -255,10 +271,8 @@ def induced_bonding_rank(tower: T.Tower, n: int, m: int, k: int,
     _, report = tower.bonding_element_map(n, m)
     if not report.well_defined:
         return None
-    src = tower.term(m).complex
-    select = {v: min(tower.bond(n, m, frozenset((v,))))
-              for (v,) in src.simplices(0)}
-    return H.induced_rank(src, tower.term(n).complex, select, k, field_spec)
+    return H.induced_rank(tower.term(m).complex, tower.term(n).complex,
+                          tower.selection(n, m), k, field_spec)
 
 
 def _thread_point(spec: str, ctx: M.MetricContext) -> np.ndarray:

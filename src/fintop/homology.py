@@ -9,14 +9,15 @@ ranks of induced maps read the same masks.  Vertex maps induce chain
 maps with the usual sorting sign and degenerate-image-to-zero convention.
 The rank of an induced homology map comes from one sparse reduction of a
 block matrix (`linalg.induced_map_rank`), cleared in both blocks by those
-pairs (`induced_rank`).
+pairs (`induced_rank`).  Only the kept columns of the chain map and the
+boundaries are built; the cleared ones would not change the rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -140,14 +141,21 @@ def _sort_sign(seq: tuple) -> tuple[tuple, int]:
 
 
 def chain_map(src: SimplicialComplex, dst: SimplicialComplex,
-              vertex_map: Mapping, k: int) -> list[L.SparseCol]:
-    """Degree-k matrix of the chain map induced by a vertex map.
+              vertex_map: Mapping, k: int,
+              columns: Optional[Iterable[int]] = None) -> list[L.SparseCol]:
+    """Degree-k matrix of the chain map induced by a vertex map, only its
+    columns of the k-simplices at the given positions, in their order,
+    when columns is given.
 
     Degenerate images are sent to zero.  An image simplex missing from the
-    target is an error: the vertex map is not simplicial into dst.
+    target is an error: the vertex map is not simplicial into dst.  Only
+    the simplices of the built columns are checked.
     """
+    simplices = src.simplices(k)
+    if columns is not None:
+        simplices = [simplices[j] for j in columns]
     cols: list[L.SparseCol] = []
-    for s in src.simplices(k):
+    for s in simplices:
         t, sign = _sort_sign(tuple(vertex_map[v] for v in s))
         if sign == 0:
             cols.append({})
@@ -215,15 +223,21 @@ def induced_rank(src: SimplicialComplex, dst: SimplicialComplex,
     against the earlier columns, so they add no pivot low, and the span of
     the pivots, which is all the count of right-hand lows depends on, is
     the same.
+
+    Only the kept columns are built: F_k and dX_k at the k-simplices off
+    P, dY_{k+1} at the paired (k+1)-simplices, by `chain_map` and
+    `boundary_sparse` on those positions.  The block is the one above, so
+    the rank is too.  `chain_map` checks the image of each k-simplex off
+    P; one in P has no column, but it is a face of a (k+1)-simplex, whose
+    image the check in dimension k + 1 finds in dst with all its faces.
     """
     _, p = parse_field(field_spec)
     _check_simplicial(src, dst, vertex_map, k + 1)
     off_p = np.flatnonzero(~_pairs(src, k, p)[0][k]).tolist()
     paired_y = np.flatnonzero(_pairs(dst, k, p)[1][k + 1]).tolist()
-    fk, dx = chain_map(src, dst, vertex_map, k), src.boundary_sparse(k)
-    dy = dst.boundary_sparse(k + 1)
-    return L.induced_map_rank([dy[j] for j in paired_y],
-                              [fk[j] for j in off_p], [dx[j] for j in off_p],
+    return L.induced_map_rank(dst.boundary_sparse(k + 1, paired_y),
+                              chain_map(src, dst, vertex_map, k, off_p),
+                              src.boundary_sparse(k, off_p),
                               rows_y_k=len(dst.simplices(k)), p=p)
 
 

@@ -86,9 +86,14 @@ class SimplicialComplex:
         """The place in all_simplices() of the simplex on a vertex set, or None."""
         return self._index.get(tuple(sorted(vertices)))
 
-    def boundary_sparse(self, dim: int) -> list[dict]:
-        """Boundary map C_dim -> C_{dim-1} as sparse columns (row -> coeff)."""
+    def boundary_sparse(self, dim: int,
+                        columns: Optional[Iterable[int]] = None) -> list[dict]:
+        """Boundary map C_dim -> C_{dim-1} as sparse columns (row -> coeff),
+        only those of the dim-simplices at the given positions, in their
+        order, when columns is given."""
         cols = self.simplices(dim)
+        if columns is not None:
+            cols = [cols[j] for j in columns]
         if dim <= 0 or not cols:
             return [dict() for _ in cols]
         ix, start = self._index, self._starts[dim - 1]
@@ -143,14 +148,19 @@ def rips_graph(pairwise: np.ndarray, threshold: float,
     """Neighbor lists of the graph whose edges have length below threshold.
 
     An edge needs d < threshold, with ties resolved outside (`metric.below`).
-    Only the upper triangle of the matrix is read: the neighbors of i are
-    the rows of column i above the diagonal, then the columns of row i
-    right of it.
+    Only the upper triangle of the matrix counts: the edges are the pairs
+    i < j of one `np.nonzero` over the mask, in row order.  Each edge is
+    appended to both its ends in that order, so the neighbors of i come in
+    increasing order: the rows of column i above the diagonal, then the
+    columns of row i right of it.
     """
-    inside = below(pairwise, threshold, tol)
-    return [np.flatnonzero(inside[:i, i]).tolist()
-            + (i + 1 + np.flatnonzero(inside[i, i + 1:])).tolist()
-            for i in range(len(inside))]
+    rows, cols = np.nonzero(below(pairwise, threshold, tol))
+    upper = rows < cols
+    neighbours: list[list[int]] = [[] for _ in range(len(pairwise))]
+    for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    return neighbours
 
 
 def vietoris_rips(pairwise: np.ndarray, threshold: float, max_dim: int,

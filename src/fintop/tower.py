@@ -294,6 +294,12 @@ class Tower:
         self._check_levels(n, m)
         return _image(self._vertex_images(n, m), payload)
 
+    def selection(self, n: int, m: int) -> dict[int, int]:
+        """The vertex map s(v) = min q_{n,m}({v}) from level m to level n,
+        read from the kept vertex images, which must all be nonempty."""
+        self._check_levels(n, m)
+        return {v: min(img) for v, img in enumerate(self._vertex_images(n, m))}
+
     def bonding_element_map(self, n: int, m: int) -> tuple[list[Optional[int]], BondingReport]:
         """Images of the stored elements of level m as indices at level n.
 

@@ -242,7 +242,12 @@ def test_a_distance_matrix_that_cannot_be_allocated(command, tmp_path, capsys,
         "build-dir", "dot-missing-dir", "generate-onto-file",
         "generate-onto-dir"])
 def test_unwritable_outputs_exit_with_one_line(argv, path, errno_, tmp_path,
-                                               capsys):
+                                               capsys, monkeypatch):
+    # every output path is checked before the tower is built
+    def no_tower(*args, **kwargs):
+        raise AssertionError("build_tower called before the outputs were checked")
+
+    monkeypatch.setattr(T, "build_tower", no_tower)
     (tmp_path / "file").write_text("kept")
     (tmp_path / "circle_level1.csv").mkdir()
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -251,6 +256,26 @@ def test_unwritable_outputs_exit_with_one_line(argv, path, errno_, tmp_path,
     assert out == ""
     assert err == (f"error: cannot write {path.format(tmp=tmp_path)}: "
                    f"{os.strerror(errno_)}\n")
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv, kept", [
+    (["homology", "--out", "{tmp}/file"], ["file"]),
+    (["build", "--out", "{tmp}/file", "--dot", "2"], ["file"]),
+    (["build", "--out", "{tmp}/new.json", "--dot", "2"], ["file"]),
+], ids=["homology-onto-file", "build-onto-file", "build-new-files"])
+def test_a_late_failure_leaves_the_outputs_as_they_were(argv, kept, tmp_path,
+                                                        capsys):
+    # circle level 3 has 256 elements, above the cap of 40: the run stops
+    # after its outputs were checked, and writes nothing
+    (tmp_path / "file").write_text("kept")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run(argv + ["--space", "circle", "--depth", "3",
+                                 "--max-elements", "40"], capsys)
+    assert code == cli.EXIT_RESOURCE
+    assert err == "error: Rips complex exceeds cap of 40 simplices\n"
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == kept
     assert (tmp_path / "file").read_text() == "kept"
 
 

@@ -267,6 +267,22 @@ def test_induced_rank_refuses_a_map_not_simplicial_above_k():
         H.induced_rank(edge, ends, {0: 0, 1: 1}, 0)
 
 
+@pytest.mark.parametrize("field", ["q", "p:2"])
+def test_induced_rank_refuses_a_maximal_k_simplex_mapped_outside(field):
+    # simplicial on every (k+1)-simplex, but the maximal k-simplex (2, 3),
+    # or the isolated vertex 4 for k = 0, maps outside the target: no
+    # (k+1)-simplex has it as a face, so the chain map's own check finds it
+    src = S.SimplicialComplex([(0, 1, 2), (2, 3), (4,)])
+    cases = [(1, [(0, 1, 2), (3,), (4,)], {v: v for v in range(5)}, r"\(2, 3\)"),
+             (0, [(0, 1, 2), (2, 3)], {0: 0, 1: 1, 2: 2, 3: 3, 4: 5}, r"\(5,\)")]
+    for k, target, vertex_map, image in cases:
+        with pytest.raises(H.HomologyError,
+                           match=f"^image simplex {image} missing from the "
+                                 f"target complex$"):
+            H.induced_rank(src, S.SimplicialComplex(target), vertex_map, k,
+                           field)
+
+
 def moved_lattice(points, threshold, moves, extra=()):
     """The Rips complex X of lattice points, the vertex map that moves
     coordinate i of each point x_i to moves[i][x_i], and the Rips complex Y
@@ -343,9 +359,7 @@ def circle_bonding():
     vertex map of the bonding between them, whose ranks on H_0 and H_1 are
     1 over every field."""
     tw = T.build_tower("circle", 4, k_max=1)
-    src = tw.term(4).complex
-    return src, tw.term(3).complex, {v: min(tw.bond(3, 4, frozenset((v,))))
-                                      for (v,) in src.simplices(0)}
+    return tw.term(4).complex, tw.term(3).complex, tw.selection(3, 4)
 
 
 def test_cached_pairs_give_the_numbers_of_fresh_complexes(monkeypatch):

@@ -88,8 +88,7 @@ def test_bases_and_induced_maps_are_pinned():
                 digest.update(repr(H.homology_basis_of(cx, k).reps).encode())
         for n, m in itertools.combinations(levels, 2):
             f = dict(enumerate(tw.bonding_element_map(n, m)[0])) if max_chain \
-                else {v: min(tw.bond(n, m, frozenset((v,))))
-                      for (v,) in cxs[m].simplices(0)}
+                else tw.selection(n, m)
             for k in degrees:
                 digest.update(repr(H.induced_matrix(cxs[m], cxs[n], f, k)).encode())
                 digest.update(repr([H.induced_rank(cxs[m], cxs[n], f, k, field)

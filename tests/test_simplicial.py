@@ -82,6 +82,11 @@ def test_rips_graph_matches_per_pair_loop(n, threshold, tol, rnd):
                 expected[i].append(j)
                 expected[j].append(i)
     assert S.rips_graph(pw, threshold, tol) == expected
+    # only the upper triangle is read: a lower triangle and a diagonal that
+    # turn every edge into a non-edge and back give the same graph
+    lower = np.tril_indices(n)
+    pw[lower] = np.where(M.below(pw.T[lower], threshold, tol), 3 * threshold, 0.0)
+    assert S.rips_graph(pw, threshold, tol) == expected
 
 
 def test_rips_full_simplex():
