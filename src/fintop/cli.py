@@ -99,7 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _flags(args) -> dict:
     """The tower settings given on the command line, which rank above a
-    config's; exit 1 on a --depth or --seed that no named space can take."""
+    config's; exit 1 on --space with --config, or on a --depth or --seed
+    that no named space can take."""
+    if args.space and args.config:
+        raise CliError("give --space or --config, not both", EXIT_USAGE)
     if args.depth < 1:
         raise CliError(f"--depth {args.depth} must be at least 1", EXIT_USAGE)
     if args.seed < 0:

@@ -154,16 +154,18 @@ def chain_map(src: SimplicialComplex, dst: SimplicialComplex,
     simplices = src.simplices(k)
     if columns is not None:
         simplices = [simplices[j] for j in columns]
+    start = sum(dst.f_vector()[:k])     # the first k-simplex's position
     cols: list[L.SparseCol] = []
     for s in simplices:
         t, sign = _sort_sign(tuple(vertex_map[v] for v in s))
         if sign == 0:
             cols.append({})
             continue
-        if t not in dst:
+        row = dst.position(t)
+        if row is None:
             raise HomologyError(
                 f"image simplex {t} missing from the target complex")
-        cols.append({dst.index(t): sign})
+        cols.append({row - start: sign})
     return cols
 
 
@@ -189,7 +191,7 @@ def _check_simplicial(src: SimplicialComplex, dst: SimplicialComplex,
     check of `chain_map` without building its columns."""
     for s in src.simplices(k):
         t = {vertex_map[v] for v in s}
-        if t not in dst:
+        if dst.position(t) is None:
             raise HomologyError(
                 f"image simplex {tuple(sorted(t))} of the {k}-simplex {s} "
                 f"missing from the target complex: the vertex map is not "
@@ -243,10 +245,7 @@ def induced_rank(src: SimplicialComplex, dst: SimplicialComplex,
 
 def homology_basis_of(cx: SimplicialComplex, k: int) -> L.SparseHomology:
     """Sparse homology basis of a complex in one degree, cached on it."""
-    cache = getattr(cx, "_homology_cache", None)
-    if cache is None:
-        cache = {}
-        cx._homology_cache = cache
+    cache = vars(cx).setdefault("_homology_cache", {})
     if k not in cache:
         cache[k] = L.SparseHomology(cx.boundary_sparse(k),
                                     cx.boundary_sparse(k + 1))

@@ -94,14 +94,14 @@ class MetricContext:
                 raise MetricError("explicit matrix diagonal must be zero")
             if np.count_nonzero(m == 0) > len(m):
                 raise MetricError("explicit matrix is zero off the diagonal")
-            if not np.allclose(m, m.T):
+            # symmetry and the triangle inequality up to the one tie rule
+            if not np.all(below(m, m.T, DEFAULT_TOL, closed=True)):
                 raise MetricError("explicit matrix must be symmetric")
             # one stored distance per pair, whichever triangle reads it
             m = np.triu(m) + np.triu(m, 1).T
-            n = m.shape[0]
-            for k in range(n):
+            for k in range(len(m)):
                 via = m[:, [k]] + m[[k], :]
-                if np.any(m > via + 1e-12):
+                if not np.all(below(m, via, DEFAULT_TOL, closed=True)):
                     raise MetricError("explicit matrix violates the triangle inequality")
             object.__setattr__(self, "matrix", m)
         else:

@@ -69,7 +69,7 @@ class SimplicialComplex:
         return [s for level in self._by_dim for s in level]
 
     def __contains__(self, simplex) -> bool:
-        return tuple(sorted(set(simplex))) in self._index
+        return self.position(simplex) is not None
 
     def __len__(self) -> int:
         return sum(len(level) for level in self._by_dim)
@@ -78,12 +78,12 @@ class SimplicialComplex:
         return [len(level) for level in self._by_dim]
 
     def index(self, simplex) -> int:
-        """The place of a simplex among those of its dimension."""
-        s = tuple(sorted(set(simplex)))
-        return self._index[s] - self._starts[len(s) - 1]
+        """The place of a stored simplex among those of its dimension."""
+        return self.position(simplex) - self._starts[len(simplex) - 1]
 
     def position(self, vertices) -> Optional[int]:
-        """The place in all_simplices() of the simplex on a vertex set, or None."""
+        """The place in all_simplices() of the simplex on a vertex set, or
+        None: the one lookup of a simplex, by its vertices in any order."""
         return self._index.get(tuple(sorted(vertices)))
 
     def boundary_sparse(self, dim: int,

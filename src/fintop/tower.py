@@ -193,6 +193,14 @@ def image_diameters(pw: np.ndarray, payloads: list) -> np.ndarray:
     return out
 
 
+def _map_report(dst: Term, table: list[frozenset], src: SimplicialComplex,
+                tol: float) -> tuple[tuple, BondingReport]:
+    """element_report at dst of the map with vertex table `table` on every
+    simplex of src: how every map between levels is checked."""
+    return element_report(dst, [_image(table, c) for c in src.all_simplices()],
+                          tol)
+
+
 def element_report(dst: Term, images: list[frozenset], tol: float
                    ) -> tuple[tuple, BondingReport]:
     """Each image payload's place among the stored elements of dst (None
@@ -314,9 +322,8 @@ class Tower:
         return list(assignment), report
 
     def _element_map(self, n: int, m: int) -> tuple[tuple, BondingReport]:
-        vimg = self._vertex_images(n, m)
-        images = [_image(vimg, c) for c in self.term(m).complex.all_simplices()]
-        return element_report(self.term(n), images, self.tol)
+        return _map_report(self.term(n), self._vertex_images(n, m),
+                           self.term(m).complex, self.tol)
 
     def verify_bondings(self) -> list[BondingReport]:
         """Well-definedness of every consecutive bonding map."""
@@ -324,20 +331,6 @@ class Tower:
                 for n in range(1, len(self))]
 
     # -- homotopy certificates ---------------------------------------------
-
-    def union_homotopy_certificate(self, n: int, source: list[frozenset],
-                                   f: Callable[[frozenset], frozenset],
-                                   g: Callable[[frozenset], frozenset]
-                                   ) -> tuple[bool, float]:
-        """Certify f ~ g into level n through the union map h = f v g.
-
-        h is automatically order preserving; it is a genuine map into the
-        term when every union stays below the diameter bound.  Then
-        h <= f and h <= g pointwise in reverse-inclusion order, so f and g
-        are homotopic.  Returns (ok, worst diameter seen).
-        """
-        rep = element_report(self.term(n), [f(c) | g(c) for c in source], self.tol)[1]
-        return rep.well_defined, rep.worst_diameter
 
     def projection_square_certificate(self, n: int) -> tuple[bool, float]:
         """One-step against two-step bonding from level n+2 down to n.
@@ -412,24 +405,26 @@ def two_tower_comparison(coarse: Tower, fine: Tower,
                          depth: int) -> list[TwoTowerReport]:
     """Level-matching maps between two towers and their square certificates.
 
-    For each n the map I_n sends fine level I(n) into coarse level n; the
-    square against the bondings is certified homotopy-commuting via the
-    union-map diameter bound at level n.
+    For each n the map I_n sends fine level I(n) into coarse level n.  The
+    paths f = I_n o q_fine and g = q_coarse o I_{n+1} of the square below
+    are homotopic when their union h, the map of the vertex table
+    U[v] = f({v}) | g({v}), maps into coarse level n: then h <= f, h <= g.
     """
     levels = [match_level(coarse, fine, n) for n in range(1, depth + 1)]
     tables = [comparison_map(coarse, fine, n, l) for n, l in enumerate(levels, 1)]
     reports = []
     for n, l in enumerate(levels, start=1):
         dst, table = coarse.term(n), tables[n - 1]
-        images = [_image(table, c) for c in fine.term(l).complex.all_simplices()]
-        ok = element_report(dst, images, coarse.tol)[1].well_defined
+        ok = _map_report(dst, table, fine.term(l).complex,
+                         coarse.tol)[1].well_defined
         square_ok, worst = True, 0.0
         if n < depth:
-            l_next = levels[n]
-            square_ok, worst = coarse.union_homotopy_certificate(
-                n, fine.term(l_next).complex.all_simplices(),
-                lambda c: _image(table, fine.bond(l, l_next, c)),
-                lambda c: coarse.bond(n, n + 1, _image(tables[n], c)))
+            l_next, step = levels[n], coarse._vertex_images(n, n + 1)
+            union = [_image(table, a) | _image(step, b) for a, b in
+                     zip(fine._vertex_images(l, l_next), tables[n])]
+            rep = _map_report(dst, union, fine.term(l_next).complex,
+                              coarse.tol)[1]
+            square_ok, worst = rep.well_defined, rep.worst_diameter
         reports.append(TwoTowerReport(level=n, matched_level=l,
                                       well_defined=ok, square_certified=square_ok,
                                       worst_square_diameter=worst,
@@ -464,24 +459,23 @@ def variant_comparison(reverse: Tower, nearest: NearestPointTower,
     nearest-point image; and the gamma-ball image sits inside the open-ball
     image.  The reversed inclusion of the last pair is evaluated and
     reported but is not expected to hold.
+
+    A map sends an element to the union of its vertices' images, and each
+    vertex is a stored element, so an inclusion holds on every element
+    exactly when it holds on every vertex of the samples the towers share.
     """
+    reverse._check_levels(n, n + 1)
+    p = nearest._vertex_images(n, n + 1)
+    q = reverse._vertex_images(n, n + 1)
     pts_high = reverse.term(n + 1).sample.points
     g_p = gamma_map(nearest.term(n).sample, pts_high, nearest.tol)
     g_r = gamma_map(reverse.term(n).sample, pts_high, reverse.tol)
-    nearest_in_ball = gamma_in_nearest = gamma_in_ball = literal = True
-    for c in nearest.term(n + 1).complex.all_simplices():
-        p_img = nearest.bond(n, n + 1, c)
-        nearest_in_ball &= p_img <= reverse.bond(n, n + 1, c)
-        gamma_in_nearest &= _image(g_p, c) <= p_img
-    for d in reverse.term(n + 1).complex.all_simplices():
-        q_img = reverse.bond(n, n + 1, d)
-        g_img = _image(g_r, d)
-        gamma_in_ball &= g_img <= q_img
-        literal &= q_img <= g_img
-    return VariantComparisonReport(level=n, nearest_in_ball=nearest_in_ball,
-                                   gamma_in_nearest=gamma_in_nearest,
-                                   gamma_in_ball=gamma_in_ball,
-                                   literal_ball_in_gamma=literal)
+    within = frozenset.issubset
+    return VariantComparisonReport(
+        level=n, nearest_in_ball=all(map(within, p, q)),
+        gamma_in_nearest=all(map(within, g_p, p)),
+        gamma_in_ball=all(map(within, g_r, q)),
+        literal_ball_in_gamma=all(map(within, q, g_r)))
 
 
 # ---------------------------------------------------------------------------

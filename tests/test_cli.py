@@ -155,6 +155,20 @@ def test_depth_and_seed_are_checked_first(command, argv, message, tmp_path,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "build", "homology", "verify"])
+def test_space_and_config_together_exit_with_one_line(command, tmp_path, capsys):
+    code, _, _ = run(["generate", "--space", "circle", "--depth", "2",
+                      "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_OK
+    out_path = tmp_path / "out"
+    code, out, err = run([command, "--config", str(tmp_path / "circle_tower.json"),
+                          "--space", "cantor", "--depth", "5",
+                          "--out", str(out_path)], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: give --space or --config, not both\n"
+    assert not out_path.exists()
+
+
 def test_build_dot_export(tmp_path, capsys):
     out_path = tmp_path / "t.json"
     code, out, err = run(["build", "--space", "circle", "--depth", "2",

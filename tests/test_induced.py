@@ -46,6 +46,21 @@ def test_selection_ranks_match_order_complex_oracle(tower):
     assert compared
 
 
+@pytest.mark.parametrize("space, depth", [("circle", 4), ("cantor", 8),
+                                          ("two_squares", 5)])
+def test_selection_maps_are_simplicial(space, depth):
+    # s(C) is a subset of q_{n,m}(C), an element of level n when the
+    # bonding is well defined, so s(C) is a face of it: a stored simplex
+    tw = T.build_tower(space, depth, k_max=2, seed=7)
+    for n, m in itertools.combinations(range(1, depth + 1), 2):
+        assert tw.bonding_element_map(n, m)[1].well_defined
+        sel = tw.selection(n, m)
+        stored = set(map(frozenset, tw.term(n).complex.all_simplices()))
+        for c in tw.term(m).complex.all_simplices():
+            assert frozenset(sel[v] for v in c) in stored, \
+                f"{space}: s_{n},{m}{c} is not a simplex of level {n}"
+
+
 def test_capped_bonding_gets_a_rank():
     # q_{1,2} of two_squares sends some stored element outside the stored
     # enumeration of level 1, which the order-complex path cannot map

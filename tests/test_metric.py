@@ -44,6 +44,25 @@ def test_explicit_matrix_validation():
         M.explicit([[0, 5, 1], [5, 0, 1], [1, 1, 0]])  # triangle violation
 
 
+def test_explicit_triangle_check_uses_the_tie_rule():
+    # distances between points on a line, at a large scale, are a metric
+    # whose triangle sums are exact only up to rounding
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = rng.random(12) * 1e6
+        m = M.explicit(np.abs(x[:, None] - x[None, :]))
+        assert np.array_equal(m.matrix, m.matrix.T)
+    with pytest.raises(M.MetricError, match="triangle inequality"):
+        M.explicit([[0, 2.000001, 1], [2.000001, 0, 1], [1, 1, 0]])
+
+
+def test_explicit_symmetry_check_uses_the_tie_rule():
+    # an asymmetry far above the tolerance is refused, not mirrored away
+    with pytest.raises(M.MetricError, match="must be symmetric"):
+        M.explicit([[0, 1], [1.000001, 0]])
+    M.explicit([[0, 1e6], [1e6 + 1e-4, 0]])
+
+
 @pytest.mark.parametrize("entry", [math.nan, math.inf])
 @pytest.mark.parametrize("at", [(0, 1), (1, 1)], ids=["off", "diagonal"])
 def test_explicit_matrix_entries_are_finite(entry, at):

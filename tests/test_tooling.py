@@ -1,3 +1,5 @@
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -8,6 +10,38 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted(glob.glob(os.path.join(ROOT, d, "**", "*.py"),
+                                     recursive=True)):
+            with open(path) as fh:
+                yield path, ast.parse(fh.read(), path)
+
+
+def test_every_library_definition_is_named_elsewhere():
+    # a function, class or method of the library that no code names is
+    # dead: a change that deletes its last caller must delete it too
+    named = set()
+    for _, tree in _trees("src", "tests", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)       # getattr and monkeypatch names
+    dead = [f"{os.path.relpath(path, ROOT)}:{node.lineno} {node.name}"
+            for path, tree in _trees("src")
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in named]
+    assert not dead, dead
 
 
 def test_perfbench_tracer_finds_every_wrapped_name():

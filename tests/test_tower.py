@@ -434,10 +434,6 @@ def test_square_certificate_matches_the_two_path_union(variant, space, depth):
         got = tw.projection_square_certificate(n)
         assert got == square_oracle(tw, n)
         assert [type(v) for v in got] == [bool, float]
-        assert tw.union_homotopy_certificate(
-            n, tw.term(n + 2).complex.all_simplices(),
-            lambda c: tw.bond(n, n + 2, c),
-            lambda c: tw.bond(n, n + 1, tw.bond(n + 1, n + 2, c))) == got
 
 
 def test_empty_image_fails_square_and_names_its_element():
@@ -552,6 +548,22 @@ def test_two_tower_comparison_matches_the_element_oracle(coarse, fine):
     coarse, fine = coarse(), fine()
     got = T.two_tower_comparison(coarse, fine, depth=2)
     assert got == two_tower_oracle(coarse, fine, 2)
+
+
+def test_two_tower_square_unites_both_paths():
+    # fine level 2's point 0.01 goes through fine level 1 to coarse {0.0}
+    # only, but through coarse level 2 ({0.0, 0.35}) to coarse {0.0, 1.3}
+    ctx = M.euclidean(1)
+
+    def tower(levels):
+        return T.Tower([M.MetricSample(ctx, [[x] for x in pts], epsilon=eps)
+                        for pts, eps in levels], mode=T.RELAXED)
+    coarse = tower([([0.0, 1.3], 1.0), ([0.0, 0.35], 0.4)])
+    fine = tower([([0.0], 0.05), ([0.01], 0.02)])
+    got = T.two_tower_comparison(coarse, fine, depth=2)
+    assert got == two_tower_oracle(coarse, fine, 2)
+    assert (got[0].matched_level, got[1].matched_level) == (1, 2)
+    assert got[0].worst_square_diameter == 1.3
 
 
 @pytest.mark.parametrize("space, depth", [("circle", 4), ("two_squares", 3)])
