@@ -1,15 +1,14 @@
 """Simplicial homology and induced maps.
 
-Betti numbers come from exact ranks of the coboundaries, reduced in
-increasing degree with clearing: over the rationals by default, over GF(p)
-on request, and over the integers (Smith invariants, reporting torsion)
-for single complexes.  Over a field the reduction is kept per complex as
-masks of the simplices it pairs (`_pairs`, cached on the complex), and the
-ranks of induced maps read the same masks.  Vertex maps induce chain
-maps with the usual sorting sign and degenerate-image-to-zero convention.
-The rank of an induced homology map comes from one sparse reduction of a
-block matrix (`linalg.induced_map_rank`), cleared in both blocks by those
-pairs (`induced_rank`).  Only the kept columns of the chain map and the
+Betti numbers come from one cleared reduction of the coboundaries per
+complex, over GF(p) for 'p:P' and over Z otherwise, kept on the complex
+as masks of the simplices it pairs and the torsion (`_pairs`).  One
+record serves q, z and the ranks of induced maps, as the pairs over Z
+are those over Q.  Vertex maps induce chain maps with the usual sorting
+sign and degenerate-image-to-zero convention.  The rank of an induced
+homology map comes from one sparse reduction of a block matrix
+(`linalg.induced_map_rank`), cleared in both blocks by those pairs
+(`induced_rank`).  Only the kept columns of the chain map and the
 boundaries are built; the cleared ones would not change the rank.
 """
 
@@ -32,14 +31,15 @@ class HomologyError(ValueError):
 
 
 def parse_field(spec: str) -> tuple[str, Optional[int]]:
-    """'q' | 'p:PRIME' | 'z' -> a tag and the prime, None unless 'p'."""
+    """'q' | 'p:PRIME' | 'z' -> a tag and the prime, None unless 'p'; the
+    prime must be below 2^31, which keeps its trial division quick."""
     s = spec.lower()
     if s in ("q", "z"):
         return s, None
     if s.startswith("p:"):
-        p = int(s[2:]) if s[2:].isdecimal() else 0
-        if not L.is_prime(p):
-            raise HomologyError(f"field {spec!r}: p must be a prime")
+        p = int(s[2:]) if s[2:].isdecimal() and len(s[2:]) <= 10 else 0
+        if not (p < 2 ** 31 and L.is_prime(p)):
+            raise HomologyError(f"field {spec!r}: p must be a prime below 2^31")
         return "p", p
     raise HomologyError(f"unknown field {spec!r} (use q, z, or p:PRIME)")
 
@@ -50,81 +50,79 @@ class HomologyResult:
     torsion: Optional[list[list[int]]] = None   # per degree, integer mode only
 
 
-def _pairs(cx: SimplicialComplex, k: int,
-           p: Optional[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Masks (up, down) of the simplices that the cleared coboundary
-    reduction of delta_0, ..., delta_k pairs, over GF(p), or over Q when p
-    is None, cached on the complex.
+def _flags(size: int, positions) -> np.ndarray:
+    """Mask of size simplices, set at the positions counted from the last
+    one, as `coboundary_sparse` numbers them."""
+    mask = np.zeros(size, dtype=bool)
+    mask[size - 1 - np.fromiter(positions, dtype=np.intp)] = True
+    return mask
 
-    up[d] marks the d-simplices paired with a (d+1)-simplex, down[d] those
-    paired with a (d-1)-simplex.  delta_d is reduced without the columns
-    of down[d], as `betti_numbers` describes; a pivot of column j and low i
-    pairs the d-simplex n_d - 1 - j with the (d+1)-simplex n_{d+1} - 1 - i
-    (`coboundary_sparse` reverses both orders).  A pivot pair of a reduced
-    matrix is fixed by the ranks of its lower-left submatrices, and delta_d
-    is the boundary of dimension d + 1 turned by a half turn, which maps
-    those submatrices to each other: these are the pairs of the lowest-row
-    reduction of that boundary, where the pivot column of a (d+1)-simplex
-    has its low on the paired d-simplex (de Silva, Morozov and
-    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).
-    Only the masks are kept, no reduced column.
+
+def _pairs(cx: SimplicialComplex, k: int, p: Optional[int]) -> tuple[list, ...]:
+    """The cleared coboundary reduction of delta_0, ..., delta_k over
+    GF(p), or over Z when p is None, cached on the complex: one record
+    serves the Betti numbers over Q and Z, the torsion and induced ranks.
+
+    In the record (up, down, cleared, torsion), up[d] marks the
+    d-simplices paired with a (d+1)-simplex, down[d] those paired with a
+    (d-1)-simplex, and cleared[d] the unit lows of delta_{d-1}, whose
+    columns delta_d skips.  Over a field such a column is a combination of
+    earlier ones, as the reduced pivot with that low is a coboundary with
+    a nonzero entry there; over Z, when the entry is +-1, the column is
+    replaced by an integer combination with coefficient +-1 on itself,
+    which keeps the Smith invariants.  Mod p every low is a unit.
+    torsion[d] lists the invariants above 1 of delta_d, those of the
+    boundary of dimension d + 1: the torsion of H_d.  A unimodular echelon
+    has rank-many pivots, so a column left in for its non-unit low still
+    reduces to zero, and the pairs are those over Q.
+
+    A pivot of column j and low i pairs the d-simplex n_d - 1 - j with the
+    (d+1)-simplex n_{d+1} - 1 - i (`coboundary_sparse` reverses both
+    orders).  A pivot pair of a reduced matrix is fixed by the ranks of
+    its lower-left submatrices, and delta_d is the boundary of dimension
+    d + 1 turned by a half turn, which maps those submatrices to each
+    other: these are the pairs of the lowest-row reduction of that
+    boundary, where the pivot column of a (d+1)-simplex has its low on the
+    paired d-simplex (de Silva, Morozov and Vejdemo-Johansson, "Dualities
+    in persistent (co)homology", 2011).
     """
-    cache = vars(cx).setdefault("_pairs_cache", {})
-    up, down = cache.setdefault(
-        p, ([], [np.zeros(len(cx.simplices(0)), dtype=bool)]))
+    no_vertex = _flags(len(cx.simplices(0)), ())
+    up, down, cleared, torsion = vars(cx).setdefault(
+        "_pairs_cache", {}).setdefault(p, ([], [no_vertex], [no_vertex], []))
     for d in range(len(up), k + 1):
         n, m = len(cx.simplices(d)), len(cx.simplices(d + 1))
         cols = cx.coboundary_sparse(d)
-        kept = np.flatnonzero(~down[d][::-1])
-        pairs = L.pivot_pairs([cols[j] for j in kept.tolist()], p)
-        columns = np.fromiter(pairs, dtype=np.intp, count=len(pairs))
-        lows = np.fromiter(pairs.values(), dtype=np.intp, count=len(pairs))
-        up.append(np.zeros(n, dtype=bool))
-        up[d][n - 1 - kept[columns]] = True
-        down.append(np.zeros(m, dtype=bool))
-        down[d + 1][m - 1 - lows] = True
-    return up, down
+        kept = np.flatnonzero(~cleared[d][::-1])
+        cols = [cols[j] for j in kept.tolist()]
+        if p is None:
+            invariants, pairs, unit_lows = L.smith_pivots(cols)
+            torsion.append([v for v in invariants if v > 1])
+        else:
+            pairs = L.pivot_pairs(cols, p)
+            unit_lows = pairs.values()
+        up.append(_flags(n, kept[list(pairs)]))
+        down.append(_flags(m, pairs.values()))
+        cleared.append(_flags(m, unit_lows))
+    return up, down, cleared, torsion
 
 
 def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
                   max_simplices: Optional[int] = None) -> HomologyResult:
-    """Betti numbers b_0..b_k_max of a complex, with the torsion over Z.
-
-    The complex must contain simplices up to dimension k_max + 1 wherever
-    they exist, or the top Betti number would be overcounted.  The ranks
-    come from the coboundaries delta_0, ..., delta_k_max (delta_d is the
-    transpose of the boundary of dimension d + 1, `coboundary_sparse`),
-    reduced in that order with clearing: a column of delta_d whose index
-    is a pivot low of delta_{d-1} is skipped.  The reduced pivot with that
-    low is a coboundary whose entry there is nonzero, so over a field the
-    column is a combination of earlier ones.  Over a field the reduction
-    is the cached one of `_pairs`, and b_d counts the d-simplices it
-    leaves unpaired.  Over Z only the unit lows clear: the column is then
-    replaced by an integer combination with coefficient +-1 on itself,
-    which keeps the Smith invariants.  Those of delta_d are the invariants
-    of the boundary of dimension d + 1, and give the torsion of H_d.
+    """Betti numbers b_0..b_k_max of a complex, with the torsion over Z:
+    b_d counts the d-simplices that the one cached reduction of `_pairs`,
+    for q and z alike, leaves unpaired.  The complex must contain
+    simplices up to dimension k_max + 1 wherever they exist, or the top
+    Betti number would be overcounted.
     """
     if max_simplices is not None and len(cx) > max_simplices:
         raise HomologyError(
             f"complex has {len(cx)} simplices, above the cap of {max_simplices}")
     tag, p = parse_field(field_spec)
-    if tag != "z":
-        up, down = _pairs(cx, k_max, p)
-        return HomologyResult(betti=[int(np.count_nonzero(~(up[d] | down[d])))
-                                     for d in range(k_max + 1)])
-    ranks = [0]                       # ranks[d] = rank of the boundary of dim d
-    torsion = []
-    cleared: set[int] = set()
-    for d in range(k_max + 1):
-        cols = [col for j, col in enumerate(cx.coboundary_sparse(d))
-                if j not in cleared]
-        invariants, lows = L.smith_pivots(cols)
-        ranks.append(len(invariants))
-        torsion.append([v for v in invariants if v > 1])
-        cleared = set(lows)
-    betti = [len(cx.simplices(d)) - ranks[d] - ranks[d + 1]
-             for d in range(k_max + 1)]
-    return HomologyResult(betti=betti, torsion=torsion)
+    up, down, _, torsion = _pairs(cx, k_max, p)
+    return HomologyResult(
+        betti=[int(np.count_nonzero(~(up[d] | down[d])))
+               for d in range(k_max + 1)],
+        torsion=[list(t) for t in torsion[:k_max + 1]] if tag == "z" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +173,7 @@ def compose_sparse(a: list[L.SparseCol], b: list[L.SparseCol]) -> list[L.SparseC
     for col in b:
         acc: L.SparseCol = {}
         for k, v in col.items():
-            for r, w in a[k].items():
-                nv = acc.get(r, 0) + v * w
-                if nv:
-                    acc[r] = nv
-                else:
-                    acc.pop(r, None)
+            L._sub_multiple(acc, -v, a[k])
         out.append(acc)
     return out
 

@@ -11,17 +11,18 @@ record its row operations, the columns carry extra rows, right of a left
 block reduced first in the same pass: a block matrix gives an induced
 rank (`induced_map_rank`), augmented columns give kernel bases and
 coordinates (`SparseHomology`).  Only non-unit pivots go on to a dense
-Smith form.  The pivots of a coboundary, as pairs {column: low}
-(`pivot_pairs`, and the unit lows of `smith_pivots` over Z), are what a
-cohomology reduction clears in the next degree (`homology.betti_numbers`).
-The same pairs clear both blocks of an induced rank before it reaches
-`induced_map_rank`: the right-hand columns of the simplices paired
-upwards, and the left-hand columns that would reduce to zero
-(`homology.induced_rank`).  No floating point is used.
+Smith form.  The pivots of a coboundary, as pairs {column: low}, are
+what a cohomology reduction clears in the next degree: all of them mod
+p (`pivot_pairs`), the unit ones over Z (`smith_pivots`), whose pairs
+are also those over Q.  That one reduction per complex
+(`homology._pairs`) gives Betti numbers, torsion, and the pairs that
+clear both blocks of an induced rank before `induced_map_rank`.  No
+floating point is used.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -39,7 +40,7 @@ def to_sparse_columns(matrix: np.ndarray) -> list[SparseCol]:
 
 
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % k for k in range(2, int(p ** 0.5) + 1))
+    return p >= 2 and all(p % k for k in range(2, math.isqrt(p) + 1))
 
 
 def _shifted(col: SparseCol, shift: int) -> SparseCol:
@@ -200,49 +201,53 @@ def rank_gfp(matrix: list[SparseCol], p: int) -> int:
 # Smith normal form (sparse unimodular reduction, dense non-unit residue)
 # ---------------------------------------------------------------------------
 
-def smith_pivots(matrix: list[SparseCol]) -> tuple[list[int], list[int]]:
+def smith_pivots(matrix: list[SparseCol]) -> tuple[list[int], dict, list[int]]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix of
-    sparse columns, and the lowest rows of its unit pivots.
-
-    Unimodular column operations (`_Unimodular`) bring the columns to
-    echelon form without changing the invariants.  A pivot whose low entry
-    is a unit splits off an invariant 1: the other pivots can be cleared in
-    its row by column operations, and then its own column by row
-    operations.  The non-unit pivots, cleared in the unit rows, are the
-    residue that `_smith_dense` reduces; usually there is none.  Only the
-    unit lows may clear a column of the next coboundary over Z
-    (`homology.betti_numbers`).
+    sparse columns, its pivot pairs {column: lowest row}, those over Q
+    (`pivot_pairs`), and the lowest rows of its unit pivots, the only lows
+    that clear a column of the next coboundary over Z (`homology._pairs`).
     """
-    pivots, _ = _echelon(matrix, _Unimodular)
-    units = {low: col for low, col in pivots.items() if abs(col[low]) == 1}
-    unit_rows = sorted(units, reverse=True)
-    residue = []
-    for low, col in pivots.items():
-        if low in units:
-            continue
-        # descending, as clearing row r only touches rows below r
-        for r in unit_rows:
-            if r < low and r in col:
-                _sub_multiple(col, col[r] * units[r][r], units[r])
-        residue.append(col)
-    invariants = [1] * len(units)
-    if residue:
-        rows = sorted(set().union(*residue))
-        invariants += _smith_dense([[col.get(r, 0) for col in residue]
-                                    for r in rows])
-    return invariants, list(units)
+    pivots, pairs = _echelon(matrix, _Unimodular)
+    invariants, unit_lows = _echelon_invariants(pivots)
+    return invariants, pairs, unit_lows
 
 
 def smith_normal_form(matrix: list[SparseCol]) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix of
-    sparse columns (`smith_pivots`)."""
-    return smith_pivots(matrix)[0]
+    sparse columns."""
+    return _echelon_invariants(_echelon(matrix, _Unimodular)[0])[0]
+
+
+def _echelon_invariants(pivots: dict) -> tuple[list[int], list[int]]:
+    """Smith invariants of a matrix with unimodular echelon pivots {lowest
+    row -> column}, and the lows of the unit pivots.  A unit pivot splits
+    off an invariant 1: the other pivots can be cleared in its row by
+    column operations, then its own column by row operations.  The rest,
+    cleared in the unit rows, is the residue that `_smith_dense` reduces."""
+    unit_lows = [low for low, col in pivots.items() if abs(col[low]) == 1]
+    invariants = [1] * len(unit_lows)
+    if len(unit_lows) == len(pivots):
+        return invariants, unit_lows
+    unit_rows = sorted(unit_lows, reverse=True)
+    residue = []
+    for low, col in pivots.items():
+        if abs(col[low]) == 1:
+            continue
+        # descending, as clearing row r only touches rows below r
+        for r in unit_rows:
+            if r < low and r in col:
+                _sub_multiple(col, col[r] * pivots[r][r], pivots[r])
+        residue.append(col)
+    rows = sorted(set().union(*residue))
+    invariants += _smith_dense([[col.get(r, 0) for col in residue]
+                                for r in rows])
+    return invariants, unit_lows
 
 
 def _smith_dense(matrix) -> list[int]:
     """Smith invariants of a dense integer matrix by row and column operations.
 
-    Used on the non-unit residue of `smith_normal_form`, and by the tests
+    Used on the non-unit residue of `_echelon_invariants`, and by the tests
     as its reference.
     """
     a = [[int(v) for v in row] for row in np.atleast_2d(np.asarray(matrix))]

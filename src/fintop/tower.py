@@ -306,7 +306,13 @@ class Tower:
         """The vertex map s(v) = min q_{n,m}({v}) from level m to level n,
         read from the kept vertex images, which must all be nonempty."""
         self._check_levels(n, m)
-        return {v: min(img) for v, img in enumerate(self._vertex_images(n, m))}
+        selection = {}
+        for v, img in enumerate(self._vertex_images(n, m)):
+            if not img:
+                raise TowerError(f"selection from level {m} to level {n}: "
+                                 f"vertex {v} of level {m} has an empty image")
+            selection[v] = min(img)
+        return selection
 
     def bonding_element_map(self, n: int, m: int) -> tuple[list[Optional[int]], BondingReport]:
         """Images of the stored elements of level m as indices at level n.

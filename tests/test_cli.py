@@ -311,18 +311,32 @@ def test_homology_bad_field(capsys):
     assert code == cli.EXIT_USAGE
 
 
-@pytest.mark.parametrize("field", ["p:x", "p:", "p:1", "p:4", "p:-3"])
+@pytest.mark.parametrize("field", [
+    "p:x", "p:", "p:1", "p:4", "p:-3",
+    # refused by the bound of 2^31 before int() and trial division: 5000
+    # digits exceed int()'s digit limit, and a 19-digit prime would take
+    # seconds of trial division
+    pytest.param("p:" + "7" * 400, id="400-digits"),
+    pytest.param("p:" + "7" * 5000, id="5000-digits"),
+    pytest.param("p:1000000000000000003", id="prime-above-2^31")])
 def test_homology_field_must_be_prime(field, capsys, monkeypatch):
     def no_tower(args):
         pytest.fail("the tower was built before the field was checked")
 
+    is_prime = H.L.is_prime
+
+    def bounded_is_prime(p):
+        assert p < 2 ** 31, "trial division above the bound"
+        return is_prime(p)
+
     monkeypatch.setattr(cli, "make_tower", no_tower)
+    monkeypatch.setattr(H.L, "is_prime", bounded_is_prime)
     code, out, err = run(["homology", "--space", "circle", "--depth", "2",
                           "--field", field], capsys)
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "prime" in err
+    assert "prime below 2^31" in err
 
 
 def test_homology_induced(tmp_path, capsys):

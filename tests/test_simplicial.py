@@ -351,6 +351,12 @@ def test_ranks_agree_with_smith_normal_form(columns):
         assert L.rank_gfp(cols, p) == sum(1 for d in invariants if d % p)
 
 
+def test_is_prime_takes_any_size():
+    # a float square root overflows above about 10^308
+    assert not L.is_prime(10 ** 400)
+    assert L.is_prime(2 ** 31 - 1)
+
+
 def test_rank_gfp_rejects_non_prime():
     for p in (0, 1, 4, 9, -3):
         with pytest.raises(ValueError, match="not prime"):

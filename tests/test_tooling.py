@@ -44,6 +44,31 @@ def test_every_library_definition_is_named_elsewhere():
     assert not dead, dead
 
 
+def test_coboundaries_are_reduced_only_by_pairs():
+    # one homology path: Betti numbers, torsion and induced ranks all read
+    # the cached reduction of homology._pairs, the one place in the
+    # library that names a coboundary or a Smith reduction with its pairs
+    names = {"coboundary_sparse", "smith_pivots"}
+
+    def named(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from named(child, child.name)
+                continue
+            if isinstance(child, ast.alias):
+                name = child.name.rpartition(".")[2]
+            else:
+                name = getattr(child, "attr", getattr(child, "id", None))
+            if name in names:
+                yield scope, name
+            yield from named(child, scope)
+
+    found = {(os.path.relpath(path, ROOT), scope, name)
+             for path, tree in _trees("src") for scope, name in named(tree, None)}
+    assert found == {(os.path.join("src", "fintop", "homology.py"), "_pairs", name)
+                     for name in names}
+
+
 def test_perfbench_tracer_finds_every_wrapped_name():
     # perfbench/tracing.py replaces fintop names with traced wrappers; a name
     # deleted from the library would break `perfbench/run.py --trace 1`

@@ -424,6 +424,20 @@ def test_bad_bonding_levels_raise():
     assert tw.bonding_element_map(3, 3)[0] == list(range(256))
 
 
+def test_selection_names_a_vertex_with_an_empty_image():
+    # 1.5 is farther than eps 1 from the one point of level 1
+    line = M.euclidean(1)
+    tw = T.Tower([M.MetricSample(line, [[0.0]], 1.0),
+                  M.MetricSample(line, [[0.0], [1.5]], 0.4)],
+                 mode=T.RELAXED, max_dim=2, k_max=1)
+    assert not tw.bonding_element_map(1, 2)[1].well_defined
+    with pytest.raises(T.TowerError, match=re.escape(
+            "selection from level 2 to level 1: vertex 1 of level 2 has an "
+            "empty image")):
+        tw.selection(1, 2)
+    assert tw.selection(2, 2) == {0: 0, 1: 1}
+
+
 @pytest.mark.parametrize("variant", [T.Tower, T.NearestPointTower])
 @pytest.mark.parametrize("space, depth", [("circle", 4), ("cantor", 5),
                                           ("two_squares", 3)])
