@@ -271,8 +271,7 @@ def induced_bonding_rank(tower: T.Tower, n: int, m: int, k: int,
     terms: returns None when the bonding is not well defined or has an
     empty image.
     """
-    _, report = tower.bonding_element_map(n, m)
-    if not report.well_defined:
+    if not tower.bonding_report(n, m).well_defined:
         return None
     return H.induced_rank(tower.term(m).complex, tower.term(n).complex,
                           tower.selection(n, m), k, field_spec)
@@ -326,7 +325,7 @@ def cmd_verify(args) -> int:
         tag, witness = "ok", ""
         if not ok:
             tag = "FAIL"
-            witness = _witness(tower, n + 2, tower.bonding_element_map(n, n + 2)[1])
+            witness = _witness(tower, n + 2, tower.bonding_report(n, n + 2))
             failures += 1
         print(f"{tag} square at level {n}: union diameter {fmt(worst)} < "
               f"{fmt(tower.term(n).threshold)}{witness}")

@@ -1,6 +1,7 @@
 """Simplicial complexes: clique complexes (Vietoris-Rips and, through the
 comparability graph, order complexes), boundary and coboundary matrices,
-and elementary collapses, which only the tests use.
+batch lookups of vertex sets, and elementary collapses, which only the
+tests use.
 
 Simplices are stored as sorted tuples of hashable vertex ids grouped by
 dimension; the vertex order of the tuple fixes the orientation used by the
@@ -86,6 +87,49 @@ class SimplicialComplex:
         None: the one lookup of a simplex, by its vertices in any order."""
         return self._index.get(tuple(sorted(vertices)))
 
+    def rows(self, dim: int) -> np.ndarray:
+        """The dim-simplices as one int64 array of vertex rows, in the order
+        of simplices(dim), cached on the complex.  Vertices must be
+        nonnegative integers, as in clique complexes."""
+        cache = vars(self).setdefault("_rows_cache", {})
+        if dim not in cache:
+            simplices = self.simplices(dim)
+            cache[dim] = np.fromiter(
+                chain.from_iterable(simplices), dtype=np.int64,
+                count=len(simplices) * (dim + 1)).reshape(-1, dim + 1)
+        return cache[dim]
+
+    def positions(self, rows) -> np.ndarray:
+        """The batch form of position: for each row of a 2-D integer array,
+        the place in all_simplices() of the simplex on the set of its
+        nonnegative entries, or -1.  A row may hold its vertices in any
+        order and more than once; negative entries pad it.
+
+        The sets of each size are looked up by one searchsorted of their
+        rows' bytes against the sorted bytes of the stored simplices of that
+        dimension, kept on the complex; a byte key has no width or overflow
+        limit.
+        """
+        members, first = vertex_sets(np.asarray(rows, dtype=np.int64))
+        size = first.sum(axis=1)
+        out = np.full(len(members), -1, dtype=np.intp)
+        cache = vars(self).setdefault("_keys_cache", {})
+        for dim in range(min(self.dimension + 1, members.shape[1])):
+            sel = np.flatnonzero(size == dim + 1)
+            if not len(sel):
+                continue
+            if dim not in cache:
+                keys = _row_keys(self.rows(dim))
+                order = np.argsort(keys)
+                cache[dim] = keys[order], order + self._starts[dim]
+            keys, places = cache[dim]
+            query = _row_keys(members[sel][first[sel]].reshape(-1, dim + 1))
+            at = np.searchsorted(keys, query)
+            at[at == len(keys)] = 0
+            found = keys[at] == query
+            out[sel[found]] = places[at[found]]
+        return out
+
     def boundary_sparse(self, dim: int,
                         columns: Optional[Iterable[int]] = None) -> list[dict]:
         """Boundary map C_dim -> C_{dim-1} as sparse columns (row -> coeff),
@@ -137,6 +181,22 @@ class SimplicialComplex:
             for i, v in col.items():
                 mat[i, j] = v
         return mat
+
+
+def vertex_sets(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer rows as vertex sets: the rows sorted, and the mask of each
+    nonnegative entry's first occurrence in its row.  The masked entries
+    of a row are its set, in increasing order as simplices are stored."""
+    members = np.sort(rows, axis=1)
+    first = members >= 0
+    first[:, 1:] &= members[:, 1:] != members[:, :-1]
+    return members, first
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void key per int64 row, its bytes: equal rows have equal keys,
+    and numpy orders void keys, which is all that a sorted lookup needs."""
+    return np.ascontiguousarray(rows).view(f"V{8 * rows.shape[1]}").ravel()
 
 
 # ---------------------------------------------------------------------------

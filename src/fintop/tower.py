@@ -27,7 +27,8 @@ import numpy as np
 
 from . import metric as M
 from .finite_space import FiniteSpace, face_poset
-from .simplicial import SimplicialComplex, SimplicialError, vietoris_rips
+from .simplicial import (SimplicialComplex, SimplicialError, vertex_sets,
+                         vietoris_rips)
 
 
 class TowerError(ValueError):
@@ -164,6 +165,38 @@ def _image(table: list[frozenset], payload) -> frozenset:
     return frozenset(acc)
 
 
+def _padded(payloads: list) -> np.ndarray:
+    """Index payloads as the rows of one array, each padded to the widest
+    payload's size with its first index; an empty payload's row is -1."""
+    sizes = np.fromiter(map(len, payloads), dtype=np.intp, count=len(payloads))
+    flat = np.fromiter(itertools.chain.from_iterable(payloads), dtype=np.intp,
+                       count=int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    out = np.full((len(payloads), max(1, int(sizes.max(initial=0)))), -1,
+                  dtype=np.intp)
+    full = sizes > 0
+    out[full] = flat[starts[full]][:, None]
+    out[np.repeat(np.arange(len(payloads)), sizes),
+        np.arange(len(flat)) - np.repeat(starts, sizes)] = flat
+    return out
+
+
+def _blocks(count: int, entries: int):
+    """Slices of range(count) whose items hold at most BLOCK_ENTRIES
+    entries together, when each holds `entries`."""
+    step = max(1, M.BLOCK_ENTRIES // max(1, entries))
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _block_max(pw: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The largest entry of pw[a[i]][:, b[i]] for each pair of index rows,
+    gathered in blocks of at most BLOCK_ENTRIES entries."""
+    out = np.empty(len(a))
+    for rows in _blocks(len(a), a.shape[1] * b.shape[1]):
+        out[rows] = pw[a[rows, :, None], b[rows, None, :]].max(axis=(1, 2))
+    return out
+
+
 def image_diameters(pw: np.ndarray, payloads: list) -> np.ndarray:
     """Diameters of nonempty index payloads under the distance matrix pw.
 
@@ -172,33 +205,109 @@ def image_diameters(pw: np.ndarray, payloads: list) -> np.ndarray:
     blocks of at most BLOCK_ENTRIES entries.  The padding only repeats
     entries, and pw is symmetric with a zero diagonal, so each maximum runs
     over the same floats as the pairs a < b of its payload and is bitwise
-    that pair maximum (0.0 for a singleton).
+    that pair maximum (0.0 for a singleton).  The bonding reports gather
+    only vertex images and pairs of them this way (`_map_report`).
     """
-    out = np.zeros(len(payloads))
-    if not payloads:
-        return out
-    sizes = np.fromiter(map(len, payloads), dtype=np.intp, count=len(payloads))
-    flat = np.fromiter(itertools.chain.from_iterable(payloads), dtype=np.intp,
-                       count=int(sizes.sum()))
-    width = int(sizes.max())
-    starts = np.cumsum(sizes) - sizes
-    idx = np.repeat(flat[starts], width).reshape(len(payloads), width)
-    idx[np.repeat(np.arange(len(payloads)), sizes),
-        np.arange(len(flat)) - np.repeat(starts, sizes)] = flat
-    step = max(1, M.BLOCK_ENTRIES // (width * width))
-    for start in range(0, len(payloads), step):
-        block = idx[start:start + step]
-        out[start:start + step] = pw[block[:, :, None],
-                                     block[:, None, :]].max(axis=(1, 2))
-    return out
+    idx = _padded(payloads)
+    return _block_max(pw, idx, idx)
+
+
+def _edges_of(cx: SimplicialComplex, dim: int) -> np.ndarray:
+    """For each dim-simplex of cx, the places of its edges among the edges
+    of cx, from one `positions` call; cached on the complex, whose
+    simplices are the source of several level pairs."""
+    cache = vars(cx).setdefault("_edges_cache", {})
+    if dim not in cache:
+        rows = cx.rows(dim)
+        i, j = np.triu_indices(dim + 1, 1)
+        edges = np.stack([rows[:, i], rows[:, j]], axis=2).reshape(-1, 2)
+        cache[dim] = (cx.positions(edges) - len(cx.simplices(0))
+                      ).reshape(len(rows), -1)
+    return cache[dim]
 
 
 def _map_report(dst: Term, table: list[frozenset], src: SimplicialComplex,
-                tol: float) -> tuple[tuple, BondingReport]:
-    """element_report at dst of the map with vertex table `table` on every
-    simplex of src: how every map between levels is checked."""
-    return element_report(dst, [_image(table, c) for c in src.all_simplices()],
-                          tol)
+                tol: float) -> BondingReport:
+    """The element report at dst of the map with vertex table `table` on
+    every simplex of src, read from vertex and edge tables: how every map
+    between levels is checked, with no image built per simplex.
+
+    An image q(C) is the union of the vertex images q({v}) over v in C, so
+    it is empty when they all are, and every pair of its points lies in
+    one q({u}) | q({v}) with u, v in C.  diam q(C) is therefore the largest
+    diameter of the vertices and edges of C: per vertex one padded gather,
+    per edge the larger of its vertices' and one gather of the block
+    between their images, per higher simplex the largest of its edges'.
+    Each maximum runs over the same entries of pw as the image's own
+    diameter, so it is bitwise that value.
+
+    The stored elements of dst are the cliques of at most dimension + 1
+    vertices of the graph that the element test's tie rule (`metric.below`)
+    draws, so a nonempty image is stored exactly when it is one point, or
+    passes the test with at most that many points.  Image sizes are counted
+    only where the vertex images' sizes add up to more.
+    """
+    pw, most = dst.sample.pairwise(), dst.complex.dimension + 1
+    padded = _padded(table)
+    sizes = np.fromiter(map(len, table), dtype=np.intp, count=len(table))
+    void = sizes == 0
+    idx = np.maximum(padded, 0)          # an empty image's entries are masked
+    vertex = np.where(void, 0.0, _block_max(pw, idx, idx))
+    a, b = src.rows(1).T
+    edge = np.maximum(np.maximum(vertex[a], vertex[b]),
+                      np.where(void[a] | void[b], 0.0,
+                               _block_max(pw, idx[a], idx[b])))
+    widths, empty, passed, capped = [], [], [], 0
+    for d in range(src.dimension + 1):
+        rows = src.rows(d)
+        if d == 0:
+            width = vertex[rows[:, 0]]
+        elif d == 1:
+            width = edge
+        else:
+            width = edge[_edges_of(src, d)].max(axis=1)
+        hollow = void[rows].all(axis=1)
+        wide = ~hollow & (width > 0)
+        ok = M.below(width, dst.threshold, tol)
+        capped += int(np.count_nonzero(wide & ~ok))
+        unsure = rows[wide & ok & (sizes[rows].sum(axis=1) > most)]
+        for blk in _blocks(len(unsure), unsure.shape[1] * padded.shape[1]):
+            images = padded[unsure[blk]].reshape(len(unsure[blk]), -1)
+            capped += int(np.count_nonzero(
+                vertex_sets(images)[1].sum(axis=1) > most))
+        widths.append(width)
+        empty.append(hollow)
+        passed.append(ok)
+    widths, empty = np.concatenate(widths), np.concatenate(empty)
+    n_empty = int(np.count_nonzero(empty))
+    return BondingReport(
+        well_defined=not n_empty and bool(np.concatenate(passed).all()),
+        worst_diameter=math.inf if n_empty else float(widths.max(initial=0.0)),
+        bound=dst.threshold, empty_images=n_empty, capped_images=capped,
+        worst_element=int(empty.argmax()) if n_empty
+        else int(widths.argmax()) if widths.size else 0)
+
+
+def _map_places(dst: SimplicialComplex, table: list[frozenset],
+                src: SimplicialComplex) -> tuple:
+    """Each simplex of src's image place among the stored simplices of
+    dst, None when not stored, under the map with vertex table `table`.
+
+    A simplex's image is the row of its vertices' padded images side by
+    side, passed to `positions` with the other rows of its dimension and
+    block, with no set or tuple per simplex.
+    """
+    padded = _padded(table)
+    places = []
+    for d in range(src.dimension + 1):
+        rows = src.rows(d)
+        places += [dst.positions(padded[rows[blk]].reshape(len(rows[blk]), -1))
+                   for blk in _blocks(len(rows), rows.shape[1] * padded.shape[1])]
+    places = np.concatenate(places)
+    out = places.tolist()
+    for i in np.flatnonzero(places < 0).tolist():
+        out[i] = None
+    return tuple(out)
 
 
 def element_report(dst: Term, images: list[frozenset], tol: float
@@ -251,8 +360,10 @@ class Tower:
                       for s in samples]
         # q_{n,m}({v}) for the vertices v of level m, per (n, m), filled lazily
         self._vertex_maps: dict[tuple[int, int], list[frozenset]] = {}
-        # bonding_element_map results per (n, m), filled lazily
-        self._element_maps: dict[tuple[int, int], tuple[tuple, BondingReport]] = {}
+        # bonding reports and element places per (n, m), filled lazily: the
+        # places only when bonding_element_map reads them
+        self._reports: dict[tuple[int, int], BondingReport] = {}
+        self._places: dict[tuple[int, int], tuple] = {}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -314,27 +425,35 @@ class Tower:
             selection[v] = min(img)
         return selection
 
+    def bonding_report(self, n: int, m: int) -> BondingReport:
+        """The BondingReport of q_{n,m} on the stored elements of level m,
+        computed once per (n, m) from the vertex and edge tables."""
+        self._check_levels(n, m)
+        if (n, m) not in self._reports:
+            self._reports[(n, m)] = _map_report(
+                self.term(n), self._vertex_images(n, m), self.term(m).complex,
+                self.tol)
+        return self._reports[(n, m)]
+
     def bonding_element_map(self, n: int, m: int) -> tuple[list[Optional[int]], BondingReport]:
-        """Images of the stored elements of level m as indices at level n.
+        """Images of the stored elements of level m as indices at level n,
+        with the bonding report.
 
         Entries are None when the image payload is not in the stored
         enumeration of level n (cardinality cap); the report counts them.
-        Computed once per (n, m); each call returns a fresh list.
+        The places are computed once per (n, m), when first read, and each
+        call returns a fresh list.
         """
-        self._check_levels(n, m)
-        if (n, m) not in self._element_maps:
-            self._element_maps[(n, m)] = self._element_map(n, m)
-        assignment, report = self._element_maps[(n, m)]
-        return list(assignment), report
-
-    def _element_map(self, n: int, m: int) -> tuple[tuple, BondingReport]:
-        return _map_report(self.term(n), self._vertex_images(n, m),
-                           self.term(m).complex, self.tol)
+        report = self.bonding_report(n, m)
+        if (n, m) not in self._places:
+            self._places[(n, m)] = _map_places(
+                self.term(n).complex, self._vertex_images(n, m),
+                self.term(m).complex)
+        return list(self._places[(n, m)]), report
 
     def verify_bondings(self) -> list[BondingReport]:
         """Well-definedness of every consecutive bonding map."""
-        return [self.bonding_element_map(n, n + 1)[1]
-                for n in range(1, len(self))]
+        return [self.bonding_report(n, n + 1) for n in range(1, len(self))]
 
     # -- homotopy certificates ---------------------------------------------
 
@@ -343,11 +462,11 @@ class Tower:
 
         bond composes one-step unions, so q_{n,n+1} o q_{n+1,n+2} equals
         q_{n,n+2} and their union map is q_{n,n+2} itself.  The certificate
-        is therefore the diameter bound of bonding_element_map(n, n+2), the
+        is therefore the diameter bound of bonding_report(n, n+2), the
         content of the factorization statement: (well defined, worst
         diameter), which is (False, inf) when an image is empty.
         """
-        report = self.bonding_element_map(n, n + 2)[1]
+        report = self.bonding_report(n, n + 2)
         return report.well_defined, report.worst_diameter
 
 
@@ -422,14 +541,14 @@ def two_tower_comparison(coarse: Tower, fine: Tower,
     for n, l in enumerate(levels, start=1):
         dst, table = coarse.term(n), tables[n - 1]
         ok = _map_report(dst, table, fine.term(l).complex,
-                         coarse.tol)[1].well_defined
+                         coarse.tol).well_defined
         square_ok, worst = True, 0.0
         if n < depth:
             l_next, step = levels[n], coarse._vertex_images(n, n + 1)
             union = [_image(table, a) | _image(step, b) for a, b in
                      zip(fine._vertex_images(l, l_next), tables[n])]
             rep = _map_report(dst, union, fine.term(l_next).complex,
-                              coarse.tol)[1]
+                              coarse.tol)
             square_ok, worst = rep.well_defined, rep.worst_diameter
         reports.append(TwoTowerReport(level=n, matched_level=l,
                                       well_defined=ok, square_certified=square_ok,

@@ -5,6 +5,7 @@ import numpy as np
 from fintop import linalg as L
 from fintop import metric as M
 from fintop import simplicial as S
+from fintop import tower as T
 
 
 def euler_characteristic(cx: S.SimplicialComplex) -> int:
@@ -40,3 +41,14 @@ def induced_map_rank_three_ranks(boundary_y_k1: list, chain_map_k: list,
     for f_col, dx_col in zip(chain_map_k, boundary_x_k):
         block.append({**f_col, **{rows_y_k + r: v for r, v in dx_col.items()}})
     return rank(block) - rank(boundary_y_k1) - rank(boundary_x_k)
+
+
+def map_report(dst: T.Term, table: list, src: S.SimplicialComplex,
+               tol: float) -> tuple:
+    """The places and the report of the map with vertex table `table` on
+    every simplex of src, from one union of vertex images per simplex:
+    each image's place by `SimplicialComplex.position`, its diameter by
+    `tower.image_diameters`, through `tower.element_report`."""
+    images = [frozenset().union(*(table[v] for v in c))
+              for c in src.all_simplices()]
+    return T.element_report(dst, images, tol)

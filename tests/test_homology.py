@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -288,6 +289,16 @@ def test_induced_rank_refuses_a_map_not_simplicial_above_k():
     edge, ends = S.SimplicialComplex([(0, 1)]), S.SimplicialComplex([(0,), (1,)])
     with pytest.raises(H.HomologyError, match="not simplicial in dimension 1"):
         H.induced_rank(edge, ends, {0: 0, 1: 1}, 0)
+
+
+def test_a_map_not_simplicial_names_its_first_simplex():
+    # the images of the edges (10, 20) and (0, 20) are both missing from
+    # the target; the error names the first in the order of the source
+    src = S.SimplicialComplex([(10, 20), (0, 20), (0, 10)])
+    dst = S.SimplicialComplex([(5, 6), (7,)])
+    with pytest.raises(H.HomologyError, match=re.escape(
+            "image simplex (6, 7) of the 1-simplex (10, 20) missing")):
+        H.induced_rank(src, dst, {0: 5, 10: 6, 20: 7}, 0)
 
 
 @pytest.mark.parametrize("field", ["q", "p:2"])

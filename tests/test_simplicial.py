@@ -123,6 +123,13 @@ def test_complex_keeps_first_appearance_order():
     assert cx.position({3, 2}) == 4 and cx.position(frozenset({2, 1, 0})) == 8
     for vertices in (set(), {0, 3}, {5}, {0, 1, 2, 3}):
         assert cx.position(vertices) is None
+    # the batch form: rows of vertices in any order, repeated or padded
+    # with negative entries, -1 for the absent sets, wider ones included
+    assert cx.rows(1).tolist() == [[2, 3], [0, 1], [0, 2], [1, 2]]
+    assert cx.positions(np.array([
+        [3, 2, -1, -1], [2, 1, 0, -1], [0, 3, 3, 3], [5, -1, -1, -1],
+        [0, 1, 2, 3], [1, 1, 0, -1], [-1, -1, -1, -1]])).tolist() == \
+        [4, 8, -1, -1, -1, 5, -1]
     with pytest.raises(S.SimplicialError, match="empty simplex"):
         S.SimplicialComplex([(0,), ()])
 
@@ -168,9 +175,20 @@ def test_clique_complex_matches_brute_force(graph, max_dim):
     # included, maps to its place in all_simplices() or to None
     n = len(neighbours)
     for k in range(n + 1):
-        for c in combinations(range(n), k):
+        combos = list(combinations(range(n), k))
+        for c in combos:
             assert cx.position(frozenset(c)) == position.get(c)
             assert (c in cx) is (c in position)
+        # positions, the batch form: the same rows reversed, with a repeated
+        # vertex and a negative pad
+        rows = np.array(combos, dtype=np.int64).reshape(len(combos), k)
+        want = [position.get(c, -1) for c in combos]
+        assert cx.positions(rows).tolist() == want
+        assert cx.positions(np.hstack([rows[:, ::-1], rows[:, :1],
+                                       np.full((len(rows), 1), -1)])
+                            ).tolist() == want
+    for d in range(cx.dimension + 1):
+        assert cx.rows(d).tolist() == [list(s) for s in cx.simplices(d)]
 
 
 @settings(max_examples=200, deadline=None)

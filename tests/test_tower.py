@@ -8,13 +8,16 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from fintop import cli as C
 from fintop import finite_space as F
 from fintop import homology as H
 from fintop import limit as L
 from fintop import metric as M
 from fintop import tower as T
+
+import oracles
 
 
 def circle_tower(depth=3, **kw):
@@ -325,21 +328,59 @@ def test_bonding_element_map_is_kept_and_returned_fresh():
         report.well_defined = False
 
 
-def test_dump_after_verify_computes_each_bonding_once(monkeypatch):
-    tw = circle_tower(4)
+def count_bonding_work(monkeypatch, *towers):
+    """Record ("report" | "places", n, m) for each report and each
+    assignment that tower._map_report and tower._map_places compute, with
+    n and m the levels of the target and the source among the towers."""
+    level = {id(t.complex): n for tw in towers
+             for n, t in enumerate(tw.terms, start=1)}
     calls = []
 
-    def counted(self, n, m, _real=T.Tower._element_map):
-        calls.append((n, m))
-        return _real(self, n, m)
+    def counted(kind, real):
+        def wrapper(dst, table, src, *rest):
+            calls.append((kind, level[id(getattr(dst, "complex", dst))],
+                          level[id(src)]))
+            return real(dst, table, src, *rest)
+        return wrapper
 
-    monkeypatch.setattr(T.Tower, "_element_map", counted)
+    monkeypatch.setattr(T, "_map_report", counted("report", T._map_report))
+    monkeypatch.setattr(T, "_map_places", counted("places", T._map_places))
+    return calls
+
+
+def test_dump_after_verify_computes_each_bonding_once(monkeypatch):
+    tw = circle_tower(4)
+    calls = count_bonding_work(monkeypatch, tw)
     reports = tw.verify_bondings()
     data = T.dump_tower(tw)
-    # one element map per consecutive pair, all in the first pass
-    assert calls == [(1, 2), (2, 3), (3, 4)]
+    # one report per consecutive pair, all in the first pass; the dump
+    # reads them and computes only the places
+    assert calls == [("report", 1, 2), ("report", 2, 3), ("report", 3, 4),
+                     ("places", 1, 2), ("places", 2, 3), ("places", 3, 4)]
     assert [lvl["bonding_well_defined"] for lvl in data["levels"][1:]] == \
         [r.well_defined for r in reports]
+
+
+def test_report_readers_compute_no_places(monkeypatch):
+    # the places are computed only when bonding_element_map reads them,
+    # once per pair; reports call positions only for the edges of their
+    # higher simplices, and induced ranks for _check_simplicial
+    tw = T.build_tower("two_squares", 3, k_max=2)
+    coarse, fine = circle_tower(2), circle_tower(4)
+    calls = count_bonding_work(monkeypatch, tw, coarse, fine)
+    tw.verify_bondings()
+    for n in range(1, len(tw) - 1):
+        tw.projection_square_certificate(n)
+    for n in range(1, len(tw)):
+        for k in range(tw.k_max + 1):
+            C.induced_bonding_rank(tw, n, n + 1, k)
+    T.two_tower_comparison(coarse, fine, 1)
+    assert calls and all(kind == "report" for kind, _, _ in calls)
+    del calls[:]
+    for _ in range(2):
+        for n in range(1, len(tw)):
+            tw.bonding_element_map(n, n + 1)
+    assert calls == [("places", 1, 2), ("places", 2, 3)]
 
 
 @pytest.mark.parametrize("space, depth", [("circle", 4), ("two_squares", 3)])
@@ -373,6 +414,39 @@ def wide_tower():
                     M.MetricSample(ctx, [[0.5], [2.5]], epsilon=0.55),
                     M.MetricSample(ctx, [[0.5], [2.5]], epsilon=0.52)],
                    mode=T.RELAXED, enforce_schedule=False)
+
+
+def crowded_tower():
+    """Two levels on the line with max_dim 1, so that level 1 stores at
+    most two points per element.  The images of the edges of level 2 pass
+    the element test of level 1, and {0, 1, 2} has too many points to be
+    stored, while {0, 1} is stored though its two vertex images together
+    hold four indices."""
+    ctx = M.euclidean(1)
+    return T.Tower([M.MetricSample(ctx, [[0.0], [1.0], [2.0], [3.0]], epsilon=1.0),
+                    M.MetricSample(ctx, [[0.5], [0.6], [1.5], [2.0], [2.5]],
+                                   epsilon=0.45)],
+                   mode=T.RELAXED, max_dim=1, k_max=0)
+
+
+def narrow_edge_tower():
+    """A triangle of level 2 whose first edge maps to the point 0 of level
+    1 while its other edges map to {0, 3.5}, which fails the element test
+    of level 1; schedule unchecked."""
+    ctx = M.euclidean(1)
+    return T.Tower([M.MetricSample(ctx, [[0.0], [2.0], [3.5]], epsilon=0.8),
+                    M.MetricSample(ctx, [[0.5], [0.6], [3.0]], epsilon=0.75)],
+                   mode=T.RELAXED, max_dim=2, k_max=1, enforce_schedule=False)
+
+
+def loose_nearest_tower():
+    """Nearest-point bondings at tolerance 1, under which no point passes
+    the element test of level 1, although every point is stored."""
+    ctx = M.euclidean(1)
+    return T.NearestPointTower(
+        [M.MetricSample(ctx, [[0.0], [3.0], [6.0]], epsilon=1.0),
+         M.MetricSample(ctx, [[0.2], [3.1]], epsilon=0.4)],
+        mode=T.RELAXED, max_dim=1, k_max=0, tol=1.0, enforce_schedule=False)
 
 
 def empty_image_tower():
@@ -499,6 +573,76 @@ def test_batched_diameters_equal_the_pair_loop(points, payloads):
     payloads = [frozenset(i % len(pts) for i in p) for p in payloads]
     got = T.image_diameters(pw, payloads)
     assert got.tolist() == [pair_diameter(pw, p) for p in payloads]
+
+
+@st.composite
+def tied_towers(draw):
+    """Towers of 2 or 3 levels whose distances tie with eps_n and 4 eps_n:
+    lattice points scaled by 2^-i, grid angles on the geodesic circle, or
+    integers of the line as an explicit matrix.  max_dim runs from 1 to 3,
+    so wide images are often capped, and the schedule is not checked, so
+    some images are empty."""
+    kind = draw(st.sampled_from(["lattice", "circle", "explicit"]))
+    depth, max_dim = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    factors = sorted(draw(st.lists(
+        st.sampled_from([0.25, math.sqrt(2) / 4, 0.5, 0.75, 1.0]),
+        min_size=depth, max_size=depth)), reverse=True)
+
+    def subset(size):
+        return draw(st.lists(st.integers(0, size - 1), min_size=1,
+                             max_size=14, unique=True))
+
+    samples = []
+    if kind == "explicit":
+        line = draw(st.lists(st.integers(0, 16), min_size=2, max_size=12,
+                             unique=True))
+        ctx = M.explicit([[abs(a - b) for b in line] for a in line])
+    elif kind == "circle":
+        ctx = M.circle_geodesic()
+    else:
+        dim = draw(st.integers(1, 3))
+        ctx = M.euclidean(dim)
+    for i, c in enumerate(factors):
+        if kind == "explicit":
+            samples.append(M.MetricSample(ctx, subset(len(line)),
+                                          epsilon=c * 2.0 ** (1 - i)))
+        elif kind == "circle":
+            step = 2 * math.pi / (4 << i)
+            samples.append(M.MetricSample(
+                ctx, step * np.array(subset(4 << i), dtype=float),
+                epsilon=c * step))
+        else:
+            grid = draw(st.lists(st.tuples(*[st.integers(0, 2 << i)] * dim),
+                                 min_size=1, max_size=14, unique=True))
+            samples.append(M.MetricSample(ctx, np.array(grid) * 2.0 ** -i,
+                                          epsilon=c * 2.0 ** -i))
+    variant = draw(st.sampled_from([T.Tower, T.NearestPointTower]))
+    return variant(samples, mode=T.RELAXED, max_dim=max_dim,
+                   k_max=max_dim - 1, enforce_schedule=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tied_towers())
+@example(empty_image_tower())
+@example(wide_tower())
+@example(crowded_tower())
+@example(narrow_edge_tower())
+@example(loose_nearest_tower())
+@example(circle_tower(3, max_dim=1, k_max=0))
+@example(squares_tower())
+def test_bonding_tables_equal_the_union_oracle(tw):
+    # every field of every report, and every place, of the vertex and edge
+    # tables against one union and one lookup per element
+    for m in range(1, len(tw) + 1):
+        for n in range(1, m + 1):
+            places, report = tw.bonding_element_map(n, m)
+            want_places, want = oracles.map_report(
+                tw.term(n), tw._vertex_images(n, m), tw.term(m).complex,
+                tw.tol)
+            assert repr(report) == repr(want)
+            assert [type(v) for v in dataclasses.astuple(report)] == \
+                [type(v) for v in dataclasses.astuple(want)]
+            assert places == list(want_places)
 
 
 def image_oracle(low, points, payload, radius, tol, closed=False):
