@@ -5,7 +5,9 @@ complex, over GF(p) for 'p:P' and over Z otherwise, kept on the complex
 as masks of the simplices it pairs and the torsion (`_pairs`).  One
 record serves q, z and the ranks of induced maps, as the pairs over Z
 are those over Q.  Vertex maps induce chain maps with the usual sorting
-sign and degenerate-image-to-zero convention.  The rank of an induced
+sign and degenerate-image-to-zero convention, computed for all the
+simplices of a dimension at once (`_mapped`: one array of mapped vertex
+rows, its signs and one `positions` call).  The rank of an induced
 homology map comes from one sparse reduction of a block matrix
 (`linalg.induced_map_rank`), cleared in both blocks by those pairs
 (`induced_rank`).  Only the kept columns of the chain map and the
@@ -24,6 +26,7 @@ from . import linalg as L
 from .metric import DEFAULT_TOL
 # elementary_collapse: the benchmark tracer's wrapper, dropped by ROADMAP item 1
 from .simplicial import SimplicialComplex, elementary_collapse  # noqa: F401
+from .simplicial import is_vertex_id
 
 
 class HomologyError(ValueError):
@@ -129,13 +132,30 @@ def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
 # chain maps induced by vertex maps
 # ---------------------------------------------------------------------------
 
-def _sort_sign(seq: tuple) -> tuple[tuple, int]:
-    """Sorted tuple and the sign of the sorting permutation (0 if repeats)."""
-    if len(set(seq)) != len(seq):
-        return (), 0
-    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-                     if seq[i] > seq[j])
-    return tuple(sorted(seq)), -1 if inversions % 2 else 1
+def _mapped(src: SimplicialComplex, dst: SimplicialComplex,
+            vertex_map: Mapping, k: int,
+            columns: Optional[Iterable[int]] = None) -> tuple[np.ndarray, ...]:
+    """The images of the k-simplices of src (those at the given positions
+    when columns is given) under a vertex map into dst: rows of mapped
+    vertices, the signs of their sorting permutations (0 when a vertex
+    repeats) and the places of their sets in dst, -1 when missing, by one
+    `positions` call.  An image that is no vertex id, which a row would
+    misread (-1 as padding, 0.5 as 0), is refused by its vertex."""
+    vertices = src.rows(0)[:, 0].tolist()
+    images = [vertex_map[v] for v in vertices]
+    for v, x in zip(vertices, images):
+        if not is_vertex_id(x):
+            raise HomologyError(f"vertex {v} maps to {x!r}, which is not a "
+                                f"vertex id")
+    table = np.full(max(vertices, default=-1) + 1, -1, dtype=np.int64)
+    table[vertices] = images
+    mapped = table[src.rows(k) if columns is None
+                   else src.rows(k)[list(columns)]]
+    i, j = np.triu_indices(k + 1, 1)
+    a, b = mapped[:, i], mapped[:, j]
+    signs = np.where((a == b).any(axis=1), 0,
+                     1 - 2 * ((a > b).sum(axis=1) % 2))
+    return mapped, signs, dst.positions(mapped)
 
 
 def chain_map(src: SimplicialComplex, dst: SimplicialComplex,
@@ -149,22 +169,15 @@ def chain_map(src: SimplicialComplex, dst: SimplicialComplex,
     target is an error: the vertex map is not simplicial into dst.  Only
     the simplices of the built columns are checked.
     """
-    simplices = src.simplices(k)
-    if columns is not None:
-        simplices = [simplices[j] for j in columns]
+    mapped, signs, places = _mapped(src, dst, vertex_map, k, columns)
+    missing = np.flatnonzero((signs != 0) & (places < 0))
+    if len(missing):
+        t = tuple(sorted(mapped[missing[0]].tolist()))
+        raise HomologyError(
+            f"image simplex {t} missing from the target complex")
     start = sum(dst.f_vector()[:k])     # the first k-simplex's position
-    cols: list[L.SparseCol] = []
-    for s in simplices:
-        t, sign = _sort_sign(tuple(vertex_map[v] for v in s))
-        if sign == 0:
-            cols.append({})
-            continue
-        row = dst.position(t)
-        if row is None:
-            raise HomologyError(
-                f"image simplex {t} missing from the target complex")
-        cols.append({row - start: sign})
-    return cols
+    return [{row - start: sign} if sign else {}
+            for row, sign in zip(places.tolist(), signs.tolist())]
 
 
 def compose_sparse(a: list[L.SparseCol], b: list[L.SparseCol]) -> list[L.SparseCol]:
@@ -181,16 +194,10 @@ def compose_sparse(a: list[L.SparseCol], b: list[L.SparseCol]) -> list[L.SparseC
 def _check_simplicial(src: SimplicialComplex, dst: SimplicialComplex,
                       vertex_map: Mapping, k: int) -> None:
     """Raise unless the image of every k-simplex of src is in dst: the
-    check of `chain_map` without building its columns, by one
-    `positions` call on the rows of mapped vertices.  The error names the
-    first k-simplex of src whose image is missing."""
-    rows = src.rows(k)
-    if not len(rows):
-        return
-    vertices = src.rows(0)[:, 0]
-    image = np.zeros(int(vertices.max()) + 1, dtype=np.int64)
-    image[vertices] = [vertex_map[v] for v in vertices.tolist()]
-    missing = np.flatnonzero(dst.positions(image[rows]) < 0)
+    check of `chain_map` without building its columns, degenerate images
+    included.  The error names the first k-simplex of src whose image is
+    missing."""
+    missing = np.flatnonzero(_mapped(src, dst, vertex_map, k)[2] < 0)
     if len(missing):
         s = src.simplices(k)[missing[0]]
         t = {vertex_map[v] for v in s}

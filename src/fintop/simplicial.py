@@ -3,15 +3,19 @@ comparability graph, order complexes), boundary and coboundary matrices,
 batch lookups of vertex sets, and elementary collapses, which only the
 tests use.
 
-Simplices are stored as sorted tuples of hashable vertex ids grouped by
-dimension; the vertex order of the tuple fixes the orientation used by the
-boundary matrices.
+Simplices are stored as sorted tuples of nonnegative integer vertex ids
+grouped by dimension; the vertex order of the tuple fixes the orientation
+used by the boundary matrices.  The one index of a complex is the sorted
+byte keys of its vertex rows, one table per dimension: `positions` finds
+vertex sets in it, and the face table (`faces`), from which the boundaries
+and coboundaries are read, is one lookup of it per dimension.
 """
 
 from __future__ import annotations
 
+import numbers
 from itertools import accumulate, chain, combinations
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,10 +34,15 @@ class SimplicialComplex:
     it is built.
     """
 
-    def __init__(self, simplices: Iterable[Sequence[Hashable]] = ()):
+    def __init__(self, simplices: Iterable[Sequence[int]] = ()):
         levels: list[dict] = []
         for simplex in simplices:
-            s = tuple(sorted(set(simplex)))
+            s = set(simplex)
+            for v in s:
+                if not is_vertex_id(v):
+                    raise SimplicialError(f"vertex id {v!r} is not a "
+                                          "nonnegative integer below 2^63")
+            s = tuple(sorted(s))
             if not s:
                 raise SimplicialError("empty simplex")
             levels += [{} for _ in range(len(s) - len(levels))]
@@ -53,8 +62,6 @@ class SimplicialComplex:
         while levels and not levels[-1]:
             levels.pop()
         self._by_dim = levels
-        # the one map from a simplex to its place in all_simplices()
-        self._index = {s: i for i, s in enumerate(chain.from_iterable(levels))}
         self._starts = list(accumulate(map(len, levels), initial=0))
 
     @property
@@ -84,13 +91,18 @@ class SimplicialComplex:
 
     def position(self, vertices) -> Optional[int]:
         """The place in all_simplices() of the simplex on a vertex set, or
-        None: the one lookup of a simplex, by its vertices in any order."""
-        return self._index.get(tuple(sorted(vertices)))
+        None: the `positions` lookup of its one sorted row, and None for an
+        entry that is no vertex id, which `positions` reads as padding."""
+        row = sorted(set(vertices))
+        if not (0 < len(row) <= len(self._by_dim)
+                and all(map(is_vertex_id, row))):
+            return None
+        place = int(self._lookup(len(row) - 1, np.array([row], np.int64))[0])
+        return None if place < 0 else place
 
     def rows(self, dim: int) -> np.ndarray:
         """The dim-simplices as one int64 array of vertex rows, in the order
-        of simplices(dim), cached on the complex.  Vertices must be
-        nonnegative integers, as in clique complexes."""
+        of simplices(dim), cached on the complex."""
         cache = vars(self).setdefault("_rows_cache", {})
         if dim not in cache:
             simplices = self.simplices(dim)
@@ -105,71 +117,75 @@ class SimplicialComplex:
         nonnegative entries, or -1.  A row may hold its vertices in any
         order and more than once; negative entries pad it.
 
-        The sets of each size are looked up by one searchsorted of their
-        rows' bytes against the sorted bytes of the stored simplices of that
-        dimension, kept on the complex; a byte key has no width or overflow
-        limit.
+        The sets of each size are looked up by `_lookup` as sorted rows.
         """
         members, first = vertex_sets(np.asarray(rows, dtype=np.int64))
         size = first.sum(axis=1)
         out = np.full(len(members), -1, dtype=np.intp)
-        cache = vars(self).setdefault("_keys_cache", {})
         for dim in range(min(self.dimension + 1, members.shape[1])):
             sel = np.flatnonzero(size == dim + 1)
-            if not len(sel):
-                continue
-            if dim not in cache:
-                keys = _row_keys(self.rows(dim))
-                order = np.argsort(keys)
-                cache[dim] = keys[order], order + self._starts[dim]
-            keys, places = cache[dim]
-            query = _row_keys(members[sel][first[sel]].reshape(-1, dim + 1))
-            at = np.searchsorted(keys, query)
-            at[at == len(keys)] = 0
-            found = keys[at] == query
-            out[sel[found]] = places[at[found]]
+            if len(sel):
+                out[sel] = self._lookup(
+                    dim, members[sel][first[sel]].reshape(-1, dim + 1))
         return out
+
+    def _lookup(self, dim: int, rows: np.ndarray) -> np.ndarray:
+        """The places in all_simplices() of the dim-simplices on increasing
+        vertex rows, -1 where absent: one searchsorted of the rows' bytes
+        against the sorted bytes of the stored dim-simplices, kept on the
+        complex.  A byte key has no width or overflow limit."""
+        cache = vars(self).setdefault("_keys_cache", {})
+        if dim not in cache:
+            keys = _row_keys(self.rows(dim))
+            order = np.argsort(keys)
+            cache[dim] = keys[order], order + self._starts[dim]
+        keys, places = cache[dim]
+        query = _row_keys(rows)
+        at = np.searchsorted(keys, query)
+        at[at == len(keys)] = 0
+        return np.where(keys[at] == query, places[at], -1)
+
+    def faces(self, dim: int) -> np.ndarray:
+        """For each dim-simplex, dim >= 1, the places of its faces among the
+        (dim-1)-simplices: column i is the face without vertex i, whose
+        boundary sign is (-1)^i.  Cached on the complex, from one `_lookup`
+        of the rows with one vertex dropped, which stay increasing."""
+        cache = vars(self).setdefault("_faces_cache", {})
+        if dim not in cache:
+            drop = self.rows(dim)[:, list(combinations(range(dim + 1), dim))]
+            places = self._lookup(dim - 1, drop[:, ::-1].reshape(-1, dim))
+            cache[dim] = places.reshape(-1, dim + 1) - self._starts[dim - 1]
+        return cache[dim]
 
     def boundary_sparse(self, dim: int,
                         columns: Optional[Iterable[int]] = None) -> list[dict]:
         """Boundary map C_dim -> C_{dim-1} as sparse columns (row -> coeff),
         only those of the dim-simplices at the given positions, in their
-        order, when columns is given."""
-        cols = self.simplices(dim)
-        if columns is not None:
-            cols = [cols[j] for j in columns]
+        order, when columns is given: the rows of the face table."""
+        cols = range(len(self.simplices(dim))) if columns is None \
+            else list(columns)
         if dim <= 0 or not cols:
-            return [dict() for _ in cols]
-        ix, start = self._index, self._starts[dim - 1]
-        out = []
-        for s in cols:
-            col = {}
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                col[ix[face] - start] = (-1) ** i
-            out.append(col)
-        return out
+            return [{} for _ in cols]
+        signs = [(-1) ** i for i in range(dim + 1)]
+        return [dict(zip(row, signs)) for row in self.faces(dim)[cols].tolist()]
 
     def coboundary_sparse(self, dim: int) -> list[dict]:
         """Coboundary C^dim -> C^{dim+1}, the transpose of the boundary of
         dim + 1, as sparse columns with both simplex orders reversed.
 
         Column j is the dim-simplex n_dim - 1 - j, and row i is the
-        (dim+1)-simplex n_{dim+1} - 1 - i.
+        (dim+1)-simplex n_{dim+1} - 1 - i: the face table of dim + 1 read
+        by faces, each column's entries in the order of their cofaces.
         """
-        n = len(self.simplices(dim))
-        cofaces = self.simplices(dim + 1)
+        n, m = len(self.simplices(dim)), len(self.simplices(dim + 1))
         out: list[dict] = [{} for _ in range(n)]
-        if not (n and cofaces):
+        if not (n and m):
             return out
-        ix, top = self._index, len(cofaces) - 1
-        last = self._starts[dim] + n - 1        # the last dim-simplex's place
-        # combinations drops the vertices last to first: face k lacks
-        # vertex dim + 1 - k
-        signs = [(-1) ** (dim + 1 - k) for k in range(dim + 2)]
-        for q, s in enumerate(cofaces):
-            for face, sign in zip(combinations(s, dim + 1), signs):
-                out[last - ix[face]][top - q] = sign
+        cols = (n - 1 - self.faces(dim + 1)).ravel().tolist()
+        rows = np.repeat(np.arange(m - 1, -1, -1), dim + 2).tolist()
+        signs = [(-1) ** i for i in range(dim + 2)] * m
+        for j, i, sign in zip(cols, rows, signs):
+            out[j][i] = sign
         return out
 
     def boundary_matrix(self, dim: int) -> np.ndarray:
@@ -191,6 +207,12 @@ def vertex_sets(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = members >= 0
     first[:, 1:] &= members[:, 1:] != members[:, :-1]
     return members, first
+
+
+def is_vertex_id(v) -> bool:
+    """Whether v can be a vertex id: an integer that an int64 row holds
+    and that is not negative, which `positions` reads as padding."""
+    return isinstance(v, numbers.Integral) and 0 <= v < 2 ** 63
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

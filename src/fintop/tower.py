@@ -97,7 +97,8 @@ class Term:
 
     def is_element(self, payload: frozenset, tol: float = M.DEFAULT_TOL) -> bool:
         """Diameter test, independent of the cardinality-capped enumeration."""
-        return element_report(self, [payload], tol)[1].well_defined
+        return bool(payload) and bool(M.below(image_diameters(
+            self.sample.pairwise(), [payload])[0], self.threshold, tol))
 
     def space(self) -> FiniteSpace:
         """Finite T0 space on the stored elements: the face poset of the
@@ -212,20 +213,6 @@ def image_diameters(pw: np.ndarray, payloads: list) -> np.ndarray:
     return _block_max(pw, idx, idx)
 
 
-def _edges_of(cx: SimplicialComplex, dim: int) -> np.ndarray:
-    """For each dim-simplex of cx, the places of its edges among the edges
-    of cx, from one `positions` call; cached on the complex, whose
-    simplices are the source of several level pairs."""
-    cache = vars(cx).setdefault("_edges_cache", {})
-    if dim not in cache:
-        rows = cx.rows(dim)
-        i, j = np.triu_indices(dim + 1, 1)
-        edges = np.stack([rows[:, i], rows[:, j]], axis=2).reshape(-1, 2)
-        cache[dim] = (cx.positions(edges) - len(cx.simplices(0))
-                      ).reshape(len(rows), -1)
-    return cache[dim]
-
-
 def _map_report(dst: Term, table: list[frozenset], src: SimplicialComplex,
                 tol: float) -> BondingReport:
     """The element report at dst of the map with vertex table `table` on
@@ -237,9 +224,10 @@ def _map_report(dst: Term, table: list[frozenset], src: SimplicialComplex,
     one q({u}) | q({v}) with u, v in C.  diam q(C) is therefore the largest
     diameter of the vertices and edges of C: per vertex one padded gather,
     per edge the larger of its vertices' and one gather of the block
-    between their images, per higher simplex the largest of its edges'.
-    Each maximum runs over the same entries of pw as the image's own
-    diameter, so it is bitwise that value.
+    between their images, per higher simplex the largest of its faces'
+    from the face table (`SimplicialComplex.faces`), which hold all its
+    edges.  Each maximum runs over the same entries of pw as the image's
+    own diameter, so it is bitwise that value.
 
     The stored elements of dst are the cliques of at most dimension + 1
     vertices of the graph that the element test's tie rule (`metric.below`)
@@ -265,7 +253,7 @@ def _map_report(dst: Term, table: list[frozenset], src: SimplicialComplex,
         elif d == 1:
             width = edge
         else:
-            width = edge[_edges_of(src, d)].max(axis=1)
+            width = width[src.faces(d)].max(axis=1)
         hollow = void[rows].all(axis=1)
         wide = ~hollow & (width > 0)
         ok = M.below(width, dst.threshold, tol)
@@ -308,25 +296,6 @@ def _map_places(dst: SimplicialComplex, table: list[frozenset],
     for i in np.flatnonzero(places < 0).tolist():
         out[i] = None
     return tuple(out)
-
-
-def element_report(dst: Term, images: list[frozenset], tol: float
-                   ) -> tuple[tuple, BondingReport]:
-    """Each image payload's place among the stored elements of dst (None
-    when not stored), and whether each is an element of dst: nonempty and of
-    diameter strictly below dst.threshold within tol.  worst_element indexes
-    images: the first empty one, else the widest."""
-    positions = tuple(map(dst.complex.position, images))
-    empty = [i for i, img in enumerate(images) if not img]
-    widths = image_diameters(dst.sample.pairwise(), [img for img in images if img])
-    # without empty images, widths holds every image's diameter
-    worst = empty[0] if empty else int(widths.argmax()) if widths.size else 0
-    return positions, BondingReport(
-        well_defined=not empty and bool(np.all(M.below(widths, dst.threshold, tol))),
-        worst_diameter=math.inf if empty else float(widths.max(initial=0.0)),
-        bound=dst.threshold, empty_images=len(empty),
-        capped_images=positions.count(None) - len(empty),
-        worst_element=worst)
 
 
 class Tower:

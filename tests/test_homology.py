@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 
 import numpy as np
@@ -13,6 +14,7 @@ from fintop import metric as M
 from fintop import simplicial as S
 from fintop import tower as T
 
+import oracles
 from oracles import induced_map_rank_three_ranks
 
 
@@ -301,6 +303,21 @@ def test_a_map_not_simplicial_names_its_first_simplex():
         H.induced_rank(src, dst, {0: 5, 10: 6, 20: 7}, 0)
 
 
+@pytest.mark.parametrize("image", [-1, 0.5, "1", None])
+def test_an_image_that_is_no_vertex_id_is_refused(image):
+    # a row would read -1 as padding and the int64 table would truncate
+    # 0.5 to 0: both made the edge's map look simplicial onto the vertex
+    edge, point = S.SimplicialComplex([(0, 1)]), S.SimplicialComplex([(0,)])
+    vertex_map = {0: 0, 1: image}
+    message = (f"^vertex 1 maps to {re.escape(repr(image))}, which is not "
+               f"a vertex id$")
+    for call in (lambda: H.induced_rank(edge, point, vertex_map, 0),
+                 lambda: H.chain_map(edge, point, vertex_map, 1),
+                 lambda: H.chain_map(edge, point, vertex_map, 0, [0])):
+        with pytest.raises(H.HomologyError, match=message):
+            call()
+
+
 @pytest.mark.parametrize("field", ["q", "p:2"])
 def test_induced_rank_refuses_a_maximal_k_simplex_mapped_outside(field):
     # simplicial on every (k+1)-simplex, but the maximal k-simplex (2, 3),
@@ -454,6 +471,38 @@ def mapped_complexes(faces, images, extra):
     dst = S.SimplicialComplex(list(extra) + [{vertex_map[v] for v in s}
                                              for s in faces])
     return src, dst, vertex_map
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except H.HomologyError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(lattice_maps(),
+                 st.builds(mapped_complexes, FACES, IMAGES, EXTRA)),
+       st.randoms(use_true_random=False))
+@example(mapped_complexes(RP2_FACES, [0, 0, 1, 1, 2, 2, 3], []),
+         random.Random(0))
+@example(moved_lattice(PUNCTURED_SQUARE, 2, [[0, 1, 1, 1, 2]] * 2),
+         random.Random(1))
+def test_chain_map_equals_the_per_simplex_oracle(case, rng):
+    # the batched chain map against one sort and one lookup per simplex:
+    # every column and drawn columns with repeats, into dst and into its
+    # skeleton below k, where both must name the same first missing image
+    src, dst, vertex_map = case
+    for k in range(src.dimension + 2):
+        n = len(src.simplices(k))
+        columns = [rng.randrange(n) for _ in range(rng.randint(0, n))]
+        skeleton = S.SimplicialComplex([s for s in dst.all_simplices()
+                                        if len(s) <= k])
+        for target, cols in [(dst, None), (dst, columns), (skeleton, None),
+                             (skeleton, columns)]:
+            assert _outcome(H.chain_map, src, target, vertex_map, k, cols) \
+                == _outcome(oracles.chain_map, src, target, vertex_map, k,
+                            cols)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ from fintop import linalg as L
 from fintop import metric as M
 from fintop import simplicial as S
 
-from oracles import euler_characteristic
+from oracles import boundary_columns, coboundary_columns, euler_characteristic
 
 
 def triangle_boundary():
@@ -130,8 +130,27 @@ def test_complex_keeps_first_appearance_order():
         [3, 2, -1, -1], [2, 1, 0, -1], [0, 3, 3, 3], [5, -1, -1, -1],
         [0, 1, 2, 3], [1, 1, 0, -1], [-1, -1, -1, -1]])).tolist() == \
         [4, 8, -1, -1, -1, 5, -1]
+    # the face table: column i is the face without vertex i, as a place
+    # among the faces' dimension
+    assert cx.faces(1).tolist() == [[1, 0], [3, 2], [0, 2], [0, 3]]
+    assert cx.faces(2).tolist() == [[3, 2, 1]]
     with pytest.raises(S.SimplicialError, match="empty simplex"):
         S.SimplicialComplex([(0,), ()])
+
+
+def test_vertex_ids_are_nonnegative_integers():
+    # positions reads a negative entry as padding and needs int64 rows, so
+    # a complex refuses any other vertex id, and position finds no set
+    # that holds one
+    for simplex in [(-1, 0), ("a", "b"), (0, 1.5), (0, 2 ** 63)]:
+        with pytest.raises(S.SimplicialError, match="vertex id .* is not a "
+                                                    "nonnegative integer"):
+            S.SimplicialComplex([simplex])
+    cx = S.SimplicialComplex([(0, 1), (np.int64(2),)])
+    assert cx.simplices(0) == [(0,), (1,), (2,)]
+    for vertices in ({-1, 0}, {-1}, {"a"}, {0.5}, {0, 2 ** 64}):
+        assert cx.position(vertices) is None
+        assert vertices not in cx
 
 
 def _brute_cliques(neighbours, max_dim):
@@ -189,6 +208,12 @@ def test_clique_complex_matches_brute_force(graph, max_dim):
                             ).tolist() == want
     for d in range(cx.dimension + 1):
         assert cx.rows(d).tolist() == [list(s) for s in cx.simplices(d)]
+        # the boundaries and coboundaries read from the face table are
+        # those of one tuple lookup per face, entries in the same order
+        for cols, oracle in [(cx.boundary_sparse(d), boundary_columns),
+                             (cx.coboundary_sparse(d), coboundary_columns)]:
+            assert [list(c.items()) for c in cols] == \
+                [list(c.items()) for c in oracle(cx, d)]
 
 
 @settings(max_examples=200, deadline=None)

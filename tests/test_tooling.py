@@ -69,6 +69,17 @@ def test_coboundaries_are_reduced_only_by_pairs():
                      for name in names}
 
 
+def test_simplex_lookups_outside_simplicial_are_batched():
+    # one simplex index: the library finds vertex sets by `positions` over
+    # rows; the one-row wrapper `position` is named only where it is defined
+    found = [f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+             for path, tree in _trees("src")
+             if os.path.basename(path) != "simplicial.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "position"]
+    assert not found, found
+
+
 def test_perfbench_tracer_finds_every_wrapped_name():
     # perfbench/tracing.py replaces fintop names with traced wrappers; a name
     # deleted from the library would break `perfbench/run.py --trace 1`

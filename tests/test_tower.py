@@ -60,8 +60,8 @@ def test_term_sizes_circle():
 def test_term_element_diameter_bound():
     tw = circle_tower(3)
     t = tw.term(3)
-    assert T.element_report(t, t.complex.all_simplices(), 0.0)[1].worst_diameter \
-        < t.threshold
+    report = oracles.element_report(t, t.complex.all_simplices(), 0.0)[1]
+    assert report.worst_diameter < t.threshold
     # a non-element: 5 consecutive points span 4 gaps = the threshold
     too_wide = frozenset(range(5))
     assert not t.is_element(too_wide)
@@ -77,8 +77,8 @@ def test_explicit_elements_pass_their_own_membership_test():
     term = T.build_term(sample, 2)
     assert frozenset({0, 1}) in term.complex
     assert term.is_element(frozenset({0, 1}))
-    assert T.element_report(term, term.complex.all_simplices(),
-                            M.DEFAULT_TOL)[1].worst_diameter == 1
+    assert oracles.element_report(term, term.complex.all_simplices(),
+                                  M.DEFAULT_TOL)[1].worst_diameter == 1
 
 
 def test_term_space_reverse_inclusion():
@@ -203,8 +203,8 @@ def test_nearest_point_tower_interval():
     # and adjacent pairs qualify
     assert tw.threshold_factor == 2
     t2 = tw.term(2)
-    assert T.element_report(t2, t2.complex.all_simplices(), 0.0)[1].worst_diameter \
-        < 2 / 3
+    report = oracles.element_report(t2, t2.complex.all_simplices(), 0.0)[1]
+    assert report.worst_diameter < 2 / 3
     # nearest-point bonding of an off-grid-ish deeper point set
     img = tw.bond(1, 2, frozenset([2]))
     assert img == frozenset([0])         # everything maps to the single point
@@ -363,8 +363,8 @@ def test_dump_after_verify_computes_each_bonding_once(monkeypatch):
 
 def test_report_readers_compute_no_places(monkeypatch):
     # the places are computed only when bonding_element_map reads them,
-    # once per pair; reports call positions only for the edges of their
-    # higher simplices, and induced ranks for _check_simplicial
+    # once per pair; reports read the face tables of their higher
+    # simplices, and induced ranks call positions for _check_simplicial
     tw = T.build_tower("two_squares", 3, k_max=2)
     coarse, fine = circle_tower(2), circle_tower(4)
     calls = count_bonding_work(monkeypatch, tw, coarse, fine)
