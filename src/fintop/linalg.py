@@ -32,7 +32,7 @@ SparseCol = dict  # row index -> nonzero coefficient
 
 
 def to_sparse_columns(matrix: np.ndarray) -> list[SparseCol]:
-    rows, cols = np.nonzero(matrix)
+    rows, cols = np.divmod(np.flatnonzero(matrix), matrix.shape[1])
     out: list[SparseCol] = [dict() for _ in range(matrix.shape[1])]
     for r, c in zip(rows.tolist(), cols.tolist()):
         out[c][r] = int(matrix[r, c])

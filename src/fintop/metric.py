@@ -25,8 +25,9 @@ TWO_PI = 2.0 * math.pi
 #: default relative tolerance for distance comparisons
 DEFAULT_TOL = 1e-9
 
-#: entries in one block of a distance sweep, which bounds its memory
-BLOCK_ENTRIES = 2_000_000
+#: entries in one block of a distance sweep or gather: 2^15 floats, whose
+#: temporaries stay in cache
+BLOCK_ENTRIES = 2 ** 15
 
 #: relative widening against rounding: of a search window, where a point kept
 #: in needlessly costs time, never a result, and of the coverage radius, which
@@ -195,21 +196,19 @@ def cross_distances(ctx: MetricContext, A: np.ndarray, B: np.ndarray) -> np.ndar
     return ctx.matrix[np.ix_(np.ravel(A), np.ravel(B))]
 
 
-def _distance_blocks(ctx: MetricContext, centres: np.ndarray, points: np.ndarray):
-    """(rows, distances from centres[rows] to the points), in row blocks of
-    at most BLOCK_ENTRIES entries."""
-    step = max(1, BLOCK_ENTRIES // max(1, len(points)))
-    for start in range(0, len(centres), step):
-        rows = slice(start, start + step)
-        yield rows, cross_distances(ctx, centres[rows], points)
+def row_blocks(count: int, entries: int):
+    """Slices of range(count) whose items hold at most BLOCK_ENTRIES
+    entries together, when each holds `entries`: every sweep's blocks."""
+    step = max(1, BLOCK_ENTRIES // max(1, entries))
+    return (slice(start, start + step) for start in range(0, count, step))
 
 
 def points_distance_matrix(ctx: MetricContext, points: np.ndarray) -> np.ndarray:
     """The n x n matrix of distances within one point array, filled one row
     block at a time, so the kernel's temporaries stay within a block."""
     out = np.empty((len(points), len(points)))
-    for rows, d in _distance_blocks(ctx, points, points):
-        out[rows] = d
+    for rows in row_blocks(len(points), len(points)):
+        out[rows] = cross_distances(ctx, points[rows], points)
     return out
 
 
@@ -279,7 +278,8 @@ def ball_images(sample: MetricSample, centres, radius, tol: float = DEFAULT_TOL,
         raise MetricError("radius must be finite and nonnegative")
     centres = _points_array(sample.context, centres)
     images = []
-    for rows, d in _distance_blocks(sample.context, centres, sample.points):
+    for rows in row_blocks(len(centres), len(sample)):
+        d = cross_distances(sample.context, centres[rows], sample.points)
         r = d.min(axis=1, keepdims=True) if radius is None \
             else np.broadcast_to(radius, len(centres))[rows, None]
         images.extend(frozenset(np.flatnonzero(row).tolist())
@@ -312,7 +312,8 @@ def hausdorff_distance(ctx: MetricContext, C: Sequence, D: Sequence) -> float:
 
 def coverage_radius(sample: MetricSample, segments) -> float:
     """sup over a union of segments of the distance to a Euclidean sample,
-    rounded up to an upper bound.
+    rounded up to an upper bound.  The segments are one or more pairs of
+    finite, distinct ends of the sample's dimension.
 
     On a segment a + t u (|u| = 1, 0 <= t <= L) the squared distance to a
     sample point p is the parabola (t - t_p)^2 + h_p^2.  One pass over the
@@ -330,10 +331,20 @@ def coverage_radius(sample: MetricSample, segments) -> float:
     """
     if sample.context.kind != "euclidean" or len(sample) == 0:
         raise MetricError("coverage radius needs a nonempty euclidean sample")
-    segments = np.asarray(segments, dtype=float)
+    dim = sample.context.dimension
+    cells = np.array(segments, dtype=object)    # ragged pairs stay objects
+    if cells.size == 0:
+        raise MetricError("coverage radius needs at least one segment")
+    if cells.shape[1:] != (2, dim):
+        raise MetricError(f"segments are not pairs of ends of dimension {dim}")
+    # the ends are checked as the points of a sample are
+    segments = _points_array(sample.context, cells.reshape(-1, dim),
+                             "segment ").reshape(-1, 2, dim)
     radius = 0.0
     for a, b in segments:
         length = float(np.linalg.norm(b - a))
+        if length == 0:
+            raise MetricError("segments must have a positive length")
         u = (b - a) / length
         t, c = (sample.points - a) @ u, ((sample.points - a) ** 2).sum(axis=1)
         order = np.lexsort((c, t))          # by t_p, the nearest first on ties
@@ -450,21 +461,23 @@ def farthest_point_net(points: np.ndarray, separation: float) -> np.ndarray:
     """Greedy farthest-point subset: Euclidean separation-net of the points.
 
     Deterministic: starts from index 0, ties broken by lowest index.  The
-    points are sorted along their widest coordinate.  After a pick at
-    distance rho, every distance to the picks is at most rho, so only the
-    points whose key lies within rho of the pick's can come closer: one
-    window of the sorted keys (Har-Peled and Mendel 2006).  Every distance
-    and so every pick is the one a sweep over all points gives.
+    key of a point is its projection on (1, sqrt 2, .., sqrt d) / |.|, its
+    coordinate in 1-D.  After a pick at distance rho, every distance to the
+    picks is at most rho, so only the points whose key lies within rho of
+    the pick's can come closer: one window of the sorted keys (Har-Peled
+    and Mendel 2006).  Every distance and so every pick is the one a sweep
+    over all points gives.
     """
     if not separation > 0:
         raise MetricError(f"separation={separation} must be positive")
     ctx = euclidean(points.shape[1])
     if len(points) == 0:
         return np.array([], dtype=int)
-    axis = np.argmax(np.ptp(points, axis=0))
-    order = np.argsort(points[:, axis])
-    pts = points[order]
-    key = pts[:, axis]
+    u = np.sqrt(np.arange(1.0, points.shape[1] + 1))
+    key = points @ (u / np.linalg.norm(u))
+    order = np.argsort(key)
+    pts, key = points[order], key[order]
+    norm = float(np.linalg.norm(points, axis=1).max())
     chosen = [0]
     dist = cross_distances(ctx, points[:1], pts)[0]
     while True:
@@ -472,16 +485,16 @@ def farthest_point_net(points: np.ndarray, separation: float) -> np.ndarray:
         rho = float(dist[j])
         if rho < separation:
             break
-        # argmax gives the first maximum in key order; a tie goes to the
-        # lowest index
-        ties = np.flatnonzero(dist[j:] == rho)
-        if len(ties) > 1:
-            ties += j
+        # argmax gives the first maximum in key order; a tie, looked for
+        # only when a later maximum equals it, goes to the lowest index
+        if dist[j + 1:].max(initial=0.0) == rho:
+            ties = np.flatnonzero(dist[j:] == rho) + j
             j = int(ties[np.argmin(order[ties])])
         chosen.append(int(order[j]))
-        # the slack keeps in every point a rounded distance could bring closer
+        # the slack keeps in every point a rounded distance, or a key that
+        # errs by ulps of its point's norm, could bring closer
         at = float(key[j])
-        reach = rho + _SLACK * (rho + abs(at))
+        reach = rho + _SLACK * (rho + norm)
         lo, hi = key.searchsorted(at - reach), key.searchsorted(at + reach)
         window = dist[lo:hi]
         np.minimum(window, cross_distances(ctx, pts[j:j + 1], pts[lo:hi])[0], out=window)

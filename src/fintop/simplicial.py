@@ -231,14 +231,15 @@ def rips_graph(pairwise: np.ndarray, threshold: float,
 
     An edge needs d < threshold, with ties resolved outside (`metric.below`).
     Only the upper triangle of the matrix counts: the edges are the pairs
-    i < j of one `np.nonzero` over the mask, in row order.  Each edge is
+    i < j of one scan of the flat mask, in row order.  Each edge is
     appended to both its ends in that order, so the neighbors of i come in
     increasing order: the rows of column i above the diagonal, then the
     columns of row i right of it.
     """
-    rows, cols = np.nonzero(below(pairwise, threshold, tol))
+    n = len(pairwise)
+    rows, cols = np.divmod(np.flatnonzero(below(pairwise, threshold, tol)), n)
     upper = rows < cols
-    neighbours: list[list[int]] = [[] for _ in range(len(pairwise))]
+    neighbours: list[list[int]] = [[] for _ in range(n)]
     for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
         neighbours[i].append(j)
         neighbours[j].append(i)

@@ -182,18 +182,11 @@ def _padded(payloads: list) -> np.ndarray:
     return out
 
 
-def _blocks(count: int, entries: int):
-    """Slices of range(count) whose items hold at most BLOCK_ENTRIES
-    entries together, when each holds `entries`."""
-    step = max(1, M.BLOCK_ENTRIES // max(1, entries))
-    return (slice(start, start + step) for start in range(0, count, step))
-
-
 def _block_max(pw: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The largest entry of pw[a[i]][:, b[i]] for each pair of index rows,
     gathered in blocks of at most BLOCK_ENTRIES entries."""
     out = np.empty(len(a))
-    for rows in _blocks(len(a), a.shape[1] * b.shape[1]):
+    for rows in M.row_blocks(len(a), a.shape[1] * b.shape[1]):
         out[rows] = pw[a[rows, :, None], b[rows, None, :]].max(axis=(1, 2))
     return out
 
@@ -259,7 +252,7 @@ def _map_report(dst: Term, table: list[frozenset], src: SimplicialComplex,
         ok = M.below(width, dst.threshold, tol)
         capped += int(np.count_nonzero(wide & ~ok))
         unsure = rows[wide & ok & (sizes[rows].sum(axis=1) > most)]
-        for blk in _blocks(len(unsure), unsure.shape[1] * padded.shape[1]):
+        for blk in M.row_blocks(len(unsure), unsure.shape[1] * padded.shape[1]):
             images = padded[unsure[blk]].reshape(len(unsure[blk]), -1)
             capped += int(np.count_nonzero(
                 vertex_sets(images)[1].sum(axis=1) > most))
@@ -290,7 +283,7 @@ def _map_places(dst: SimplicialComplex, table: list[frozenset],
     for d in range(src.dimension + 1):
         rows = src.rows(d)
         places += [dst.positions(padded[rows[blk]].reshape(len(rows[blk]), -1))
-                   for blk in _blocks(len(rows), rows.shape[1] * padded.shape[1])]
+                   for blk in M.row_blocks(len(rows), rows.shape[1] * padded.shape[1])]
     places = np.concatenate(places)
     out = places.tolist()
     for i in np.flatnonzero(places < 0).tolist():

@@ -490,8 +490,9 @@ def _coverage_by_sweep(sample: M.MetricSample, reference) -> float:
     """sup over the reference points of the distance to the sample: every
     reference point sweeps all samples."""
     ref = M._points_array(sample.context, reference)
-    return max(float(d.min(axis=1).max())
-               for _, d in M._distance_blocks(sample.context, ref, sample.points))
+    return max(float(M.cross_distances(sample.context, ref[rows],
+                                       sample.points).min(axis=1).max())
+               for rows in M.row_blocks(len(ref), len(sample)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -506,6 +507,64 @@ def test_farthest_point_net_matches_a_per_pick_loop(dim, n, rnd):
     separation = rnd.choice(sorted((distances - {0.0}) | {0.5, 10.0}))
     got = M.farthest_point_net(np.array(points), separation)
     assert got.tolist() == _net_by_loop(points, separation)
+
+
+def _key_basis(dim: int) -> np.ndarray:
+    """An orthonormal basis whose first column is the direction that the
+    net's keys project on."""
+    u = np.sqrt(np.arange(1.0, dim + 1))
+    q, _ = np.linalg.qr(np.column_stack([u, np.eye(dim)[:, 1:]]))
+    return q * np.sign(q[0, 0])
+
+
+@st.composite
+def _key_and_distance_ties(draw):
+    """Integer grids in the key's basis, whose rows orthogonal to the key
+    direction tie on every key, or turned by a drawn angle, whose distances
+    tie; either may sit 1e6 away along its first axis, its second or the
+    diagonal, where a key rounds by ulps of the coordinates, not of the
+    key."""
+    dim, top = draw(st.integers(2, 3)), draw(st.sampled_from([2, 5]))
+    cells = draw(st.lists(st.lists(st.integers(0, top), min_size=dim,
+                                   max_size=dim), min_size=1, max_size=60))
+    basis = _key_basis(dim)
+    if draw(st.booleans()):
+        angle = draw(st.sampled_from([0.3, math.pi / 4, 1.0]))
+        turn = np.eye(dim)
+        turn[:2, :2] = [[math.cos(angle), -math.sin(angle)],
+                        [math.sin(angle), math.cos(angle)]]
+        basis = turn
+    points = np.array(cells, dtype=float) @ basis.T
+    offset = draw(st.sampled_from([None, "first", "second", "diagonal"]))
+    if offset is not None:
+        points += 1e6 * {"first": basis[:, 0], "second": basis[:, 1],
+                         "diagonal": np.ones(dim)}[offset]
+    return points
+
+
+@settings(max_examples=150, deadline=None)
+@given(_key_and_distance_ties(), st.randoms(use_true_random=False))
+def test_farthest_point_net_is_exact_where_keys_and_distances_tie(points, rnd):
+    rows = points.tolist()
+    distances = sorted({math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+                        for p in rows for q in rows} - {0.0})
+    separation = rnd.choice(distances + [0.5, 100.0])
+    got = M.farthest_point_net(points, separation)
+    assert got.tolist() == _net_by_loop(rows, separation)
+
+
+def test_farthest_point_net_window_is_widened_against_rounded_keys():
+    # unit cells of the key's basis 1e5 along the key, where keys round by
+    # 1e-11: after the picks 0, 3 and 1, point 2's key lies 1 + 1.5e-11
+    # from point 1's, past rho = 1 + 4.1e-12, yet point 2 is 1 + 2.3e-12
+    # from point 1; only the window's slack brings it closer, below the
+    # separation
+    basis = _key_basis(2)
+    points = np.array([[2, 0], [1, 1], [2, 1], [1, 2]]) @ basis.T + 1e5 * basis[:, 0]
+    d = M.cross_distances(M.euclidean(2), points, points)
+    separation = float(d[np.abs(d - 1.0) < 1e-6].max())
+    assert M.farthest_point_net(points, separation).tolist() == [0, 1, 3]
+    assert _net_by_loop(points.tolist(), separation) == [0, 1, 3]
 
 
 def _frame_grid(h: float) -> np.ndarray:
@@ -548,6 +607,22 @@ def test_coverage_radius_needs_a_nonempty_euclidean_sample():
     for sample in (M.circle_sample(2), M.MetricSample(M.euclidean(1), [], 1.0)):
         with pytest.raises(M.MetricError, match="nonempty euclidean sample"):
             M.coverage_radius(sample, [((0.0,), (1.0,))])
+
+
+@pytest.mark.parametrize("segments, message", [
+    ([], "at least one segment"),
+    ([((0.0, 1.0), (0.0, 1.0))], "positive length"),
+    ([((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))], "pairs of ends of dimension 2"),
+    ([((0.0, 0.0), (1.0,))], "pairs of ends of dimension 2"),
+    ([((0.0, 0.0), (math.inf, 0.0))], "segment points have a coordinate that is not finite"),
+    ([((0.0, 0.0), (math.nan, 1.0))], "segment points have a coordinate that is not finite"),
+    ([((0.0, 0.0), ("1", 0.0))], "segment points are not rows of 2 numbers"),
+], ids=["empty", "zero length", "other dimension", "ragged", "infinite end",
+        "nan end", "string end"])
+def test_coverage_radius_refuses_malformed_segments(segments, message):
+    sample = M.MetricSample(M.euclidean(2), [[0.0, 0.0], [1.0, 1.0]], 1.0)
+    with pytest.raises(M.MetricError, match=message):
+        M.coverage_radius(sample, segments)
 
 
 @st.composite
@@ -595,8 +670,8 @@ def test_farthest_point_net_breaks_ties_by_lowest_index():
     assert M.farthest_point_net(points, 1.0).tolist() == [0, 1, 2, 4]
     assert M.farthest_point_net(points, 2.0).tolist() == [0, 1, 2]
     assert M.farthest_point_net(points, 2.5).tolist() == [0]
-    # the points sort along y; 1 and 2 tie after the pick of 3, and 2 comes
-    # first in key order, but 1 is picked, which leaves 2 within 0.2 of it
+    # 1 and 2 tie after the pick of 3, and 2 comes first in key order, but
+    # 1 is picked, which leaves 2 within 0.2 of it
     points = np.array([[0.0, 0.0], [3.0, 0.1], [3.0, -0.1], [0.0, 10.0]])
     assert M.farthest_point_net(points, 0.5).tolist() == [0, 1, 3]
 

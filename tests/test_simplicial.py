@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fintop import finite_space as F
+from fintop import homology as H
 from fintop import linalg as L
 from fintop import metric as M
 from fintop import simplicial as S
@@ -87,6 +88,17 @@ def test_rips_graph_matches_per_pair_loop(n, threshold, tol, rnd):
     lower = np.tril_indices(n)
     pw[lower] = np.where(M.below(pw.T[lower], threshold, tol), 3 * threshold, 0.0)
     assert S.rips_graph(pw, threshold, tol) == expected
+
+
+@pytest.mark.parametrize("pw, components", [
+    (np.zeros((0, 0)), 0),
+    (np.zeros((1, 1)), 1),
+    # only the diagonal lies below the threshold
+    (np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 2.0], [3.0, 2.0, 0.0]]), 3),
+], ids=["no point", "one point", "diagonal only"])
+def test_rips_graph_without_edges(pw, components):
+    assert S.rips_graph(pw, 1.0) == [[] for _ in range(len(pw))]
+    assert H.component_count(pw, 1.0) == components
 
 
 def test_rips_full_simplex():

@@ -80,6 +80,18 @@ def test_simplex_lookups_outside_simplicial_are_batched():
     assert not found, found
 
 
+def test_masks_are_scanned_flat():
+    # one scan of a mask: np.flatnonzero, with np.divmod for the row and
+    # column of each entry, in row-major order; np.nonzero builds one index
+    # array per axis and was the slower scan of the threshold graph
+    found = [f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+             for path, tree in _trees("src")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "nonzero"
+             or isinstance(node, ast.alias) and node.name == "nonzero"]
+    assert not found, found
+
+
 def test_perfbench_tracer_finds_every_wrapped_name():
     # perfbench/tracing.py replaces fintop names with traced wrappers; a name
     # deleted from the library would break `perfbench/run.py --trace 1`

@@ -383,6 +383,27 @@ def test_report_readers_compute_no_places(monkeypatch):
     assert calls == [("places", 1, 2), ("places", 2, 3)]
 
 
+def _bonding_answers(space: str, depth: int) -> tuple:
+    """Every bonding report and element map between two levels, and every
+    projection square, of a freshly built tower."""
+    tw = T.build_tower(space, depth, k_max=2)
+    pairs = [(n, m) for m in range(1, depth + 1) for n in range(1, m + 1)]
+    return ([tw.bonding_report(n, m) for n, m in pairs],
+            [tw.bonding_element_map(n, m) for n, m in pairs],
+            [tw.projection_square_certificate(n) for n in range(1, depth - 1)])
+
+
+@pytest.mark.parametrize("space, depth", [("circle", 4), ("cantor", 5),
+                                          ("two_squares", 3)])
+def test_bonding_answers_do_not_depend_on_the_block_size(space, depth,
+                                                         monkeypatch):
+    # a budget of one entry runs the pairwise matrix, the ball images, the
+    # image gathers and the place lookups one item per block
+    default = _bonding_answers(space, depth)
+    monkeypatch.setattr(M, "BLOCK_ENTRIES", 1)
+    assert _bonding_answers(space, depth) == default
+
+
 @pytest.mark.parametrize("space, depth", [("circle", 4), ("two_squares", 3)])
 def test_reports_are_plain_python_and_dump_as_json(space, depth):
     tw = T.build_tower(space, depth, max_dim=3, k_max=1)
