@@ -178,8 +178,8 @@ def cross_distances(ctx: MetricContext, A: np.ndarray, B: np.ndarray) -> np.ndar
     len(A) x len(B) array, in coordinate order.  That is the order of
     numpy's reduction over a last axis shorter than 8, so up to dimension 7
     every distance is bitwise that of sqrt(((A - B) ** 2).sum(axis=-1)).
-    Euclidean stacks of point arrays, (..., n, d) and (..., m, d), give
-    the (..., n, m) stack of their matrices.
+    Stacks of point arrays, (..., n, d) and (..., m, d), give the (..., n, m)
+    stack of their matrices, each distance bitwise the same in either order.
     """
     if ctx.kind == "euclidean":
         A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
@@ -190,10 +190,13 @@ def cross_distances(ctx: MetricContext, A: np.ndarray, B: np.ndarray) -> np.ndar
             d *= d
             acc += d
         return np.sqrt(acc, out=acc)
+    # angles and indices are rows of one coordinate, or a flat array
+    a, b = (X[..., 0] if np.ndim(X) > 1 else np.ravel(X) for X in (A, B))
     if ctx.kind == "circle_geodesic":
-        d = np.abs(np.ravel(A)[:, None] - np.ravel(B)[None, :]) % TWO_PI
-        return np.minimum(d, TWO_PI - d)
-    return ctx.matrix[np.ix_(np.ravel(A), np.ravel(B))]
+        d = np.abs(a[..., :, None] - b[..., None, :])
+        d %= TWO_PI
+        return np.minimum(d, TWO_PI - d, out=d)
+    return ctx.matrix[a[..., :, None], b[..., None, :]]
 
 
 def row_blocks(count: int, entries: int):
@@ -212,6 +215,58 @@ def points_distance_matrix(ctx: MetricContext, points: np.ndarray) -> np.ndarray
     return out
 
 
+def _projection(points: np.ndarray) -> np.ndarray:
+    """Euclidean points' coordinate on (1, sqrt 2, .., sqrt d) / |.|."""
+    u = np.sqrt(np.arange(1.0, points.shape[1] + 1))
+    return points @ (u / np.linalg.norm(u))
+
+
+def close_pairs(source, radius: float, tol: float = DEFAULT_TOL):
+    """The pairs i < j of a sample or a symmetric distance matrix below
+    radius (`below`, tol >= 0), in blocks of index arrays (i, j); each
+    distance is the matrix entry that `cross_distances` gives.
+
+    Euclidean points, and circle angles as points (cos, sin), whose chord
+    is at most their arc, are sorted by `_projection`: a pair within radius
+    lies in the window of keys within radius of its first point's, widened
+    by _SLACK against rounding, and only those candidates are tested,
+    BLOCK_ENTRIES at a time (Har-Peled and Mendel 2006).  An explicit
+    context and a matrix scan the upper triangle in row blocks.
+    """
+    if not isinstance(source, MetricSample) \
+            or source.context.kind == "explicit":
+        n = len(source)
+        for rows in row_blocks(n, n):
+            block = np.asarray(source)[rows, rows.start:] \
+                if not isinstance(source, MetricSample) else cross_distances(
+                    source.context, source.points[rows], source.points[rows.start:])
+            i, j = np.divmod(np.flatnonzero(below(block, radius, tol)),
+                             block.shape[1])
+            upper = i < j
+            yield i[upper] + rows.start, j[upper] + rows.start
+        return
+    pts = source.points
+    if source.context.kind == "circle_geodesic":
+        pts = np.hstack([np.cos(pts), np.sin(pts)])
+    key = _projection(pts)
+    order = np.argsort(key)
+    key, ordered = key[order], source.points[order][:, None]
+    norm = float(np.linalg.norm(pts, axis=1).max(initial=0.0))
+    reach = radius + _SLACK * (radius + norm)
+    # the a-th point's candidates: the points after it with keys within reach
+    counts = key.searchsorted(key + reach, side="right") \
+        - np.arange(1, len(key) + 1)
+    ends, total = np.cumsum(counts), int(counts.sum())
+    for flat in row_blocks(total, 1):
+        k = np.arange(flat.start, min(flat.stop, total))
+        a = ends.searchsorted(k, side="right")
+        b = k - ends[a] + counts[a] + a + 1
+        near = below(cross_distances(source.context, ordered[a], ordered[b]),
+                     radius, tol)[:, 0, 0]
+        i, j = order[a[near]], order[b[near]]
+        yield np.minimum(i, j), np.maximum(i, j)
+
+
 @dataclass
 class MetricSample:
     """A finite point set at scale epsilon, one row per point, with optional
@@ -223,7 +278,6 @@ class MetricSample:
     gamma: Optional[float] = None
     label: str = ""
     warnings: list = field(default_factory=list)
-    _pairwise: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         name = self.label or "sample"
@@ -257,9 +311,9 @@ class MetricSample:
         return len(self.points)
 
     def pairwise(self) -> np.ndarray:
-        if self._pairwise is None:
-            self._pairwise = points_distance_matrix(self.context, self.points)
-        return self._pairwise
+        """The n x n distance matrix, computed on each call: the library
+        reads distances from the points and never calls this."""
+        return points_distance_matrix(self.context, self.points)
 
 
 def ball_images(sample: MetricSample, centres, radius, tol: float = DEFAULT_TOL,
@@ -473,8 +527,7 @@ def farthest_point_net(points: np.ndarray, separation: float) -> np.ndarray:
     ctx = euclidean(points.shape[1])
     if len(points) == 0:
         return np.array([], dtype=int)
-    u = np.sqrt(np.arange(1.0, points.shape[1] + 1))
-    key = points @ (u / np.linalg.norm(u))
+    key = _projection(points)
     order = np.argsort(key)
     pts, key = points[order], key[order]
     norm = float(np.linalg.norm(points, axis=1).max())

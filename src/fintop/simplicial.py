@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .metric import DEFAULT_TOL, below
+from .metric import DEFAULT_TOL, close_pairs
 
 
 class SimplicialError(ValueError):
@@ -225,34 +225,44 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 # Vietoris-Rips
 # ---------------------------------------------------------------------------
 
-def rips_graph(pairwise: np.ndarray, threshold: float,
-               tol: float = DEFAULT_TOL) -> list[list[int]]:
+def rips_graph(source, threshold: float, tol: float = DEFAULT_TOL,
+               max_simplices: Optional[int] = None) -> list[list[int]]:
     """Neighbor lists of the graph whose edges have length below threshold.
 
-    An edge needs d < threshold, with ties resolved outside (`metric.below`).
-    Only the upper triangle of the matrix counts: the edges are the pairs
-    i < j of one scan of the flat mask, in row order.  Each edge is
-    appended to both its ends in that order, so the neighbors of i come in
-    increasing order: the rows of column i above the diagonal, then the
-    columns of row i right of it.
+    The edges of a sample or a symmetric distance matrix are the pairs
+    i < j of `metric.close_pairs` (ties resolved outside, `metric.below`),
+    in row order.  Each edge is appended to both its ends in that order, so
+    the neighbors of i come in increasing order.  The cap counts the
+    vertices and the edges as they are found, as the clique expansion does.
     """
-    n = len(pairwise)
-    rows, cols = np.divmod(np.flatnonzero(below(pairwise, threshold, tol)), n)
-    upper = rows < cols
+    n = len(source)
+    found, count = [(np.zeros(0, np.intp),) * 2], n
+    for i, j in close_pairs(source, threshold, tol):
+        count += len(i)
+        _check_cap(count, max_simplices)
+        found.append((i, j))
+    rows, cols = map(np.concatenate, zip(*found))
+    order = np.lexsort((cols, rows))
     neighbours: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
         neighbours[i].append(j)
         neighbours[j].append(i)
     return neighbours
 
 
-def vietoris_rips(pairwise: np.ndarray, threshold: float, max_dim: int,
+def vietoris_rips(source, threshold: float, max_dim: int,
                   tol: float = DEFAULT_TOL,
                   max_simplices: Optional[int] = None) -> SimplicialComplex:
-    """Vietoris-Rips complex up to dimension max_dim: the clique complex of
-    the threshold graph."""
-    return clique_complex(rips_graph(pairwise, threshold, tol), max_dim,
-                          max_simplices)
+    """Vietoris-Rips complex up to dimension max_dim of a sample or a
+    distance matrix: the clique complex of the threshold graph."""
+    graph = rips_graph(source, threshold, tol,
+                       max_simplices if max_dim >= 1 else None)
+    return clique_complex(graph, max_dim, max_simplices)
+
+
+def _check_cap(count: int, max_simplices: Optional[int]) -> None:
+    if max_simplices is not None and count > max_simplices:
+        raise SimplicialError(f"Rips complex exceeds cap of {max_simplices} simplices")
 
 
 def clique_complex(neighbours: list[list[int]], max_dim: int,
@@ -271,9 +281,7 @@ def clique_complex(neighbours: list[list[int]], max_dim: int,
     def bump(k):
         nonlocal count
         count += k
-        if max_simplices is not None and count > max_simplices:
-            raise SimplicialError(
-                f"Rips complex exceeds cap of {max_simplices} simplices")
+        _check_cap(count, max_simplices)
 
     frontier = [(i,) for i in range(n)]
     bump(n)

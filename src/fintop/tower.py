@@ -52,7 +52,8 @@ DEFAULT_MAX_ELEMENTS = 2_000_000
 
 def validate_schedule(samples: list[M.MetricSample], mode: str,
                       tol: float = M.DEFAULT_TOL) -> list[str]:
-    """Schedule inequalities between consecutive levels; returns problems.
+    """Schedule inequalities between consecutive levels, and gamma below
+    eps at every level, the last too; returns problems.
 
     Strict mode needs eps_{n+1} < (eps_n - gamma_n)/2 with gamma_n known;
     relaxed mode needs eps_{n+1} < eps_n / 2.
@@ -60,24 +61,19 @@ def validate_schedule(samples: list[M.MetricSample], mode: str,
     if mode not in (STRICT, RELAXED):
         raise ConfigError(f"unknown schedule mode {mode!r}")
     problems = []
-    for n in range(len(samples) - 1):
-        eps, nxt = samples[n].epsilon, samples[n + 1].epsilon
-        if mode == STRICT:
-            gamma = samples[n].gamma
-            if gamma is None:
-                problems.append(f"level {n + 1}: strict mode needs gamma")
-                continue
-            bound = (eps - gamma) / 2
-        else:
-            bound = eps / 2
-        if not M.below(nxt, bound, tol):
+    for n, sample in enumerate(samples):
+        eps, gamma = sample.epsilon, sample.gamma
+        nxt = samples[n + 1].epsilon if n + 1 < len(samples) else None
+        if nxt is not None and mode == STRICT and gamma is None:
+            problems.append(f"level {n + 1}: strict mode needs gamma")
+        elif nxt is not None:
+            bound = (eps - gamma) / 2 if mode == STRICT else eps / 2
+            if not M.below(nxt, bound, tol):
+                problems.append(f"level {n + 2}: eps={nxt:.6g} must be "
+                                f"below {bound:.6g} ({mode} schedule)")
+        if gamma is not None and gamma >= eps:
             problems.append(
-                f"level {n + 2}: eps={nxt:.6g} must be below "
-                f"{bound:.6g} ({mode} schedule)")
-        g = samples[n].gamma
-        if g is not None and g >= eps:
-            problems.append(
-                f"level {n + 1}: gamma={g:.6g} >= eps={eps:.6g}: "
+                f"level {n + 1}: gamma={gamma:.6g} >= eps={eps:.6g}: "
                 "not an epsilon-approximation")
     return problems
 
@@ -98,7 +94,7 @@ class Term:
     def is_element(self, payload: frozenset, tol: float = M.DEFAULT_TOL) -> bool:
         """Diameter test, independent of the cardinality-capped enumeration."""
         return bool(payload) and bool(M.below(image_diameters(
-            self.sample.pairwise(), [payload])[0], self.threshold, tol))
+            self.sample, [payload])[0], self.threshold, tol))
 
     def space(self) -> FiniteSpace:
         """Finite T0 space on the stored elements: the face poset of the
@@ -116,16 +112,8 @@ def build_term(sample: M.MetricSample, max_dim: int, threshold_factor: float = 4
                tol: float = M.DEFAULT_TOL,
                max_elements: int = DEFAULT_MAX_ELEMENTS) -> Term:
     try:
-        pairwise = sample.pairwise()
-    except MemoryError:
-        n = len(sample)
-        raise ResourceCap(f"{sample.label or 'sample'}: cannot allocate the "
-                          f"{n} x {n} distance matrix "
-                          f"({8 * n * n / 2 ** 30:.3g} GiB)") from None
-    try:
-        cx = vietoris_rips(pairwise, threshold_factor * sample.epsilon,
-                           max_dim=max_dim, tol=tol,
-                           max_simplices=max_elements)
+        cx = vietoris_rips(sample, threshold_factor * sample.epsilon,
+                           max_dim, tol, max_elements)
     except SimplicialError as exc:      # the clique cap
         raise ResourceCap(str(exc)) from exc
     return Term(sample=sample, threshold_factor=threshold_factor, complex=cx)
@@ -182,28 +170,30 @@ def _padded(payloads: list) -> np.ndarray:
     return out
 
 
-def _block_max(pw: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The largest entry of pw[a[i]][:, b[i]] for each pair of index rows,
-    gathered in blocks of at most BLOCK_ENTRIES entries."""
-    out = np.empty(len(a))
+def _block_max(sample: M.MetricSample, a: np.ndarray,
+               b: np.ndarray) -> np.ndarray:
+    """The largest distance between the points a[i] and b[i] of the sample
+    for each pair of index rows: `cross_distances` on the gathered point
+    stacks, in blocks of at most BLOCK_ENTRIES distances."""
+    out, pts = np.empty(len(a)), sample.points
     for rows in M.row_blocks(len(a), a.shape[1] * b.shape[1]):
-        out[rows] = pw[a[rows, :, None], b[rows, None, :]].max(axis=(1, 2))
+        out[rows] = M.cross_distances(sample.context, pts[a[rows]],
+                                      pts[b[rows]]).max(axis=(1, 2))
     return out
 
 
-def image_diameters(pw: np.ndarray, payloads: list) -> np.ndarray:
-    """Diameters of nonempty index payloads under the distance matrix pw.
+def image_diameters(sample: M.MetricSample, payloads: list) -> np.ndarray:
+    """Diameters of nonempty index payloads of the sample.
 
     Each payload's indices are padded to the widest payload's size with its
-    first index, and pw[idx[:, :, None], idx[:, None, :]] is gathered in
-    blocks of at most BLOCK_ENTRIES entries.  The padding only repeats
-    entries, and pw is symmetric with a zero diagonal, so each maximum runs
-    over the same floats as the pairs a < b of its payload and is bitwise
-    that pair maximum (0.0 for a singleton).  The bonding reports gather
-    only vertex images and pairs of them this way (`_map_report`).
+    first index.  The padding only repeats pairs, each distance is bitwise
+    the same in either order and 0 from a point to itself, so each maximum
+    is bitwise the maximum over the pairs a < b of its payload (0.0 for a
+    singleton).  The bonding reports measure only vertex images and pairs
+    of them this way (`_map_report`).
     """
     idx = _padded(payloads)
-    return _block_max(pw, idx, idx)
+    return _block_max(sample, idx, idx)
 
 
 def _map_report(dst: Term, table: list[frozenset], src: SimplicialComplex,
@@ -215,12 +205,12 @@ def _map_report(dst: Term, table: list[frozenset], src: SimplicialComplex,
     An image q(C) is the union of the vertex images q({v}) over v in C, so
     it is empty when they all are, and every pair of its points lies in
     one q({u}) | q({v}) with u, v in C.  diam q(C) is therefore the largest
-    diameter of the vertices and edges of C: per vertex one padded gather,
-    per edge the larger of its vertices' and one gather of the block
-    between their images, per higher simplex the largest of its faces'
-    from the face table (`SimplicialComplex.faces`), which hold all its
-    edges.  Each maximum runs over the same entries of pw as the image's
-    own diameter, so it is bitwise that value.
+    diameter of the vertices and edges of C: per vertex that of its padded
+    image, per edge the larger of its vertices' and the distances between
+    their images, per higher simplex the largest of its faces' from the
+    face table (`SimplicialComplex.faces`), which hold all its edges.
+    Each maximum runs over the same distances as the image's own diameter,
+    by the same kernel, so it is bitwise that value.
 
     The stored elements of dst are the cliques of at most dimension + 1
     vertices of the graph that the element test's tie rule (`metric.below`)
@@ -228,16 +218,16 @@ def _map_report(dst: Term, table: list[frozenset], src: SimplicialComplex,
     passes the test with at most that many points.  Image sizes are counted
     only where the vertex images' sizes add up to more.
     """
-    pw, most = dst.sample.pairwise(), dst.complex.dimension + 1
+    sample, most = dst.sample, dst.complex.dimension + 1
     padded = _padded(table)
     sizes = np.fromiter(map(len, table), dtype=np.intp, count=len(table))
     void = sizes == 0
     idx = np.maximum(padded, 0)          # an empty image's entries are masked
-    vertex = np.where(void, 0.0, _block_max(pw, idx, idx))
+    vertex = np.where(void, 0.0, _block_max(sample, idx, idx))
     a, b = src.rows(1).T
     edge = np.maximum(np.maximum(vertex[a], vertex[b]),
                       np.where(void[a] | void[b], 0.0,
-                               _block_max(pw, idx[a], idx[b])))
+                               _block_max(sample, idx[a], idx[b])))
     widths, empty, passed, capped = [], [], [], 0
     for d in range(src.dimension + 1):
         rows = src.rows(d)

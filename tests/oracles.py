@@ -114,8 +114,7 @@ def element_report(dst: T.Term, images: list, tol: float) -> tuple:
     places = dst.complex.positions(T._padded(images)).tolist()
     positions = tuple(None if p < 0 else p for p in places)
     empty = [i for i, img in enumerate(images) if not img]
-    widths = T.image_diameters(dst.sample.pairwise(),
-                               [img for img in images if img])
+    widths = T.image_diameters(dst.sample, [img for img in images if img])
     # without empty images, widths holds every image's diameter
     worst = empty[0] if empty else int(widths.argmax()) if widths.size else 0
     return positions, T.BondingReport(

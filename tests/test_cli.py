@@ -224,8 +224,8 @@ def test_depth_refused_at_the_first_level_above_the_cap(command, tmp_path, capsy
 @pytest.mark.parametrize("command", ["build", "homology", "verify"])
 def test_a_distance_matrix_that_cannot_be_allocated(command, tmp_path, capsys,
                                                     monkeypatch):
-    # 2^17 points need a 128 GiB matrix; the stand-in raises as numpy's
-    # allocation would, without allocating anything
+    # 2^17 points would need a 128 GiB matrix, and no command asks for one:
+    # the stand-in, which raises as numpy's allocation would, is never called
     def no_memory(ctx, points):
         raise MemoryError(f"Unable to allocate 128. GiB for an array with "
                           f"shape ({len(points)}, {len(points)})")
@@ -234,11 +234,21 @@ def test_a_distance_matrix_that_cannot_be_allocated(command, tmp_path, capsys,
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "relaxed", "levels": [
         {"points": [[i / 1000] for i in range(2 ** 17)], "epsilon": 1e-4}]}))
-    code, out, err = run([command, "--config", str(cfg)], capsys)
-    assert code == cli.EXIT_RESOURCE
-    assert err == ("error: level 1: cannot allocate the 131072 x 131072 "
-                   "distance matrix (128 GiB)\n")
-    assert out == ""
+    out_path = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    code, out, err = run(argv + (["--out", str(out_path)]
+                                 if command == "build" else []), capsys)
+    assert code == cli.EXIT_OK
+    assert err == ""
+    if command == "build":
+        # points 1/1000 apart at threshold 4e-4: every element is a point
+        dump = json.loads(out_path.read_text())
+        assert dump["levels"][0]["elements"] == [[i] for i in range(2 ** 17)]
+    elif command == "homology":
+        assert out.splitlines()[1:] == ["H_0,131072", "H_1,0",
+                                        "components,131072"]
+    else:
+        assert out == "ok schedule: relaxed inequalities hold on 1 levels\n"
 
 
 @pytest.mark.parametrize("argv, path, errno_", [
@@ -807,6 +817,30 @@ def test_verify_stops_at_a_broken_schedule(tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
     assert err == ("error: level 2: eps=0.9 must be below 0.5 "
                    "(relaxed schedule)\n")
+    assert out == ""
+
+
+def test_verify_refuses_a_last_level_that_is_not_covered(tmp_path, capsys):
+    cfg = {"mode": "relaxed",
+           "levels": [{"points": [[0.0], [1.0]], "epsilon": 1.0, "gamma": 0.5},
+                      {"points": [[0.0], [1.0]], "epsilon": 0.25,
+                       "gamma": 0.5}]}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(["verify", "--config", str(p)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert err == ("error: level 2: gamma=0.5 >= eps=0.25: not an "
+                   "epsilon-approximation\n")
+    assert out == ""
+
+
+def test_verify_refuses_two_squares_depth_7_for_seed_7(capsys):
+    # the draw of level 7 leaves a gap of the frame wider than eps_7
+    code, out, err = run(["verify", "--space", "two_squares", "--depth", "7",
+                          "--seed", "7"], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert err == ("error: level 7: gamma=0.000244872 >= eps=0.000244141: "
+                   "not an epsilon-approximation\n")
     assert out == ""
 
 

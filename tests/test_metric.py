@@ -96,7 +96,10 @@ def test_distinct_sample_fills_no_distance_matrix():
                         (M.explicit(np.ones((3, 3)) - np.eye(3)), [0, 2]),
                         (M.euclidean(1), np.zeros((0, 1)))):
         sample = M.MetricSample(ctx, points, epsilon=1.0)
-        assert sample._pairwise is None
+        # the matrix is computed on each call and kept nowhere
+        first, second = sample.pairwise(), sample.pairwise()
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
     # points are compared, not their distances: these two differ by far
     # less than the square root of the smallest float
     sample = M.MetricSample(M.euclidean(1), [[0.0], [1e-200]], epsilon=1.0)

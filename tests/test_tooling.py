@@ -92,6 +92,26 @@ def test_masks_are_scanned_flat():
     assert not found, found
 
 
+def test_no_library_path_makes_a_distance_matrix():
+    # the library reads distances from points, by metric.close_pairs and
+    # metric.cross_distances; the n x n matrix is made only in
+    # MetricSample.pairwise, for the tests and callers that ask for it
+    names = {"pairwise", "points_distance_matrix"}
+    found = []
+    for path, tree in _trees("src"):
+        allowed = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "MetricSample"
+                   for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "pairwise"
+                   for node in ast.walk(fn)}
+        found += [f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and getattr(node.func, "attr",
+                              getattr(node.func, "id", None)) in names]
+    assert not found, found
+
+
 def test_perfbench_tracer_finds_every_wrapped_name():
     # perfbench/tracing.py replaces fintop names with traced wrappers; a name
     # deleted from the library would break `perfbench/run.py --trace 1`

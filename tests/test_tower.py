@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fintop import finite_space as F
 from fintop import homology as H
 from fintop import limit as L
 from fintop import metric as M
+from fintop import simplicial as S
 from fintop import tower as T
 
 import oracles
@@ -40,6 +42,23 @@ def test_schedule_strict_violation():
     assert len(probs) == 1 and "strict" in probs[0]
     # relaxed bound is 0.5: fine
     assert T.validate_schedule([a, b], T.RELAXED) == []
+
+
+def test_schedule_checks_gamma_on_every_level():
+    # the last level has no successor, and its gamma is checked all the same
+    ctx = M.euclidean(1)
+    a = M.MetricSample(ctx, [[0.0], [1.0]], epsilon=1.0, gamma=0.25)
+    b = M.MetricSample(ctx, [[0.0], [1.0]], epsilon=0.25, gamma=0.5)
+    last = "level 2: gamma=0.5 >= eps=0.25: not an epsilon-approximation"
+    for mode in (T.STRICT, T.RELAXED):
+        assert T.validate_schedule([a, b], mode) == [last]
+        with pytest.raises(T.TowerError, match=f"^{last}$"):
+            T.Tower([a, b], mode=mode)
+    # a one-level tower has only a last level
+    assert T.validate_schedule([b], T.RELAXED) == [last.replace("2", "1", 1)]
+    with pytest.raises(T.TowerError, match="^level 1: gamma=0.5 >= eps=0.25"):
+        T.Tower([b], mode=T.RELAXED)
+    assert T.validate_schedule([a], T.STRICT) == []
 
 
 def test_schedule_cantor_needs_relaxed_deep():
@@ -397,7 +416,7 @@ def _bonding_answers(space: str, depth: int) -> tuple:
                                           ("two_squares", 3)])
 def test_bonding_answers_do_not_depend_on_the_block_size(space, depth,
                                                          monkeypatch):
-    # a budget of one entry runs the pairwise matrix, the ball images, the
+    # a budget of one entry runs the threshold graph, the ball images, the
     # image gathers and the place lookups one item per block
     default = _bonding_answers(space, depth)
     monkeypatch.setattr(M, "BLOCK_ENTRIES", 1)
@@ -585,15 +604,147 @@ def test_composed_bond_equals_stepwise_composition(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
-                min_size=1, max_size=12),
+                min_size=1, max_size=12, unique=True),
        st.lists(st.sets(st.integers(0, 11), min_size=1, max_size=12),
                 min_size=1, max_size=20))
 def test_batched_diameters_equal_the_pair_loop(points, payloads):
-    pts = np.array(points)
-    pw = M.points_distance_matrix(M.euclidean(2), pts)
-    payloads = [frozenset(i % len(pts) for i in p) for p in payloads]
-    got = T.image_diameters(pw, payloads)
+    sample = M.MetricSample(M.euclidean(2), np.array(points), 1.0)
+    pw = sample.pairwise()
+    payloads = [frozenset(i % len(sample) for i in p) for p in payloads]
+    got = T.image_diameters(sample, payloads)
     assert got.tolist() == [pair_diameter(pw, p) for p in payloads]
+
+
+def _unit_key_normal(dim):
+    """A unit vector orthogonal to the projection direction of the sorted
+    keys, (1, sqrt 2, .., sqrt d) / |.|: points on a line along it share
+    one key."""
+    v = np.zeros(dim)
+    v[:2] = math.sqrt(2), -1.0
+    return v / math.sqrt(3)
+
+
+@st.composite
+def threshold_samples(draw):
+    """A sample, a threshold factor and an element cap that test the key
+    window of the threshold graph: Euclidean points of dimension 1 to 4;
+    integer lattices at thresholds that their distances tie with; points
+    on lines orthogonal to the key direction, which share keys; points
+    offset by 1e6; circle angles near 0 and 2 pi; and subsets of an
+    explicit matrix of integer distances.  The cap is often below the
+    complex's size."""
+    kind = draw(st.sampled_from(["euclidean", "lattice", "orthogonal",
+                                 "offset", "circle", "explicit"]))
+    factor = draw(st.sampled_from([2.0, 4.0]))
+    tied = st.sampled_from([0.25, math.sqrt(2) / 4, 0.5, math.sqrt(5) / 4,
+                            0.75, 1.0])
+    dim = draw(st.integers(1, 4))
+    count = st.integers(2, 16)
+    if kind == "circle":
+        near = st.one_of(st.floats(0, 0.3),
+                         st.floats(2 * math.pi - 0.3, 2 * math.pi,
+                                   exclude_max=True),
+                         st.floats(0, 2 * math.pi, exclude_max=True))
+        angles = draw(st.lists(near, min_size=2, max_size=16))
+        ctx, points = M.circle_geodesic(), np.unique(np.array(angles) + 0.0)
+        eps = draw(st.floats(0.005, 3.5))
+    elif kind == "explicit":
+        line = draw(st.lists(st.integers(0, 20), min_size=2, max_size=16,
+                             unique=True))
+        ctx = M.explicit([[abs(a - b) for b in line] for a in line])
+        points = draw(st.lists(st.integers(0, len(line) - 1), min_size=1,
+                               max_size=len(line), unique=True))
+        eps = 4 * draw(tied) / factor
+    elif kind == "lattice":
+        ctx = M.euclidean(dim)
+        points = np.array(draw(st.lists(
+            st.tuples(*[st.integers(0, 4)] * dim), min_size=2, max_size=16,
+            unique=True)), dtype=float)
+        eps = 4 * draw(tied) / factor
+    elif kind == "orthogonal":
+        dim = max(dim, 2)
+        ctx = M.euclidean(dim)
+        lines = draw(st.lists(st.floats(-2, 2), min_size=1, max_size=3))
+        steps = draw(st.lists(st.tuples(st.integers(0, len(lines) - 1),
+                                        st.integers(-8, 8)),
+                              min_size=2, max_size=16, unique=True))
+        u = np.sqrt(np.arange(1.0, dim + 1))
+        u /= np.linalg.norm(u)
+        points = np.array([lines[i] * u + 0.25 * k * _unit_key_normal(dim)
+                           for i, k in steps])
+        eps = draw(tied) / factor
+    else:
+        ctx = M.euclidean(dim)
+        points = np.array(draw(st.lists(
+            st.tuples(*[st.floats(-3, 3)] * dim), min_size=2,
+            max_size=draw(count))), dtype=float)
+        if kind == "offset":
+            points = points + 1e6
+        eps = draw(st.floats(0.01, 2.0))
+    if ctx.kind == "euclidean":
+        # rounding, as of the offset, may make two points one
+        points = np.unique(points + 0.0, axis=0)
+    sample = M.MetricSample(ctx, points, epsilon=eps)
+    return sample, factor, draw(st.integers(1, 400))
+
+
+@settings(max_examples=150, deadline=None)
+@given(threshold_samples(), st.integers(1, 2), st.data())
+def test_the_threshold_graph_and_reports_equal_the_matrix_ones(case, max_dim,
+                                                              data):
+    sample, factor, cap = case
+    threshold = factor * sample.epsilon
+    pw = sample.pairwise()
+    graph = S.rips_graph(pw, threshold)
+    assert S.rips_graph(sample, threshold) == graph
+    with mock.patch.object(M, "BLOCK_ENTRIES", 1):
+        assert S.rips_graph(sample, threshold) == graph
+    # the same complex, or the same refusal, as from the whole matrix
+    try:
+        want = S.vietoris_rips(pw, threshold, max_dim, max_simplices=cap)
+    except S.SimplicialError as exc:
+        with pytest.raises(T.ResourceCap, match=f"^{exc}$"):
+            T.build_term(sample, max_dim, factor, max_elements=cap)
+        return
+    term = T.build_term(sample, max_dim, factor, max_elements=cap)
+    assert term.complex.all_simplices() == want.all_simplices()
+    # a report of a map into the term, against the diameters of the images
+    # read from the matrix, and again one distance per block
+    n = len(sample)
+    table = [frozenset(img) for img in data.draw(st.lists(
+        st.sets(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n))]
+    report = T._map_report(term, table, term.complex, M.DEFAULT_TOL)
+    images = [list(frozenset().union(*(table[v] for v in c)))
+              for c in term.complex.all_simplices()]
+    widths = [pw[np.ix_(i, i)].max() if i else math.inf for i in images]
+    passed = M.below(np.array(widths), threshold, M.DEFAULT_TOL)
+    assert report.worst_diameter == max(widths)
+    assert report.well_defined == bool(passed.all())
+    assert [term.is_element(frozenset(i)) for i in images[:24]] == \
+        passed[:24].tolist()
+    with mock.patch.object(M, "BLOCK_ENTRIES", 1):
+        assert repr(T._map_report(term, table, term.complex,
+                                  M.DEFAULT_TOL)) == repr(report)
+
+
+def test_a_dense_sample_stops_at_the_element_cap(monkeypatch):
+    # 4096 points within the threshold of each other have 8,386,560 edges;
+    # the cap refuses them after the first blocks of candidates
+    sample = M.MetricSample(M.euclidean(1), np.arange(4096.0)[:, None] / 4096,
+                            epsilon=1.0)
+    measured = []
+    kernel = M.cross_distances
+
+    def counted(ctx, A, B):
+        out = kernel(ctx, A, B)
+        measured.append(out.size)
+        return out
+
+    monkeypatch.setattr(M, "cross_distances", counted)
+    with pytest.raises(T.ResourceCap,
+                       match="^Rips complex exceeds cap of 50000 simplices$"):
+        T.build_term(sample, 2, max_elements=50_000)
+    assert sum(measured) <= 50_000 + M.BLOCK_ENTRIES
 
 
 @st.composite
