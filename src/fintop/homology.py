@@ -2,9 +2,12 @@
 
 Betti numbers come from one cleared reduction of the coboundaries per
 complex, over GF(p) for 'p:P' and over Z otherwise, kept on the complex
-as masks of the simplices it pairs and the torsion (`_pairs`).  One
-record serves q, z and the ranks of induced maps, as the pairs over Z
-are those over Q.  Vertex maps induce chain maps with the usual sorting
+as masks of the simplices it pairs and the torsion (`_pairs`): the
+elder rule pairs delta_0, apparent pairs are read off the coface table
+with numpy, and the other columns are built from it and reduced, with an
+apparent pivot built only when a reduction reads its low.  One record
+serves q, z and the ranks of induced maps, as the pairs over Z are those
+over Q.  Vertex maps induce chain maps with the usual sorting
 sign and degenerate-image-to-zero convention, computed for all the
 simplices of a dimension at once (`_mapped`: one array of mapped vertex
 rows, its signs and one `positions` call).  The rank of an induced
@@ -17,6 +20,7 @@ boundaries are built; the cleared ones would not change the rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -53,12 +57,75 @@ class HomologyResult:
     torsion: Optional[list[list[int]]] = None   # per degree, integer mode only
 
 
-def _flags(size: int, positions) -> np.ndarray:
-    """Mask of size simplices, set at the positions counted from the last
-    one, as `coboundary_sparse` numbers them."""
+def _flags(size: int, places) -> np.ndarray:
+    """Mask of size simplices, set at the given places."""
     mask = np.zeros(size, dtype=bool)
-    mask[size - 1 - np.fromiter(positions, dtype=np.intp)] = True
+    mask[np.fromiter(places, dtype=np.intp)] = True
     return mask
+
+
+def _elder_rule(cx: SimplicialComplex) -> dict:
+    """The pairs {vertex: edge} of delta_0, by places: one union-find over
+    the edges in order, each root the least vertex of its component.  An
+    edge that joins two components is paired with the larger of their
+    roots (the elder rule; Edelsbrunner and Harer, "Computational
+    Topology", 2010)."""
+    parent = list(range(len(cx.simplices(0))))
+    pairs = {}
+    for edge, (u, v) in enumerate(zip(*cx.faces(1).T.tolist())):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            u, v = min(u, v), max(u, v)
+            parent[v] = u
+            pairs[v] = edge
+    return pairs
+
+
+def _cofaces(cx: SimplicialComplex, d: int) -> tuple[np.ndarray, ...]:
+    """The coface table of the d-simplices, the transpose of faces(d + 1):
+    the cofaces of the d-simplex s are the entries start[s]:start[s + 1]
+    of rows and signs, in increasing order, as their rows m - 1 - coface
+    in delta_d (of m cofaces) and the signs of s in their boundaries."""
+    faces = cx.faces(d + 1).ravel()
+    m, width = len(cx.simplices(d + 1)), d + 2
+    start = np.concatenate(
+        ([0], np.cumsum(np.bincount(faces, minlength=len(cx.simplices(d))))))
+    rows = np.argsort(faces, kind="stable")     # face table entries, by face
+    signs = 1 - 2 * (rows % width % 2).astype(np.int8)
+    rows //= width                              # made rows in place
+    np.subtract(m - 1, rows, out=rows)
+    return start, rows, signs
+
+
+def _coboundary_column(cofaces: tuple[np.ndarray, ...], s: int) -> L.SparseCol:
+    """The column {row: sign} of the d-simplex s in delta_d, read off the
+    coface table."""
+    start, rows, signs = cofaces
+    lo, hi = start[s:s + 2].tolist()
+    return dict(zip(rows[lo:hi].tolist(), signs[lo:hi].tolist()))
+
+
+def _apparent(cx: SimplicialComplex, d: int, cofaces: tuple[np.ndarray, ...],
+              kept: np.ndarray) -> tuple[dict, list[int]]:
+    """The apparent pairs {low: d-simplex} of the kept columns of delta_d,
+    d >= 1, and the other kept columns that are not zero, in the order of
+    the reduction (decreasing places).
+
+    A kept column's low is its coface of least place; the pair is apparent
+    when the column is that coface's kept face of greatest place."""
+    start, rows, _ = cofaces
+    faces = cx.faces(d + 1)
+    greatest = np.where(kept[faces], faces, -1).max(axis=1, initial=-1)
+    simplices = np.flatnonzero(kept & (start[1:] > start[:-1]))
+    lows = rows[start[simplices]]
+    apparent = greatest[len(faces) - 1 - lows] == simplices
+    return (dict(zip(lows[apparent].tolist(), simplices[apparent].tolist())),
+            simplices[~apparent][::-1].tolist())
 
 
 def _pairs(cx: SimplicialComplex, k: int, p: Optional[int]) -> tuple[list, ...]:
@@ -79,31 +146,54 @@ def _pairs(cx: SimplicialComplex, k: int, p: Optional[int]) -> tuple[list, ...]:
     has rank-many pivots, so a column left in for its non-unit low still
     reduces to zero, and the pairs are those over Q.
 
-    A pivot of column j and low i pairs the d-simplex n_d - 1 - j with the
-    (d+1)-simplex n_{d+1} - 1 - i (`coboundary_sparse` reverses both
-    orders).  A pivot pair of a reduced matrix is fixed by the ranks of
-    its lower-left submatrices, and delta_d is the boundary of dimension
-    d + 1 turned by a half turn, which maps those submatrices to each
-    other: these are the pairs of the lowest-row reduction of that
+    delta_d has a column per d-simplex, the last one first, and a row per
+    (d+1)-simplex, the last one at the top: the pivot of column j and low
+    i pairs the d-simplex n_d - 1 - j with the (d+1)-simplex
+    n_{d+1} - 1 - i.  A pivot pair of a reduced matrix is fixed by the
+    ranks of its lower-left submatrices, and delta_d is the boundary of
+    dimension d + 1 turned by a half turn, which maps those submatrices to
+    each other: these are the pairs of the lowest-row reduction of that
     boundary, where the pivot column of a (d+1)-simplex has its low on the
     paired d-simplex (de Silva, Morozov and Vejdemo-Johansson, "Dualities
     in persistent (co)homology", 2011).
+
+    So the pairs of delta_0 are those of the elder rule (`_elder_rule`),
+    and every pivot of an incidence matrix is +-1.  In delta_d, d >= 1, a
+    kept column whose low is an apparent pair (`_apparent`; Bauer,
+    "Ripser", 2021) is a pivot as it stands: no column before it holds
+    its low row, before or after reduction.  The other kept columns are
+    built from the coface table and reduced in order against a table
+    seeded with the apparent pivots, each built the first time a
+    reduction or a Smith residue reads its low (`linalg.SeededPivots`).
+    Only later columns hold that low, and its entry +-1 divides theirs,
+    so the pivots are those of the full reduction, and no column that no
+    elimination reads is built.
     """
     no_vertex = _flags(len(cx.simplices(0)), ())
     up, down, cleared, torsion = vars(cx).setdefault(
         "_pairs_cache", {}).setdefault(p, ([], [no_vertex], [no_vertex], []))
     for d in range(len(up), k + 1):
         n, m = len(cx.simplices(d)), len(cx.simplices(d + 1))
-        cols = cx.coboundary_sparse(d)
-        kept = np.flatnonzero(~cleared[d][::-1])
-        cols = [cols[j] for j in kept.tolist()]
-        if p is None:
-            invariants, pairs, unit_lows = L.smith_pivots(cols)
-            torsion.append([v for v in invariants if v > 1])
-        else:
-            pairs = L.pivot_pairs(cols, p)
+        invariants, pairs, unit_lows = [], {}, []
+        if d == 0:
+            pairs = _elder_rule(cx)
             unit_lows = pairs.values()
-        up.append(_flags(n, kept[list(pairs)]))
+        elif m:
+            cofaces = _cofaces(cx, d)
+            seeds, rest = _apparent(cx, d, cofaces, ~cleared[d])
+            cols = (_coboundary_column(cofaces, s) for s in rest)
+            seeded = L.SeededPivots(seeds, partial(_coboundary_column, cofaces))
+            if p is None:
+                invariants, lows, units = L.smith_pivots(cols, seeded)
+            else:
+                lows = L.pivot_pairs(cols, p, seeded)
+                units = [*seeds, *lows.values()]
+            pairs = {s: m - 1 - low for low, s in seeds.items()}
+            pairs.update((rest[j], m - 1 - low) for j, low in lows.items())
+            unit_lows = [m - 1 - low for low in units]
+            del cofaces, seeded     # before the next degree's are built
+        torsion.append([v for v in invariants if v > 1])
+        up.append(_flags(n, pairs))
         down.append(_flags(m, pairs.values()))
         cleared.append(_flags(m, unit_lows))
     return up, down, cleared, torsion
@@ -117,6 +207,7 @@ def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
     simplices up to dimension k_max + 1 wherever they exist, or the top
     Betti number would be overcounted.
     """
+    _check_degree(k_max)
     if max_simplices is not None and len(cx) > max_simplices:
         raise HomologyError(
             f"complex has {len(cx)} simplices, above the cap of {max_simplices}")
@@ -126,6 +217,11 @@ def betti_numbers(cx: SimplicialComplex, k_max: int, field_spec: str = "q",
         betti=[int(np.count_nonzero(~(up[d] | down[d])))
                for d in range(k_max + 1)],
         torsion=[list(t) for t in torsion[:k_max + 1]] if tag == "z" else None)
+
+
+def _check_degree(k: int) -> None:
+    if k < 0:
+        raise HomologyError(f"degree {k} is negative")
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +236,14 @@ def _mapped(src: SimplicialComplex, dst: SimplicialComplex,
     vertices, the signs of their sorting permutations (0 when a vertex
     repeats) and the places of their sets in dst, -1 when missing, by one
     `positions` call.  An image that is no vertex id, which a row would
-    misread (-1 as padding, 0.5 as 0), is refused by its vertex."""
+    misread (-1 as padding, 0.5 as 0), is refused by its vertex, as is a
+    vertex without an image."""
     vertices = src.rows(0)[:, 0].tolist()
-    images = [vertex_map[v] for v in vertices]
+    try:
+        images = [vertex_map[v] for v in vertices]
+    except KeyError as missing:
+        raise HomologyError(f"vertex {missing.args[0]!r} of the source has "
+                            f"no image under the vertex map") from None
     for v, x in zip(vertices, images):
         if not is_vertex_id(x):
             raise HomologyError(f"vertex {v} maps to {x!r}, which is not a "
@@ -169,6 +270,7 @@ def chain_map(src: SimplicialComplex, dst: SimplicialComplex,
     target is an error: the vertex map is not simplicial into dst.  Only
     the simplices of the built columns are checked.
     """
+    _check_degree(k)
     mapped, signs, places = _mapped(src, dst, vertex_map, k, columns)
     missing = np.flatnonzero((signs != 0) & (places < 0))
     if len(missing):
@@ -242,6 +344,7 @@ def induced_rank(src: SimplicialComplex, dst: SimplicialComplex,
     P; one in P has no column, but it is a face of a (k+1)-simplex, whose
     image the check in dimension k + 1 finds in dst with all its faces.
     """
+    _check_degree(k)
     _, p = parse_field(field_spec)
     _check_simplicial(src, dst, vertex_map, k + 1)
     off_p = np.flatnonzero(~_pairs(src, k, p)[0][k]).tolist()

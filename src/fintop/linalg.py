@@ -14,7 +14,9 @@ coordinates (`SparseHomology`).  Only non-unit pivots go on to a dense
 Smith form.  The pivots of a coboundary, as pairs {column: low}, are
 what a cohomology reduction clears in the next degree: all of them mod
 p (`pivot_pairs`), the unit ones over Z (`smith_pivots`), whose pairs
-are also those over Q.  That one reduction per complex
+are also those over Q.  Both may reduce against a table seeded with unit
+pivots that are built only when read (`SeededPivots`), as the apparent
+pairs of a coboundary are.  That one reduction per complex
 (`homology._pairs`) gives Betti numbers, torsion, and the pairs that
 clear both blocks of an induced rank before `induced_map_rank`.  No
 floating point is used.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -154,15 +156,43 @@ def _reduce(col: SparseCol, pivots: dict, field) -> Optional[int]:
     return None
 
 
-def _echelon(right: Sequence[SparseCol], field,
-             left: Sequence[SparseCol] = ()) -> tuple[dict, dict]:
+class SeededPivots(dict):
+    """A pivot table {lowest row -> column} seeded with unit pivots whose
+    columns are built on demand: seeds maps each seeded low to a key, and
+    build(key) makes that column the first time a reduction, or the
+    clearing of a Smith residue, reads its low.
+
+    A seeded column must be a pivot with entry +-1 at its low that no
+    column reduced before its turn holds in that row, as an apparent pair
+    of a coboundary is (`homology._pairs`).  Then the reduction with the
+    seeds has the pivots of the one with those columns in place: only a
+    later column meets the low, the column needs no elimination, and its
+    unit entry divides every entry it eliminates.
+    """
+
+    def __init__(self, seeds: dict, build):
+        super().__init__()
+        self.seeds, self.build = seeds, build
+
+    def __missing__(self, low):
+        col = self[low] = self.build(self.seeds[low])
+        return col
+
+    def get(self, low, default=None):
+        return self[low] if low in self or low in self.seeds else default
+
+
+def _echelon(right: Iterable[SparseCol], field,
+             left: Iterable[SparseCol] = (),
+             pivots: Optional[dict] = None) -> tuple[dict, dict]:
     """Reduce copies of the left columns, then of the right ones, against
-    one pivot table {lowest row -> column} that each nonzero result joins.
+    one pivot table {lowest row -> column}, empty or a `SeededPivots`,
+    that each nonzero result joins.
 
     Returns the table and {position among the right columns: lowest row}
     of the right-hand pivots.
     """
-    pivots: dict = {}
+    pivots = {} if pivots is None else pivots
     for block in (left, right):
         lows = {}
         for j, col in enumerate(block):
@@ -174,9 +204,11 @@ def _echelon(right: Sequence[SparseCol], field,
     return pivots, lows
 
 
-def pivot_pairs(matrix: list[SparseCol], p: Optional[int] = None) -> dict:
+def pivot_pairs(matrix: Iterable[SparseCol], p: Optional[int] = None,
+                seeded: Optional[SeededPivots] = None) -> dict:
     """{column: lowest row} of the pivots of an integer matrix of sparse
-    columns, reduced over GF(p), or over Q when p is None.
+    columns, reduced over GF(p), or over Q when p is None, against the
+    seeded pivots when given, whose own pairs are not listed.
 
     Unimodular column operations keep the rank over Q, so the Smith
     reduction's field object serves there too.  They also keep the pairs:
@@ -184,55 +216,66 @@ def pivot_pairs(matrix: list[SparseCol], p: Optional[int] = None) -> dict:
     span, which fixes the set of their lows, and column j adds the low it
     ends with exactly when it adds to that span, as over Q.
     """
-    return _echelon(matrix, _Unimodular if p is None else _ModP(p))[1]
+    return _echelon(matrix, _Unimodular if p is None else _ModP(p),
+                    pivots=seeded)[1]
 
 
 def rank_q(matrix: list[SparseCol]) -> int:
-    """Exact rank over the rationals of an integer matrix of sparse columns."""
-    return len(pivot_pairs(matrix))
+    """Exact rank over the rationals of an integer matrix of sparse columns,
+    by the unimodular reduction that `pivot_pairs` uses over Q."""
+    return len(_echelon(matrix, _Unimodular)[1])
 
 
 def rank_gfp(matrix: list[SparseCol], p: int) -> int:
     """Rank over GF(p)."""
-    return len(pivot_pairs(matrix, p))
+    return len(_echelon(matrix, _ModP(p))[1])
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form (sparse unimodular reduction, dense non-unit residue)
 # ---------------------------------------------------------------------------
 
-def smith_pivots(matrix: list[SparseCol]) -> tuple[list[int], dict, list[int]]:
+def smith_pivots(matrix: Iterable[SparseCol],
+                 seeded: Optional[SeededPivots] = None
+                 ) -> tuple[list[int], dict, list[int]]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix of
     sparse columns, its pivot pairs {column: lowest row}, those over Q
     (`pivot_pairs`), and the lowest rows of its unit pivots, the only lows
     that clear a column of the next coboundary over Z (`homology._pairs`).
+    With seeded pivots, the matrix is its columns and the seeded ones: the
+    seeded lows are unit lows, but not listed among the pairs.
     """
-    pivots, pairs = _echelon(matrix, _Unimodular)
-    invariants, unit_lows = _echelon_invariants(pivots)
+    pivots, pairs = _echelon(matrix, _Unimodular, pivots=seeded)
+    invariants, unit_lows = _echelon_invariants(
+        pivots, {} if seeded is None else seeded.seeds)
     return invariants, pairs, unit_lows
 
 
 def smith_normal_form(matrix: list[SparseCol]) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix of
     sparse columns."""
-    return _echelon_invariants(_echelon(matrix, _Unimodular)[0])[0]
+    return _echelon_invariants(_echelon(matrix, _Unimodular)[0], {})[0]
 
 
-def _echelon_invariants(pivots: dict) -> tuple[list[int], list[int]]:
+def _echelon_invariants(pivots: dict,
+                        seeds: dict) -> tuple[list[int], list[int]]:
     """Smith invariants of a matrix with unimodular echelon pivots {lowest
-    row -> column}, and the lows of the unit pivots.  A unit pivot splits
-    off an invariant 1: the other pivots can be cleared in its row by
-    column operations, then its own column by row operations.  The rest,
-    cleared in the unit rows, is the residue that `_smith_dense` reduces."""
-    unit_lows = [low for low, col in pivots.items() if abs(col[low]) == 1]
+    row -> column}, the seeded unit lows among them, and the lows of the
+    unit pivots.  A unit pivot splits off an invariant 1: the other pivots
+    can be cleared in its row by column operations, then its own column by
+    row operations.  The rest, cleared in the unit rows, is the residue
+    that `_smith_dense` reduces; a seeded column is built only when a
+    residue column holds its low."""
+    unit_lows = [*seeds, *(low for low, col in pivots.items()
+                           if low not in seeds and abs(col[low]) == 1)]
     invariants = [1] * len(unit_lows)
-    if len(unit_lows) == len(pivots):
+    residue_lows = [low for low, col in pivots.items() if abs(col[low]) != 1]
+    if not residue_lows:
         return invariants, unit_lows
     unit_rows = sorted(unit_lows, reverse=True)
     residue = []
-    for low, col in pivots.items():
-        if abs(col[low]) == 1:
-            continue
+    for low in residue_lows:
+        col = pivots[low]
         # descending, as clearing row r only touches rows below r
         for r in unit_rows:
             if r < low and r in col:

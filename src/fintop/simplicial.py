@@ -1,14 +1,14 @@
 """Simplicial complexes: clique complexes (Vietoris-Rips and, through the
-comparability graph, order complexes), boundary and coboundary matrices,
-batch lookups of vertex sets, and elementary collapses, which only the
-tests use.
+comparability graph, order complexes), boundary matrices, batch lookups
+of vertex sets, and elementary collapses, which only the tests use.
 
 Simplices are stored as sorted tuples of nonnegative integer vertex ids
 grouped by dimension; the vertex order of the tuple fixes the orientation
 used by the boundary matrices.  The one index of a complex is the sorted
 byte keys of its vertex rows, one table per dimension: `positions` finds
 vertex sets in it, and the face table (`faces`), from which the boundaries
-and coboundaries are read, is one lookup of it per dimension.
+and the coboundary columns of `homology._pairs` are read, is one lookup
+of it per column.
 """
 
 from __future__ import annotations
@@ -149,12 +149,15 @@ class SimplicialComplex:
         """For each dim-simplex, dim >= 1, the places of its faces among the
         (dim-1)-simplices: column i is the face without vertex i, whose
         boundary sign is (-1)^i.  Cached on the complex, from one `_lookup`
-        of the rows with one vertex dropped, which stay increasing."""
+        per column of the rows without vertex i, which stay increasing."""
         cache = vars(self).setdefault("_faces_cache", {})
         if dim not in cache:
-            drop = self.rows(dim)[:, list(combinations(range(dim + 1), dim))]
-            places = self._lookup(dim - 1, drop[:, ::-1].reshape(-1, dim))
-            cache[dim] = places.reshape(-1, dim + 1) - self._starts[dim - 1]
+            rows = self.rows(dim)
+            faces = np.empty((len(rows), dim + 1), dtype=np.intp)
+            for i in range(dim + 1):
+                faces[:, i] = self._lookup(dim - 1, np.delete(rows, i, axis=1))
+            faces -= self._starts[dim - 1]
+            cache[dim] = faces
         return cache[dim]
 
     def boundary_sparse(self, dim: int,
@@ -168,25 +171,6 @@ class SimplicialComplex:
             return [{} for _ in cols]
         signs = [(-1) ** i for i in range(dim + 1)]
         return [dict(zip(row, signs)) for row in self.faces(dim)[cols].tolist()]
-
-    def coboundary_sparse(self, dim: int) -> list[dict]:
-        """Coboundary C^dim -> C^{dim+1}, the transpose of the boundary of
-        dim + 1, as sparse columns with both simplex orders reversed.
-
-        Column j is the dim-simplex n_dim - 1 - j, and row i is the
-        (dim+1)-simplex n_{dim+1} - 1 - i: the face table of dim + 1 read
-        by faces, each column's entries in the order of their cofaces.
-        """
-        n, m = len(self.simplices(dim)), len(self.simplices(dim + 1))
-        out: list[dict] = [{} for _ in range(n)]
-        if not (n and m):
-            return out
-        cols = (n - 1 - self.faces(dim + 1)).ravel().tolist()
-        rows = np.repeat(np.arange(m - 1, -1, -1), dim + 2).tolist()
-        signs = [(-1) ** i for i in range(dim + 2)] * m
-        for j, i, sign in zip(cols, rows, signs):
-            out[j][i] = sign
-        return out
 
     def boundary_matrix(self, dim: int) -> np.ndarray:
         """Integer matrix of the boundary map C_dim -> C_{dim-1}, the dense

@@ -61,9 +61,60 @@ def boundary_columns(cx: S.SimplicialComplex, dim: int) -> list[dict]:
             for s in cx.simplices(dim)]
 
 
+def coboundary_sparse(cx: S.SimplicialComplex, dim: int) -> list[dict]:
+    """Coboundary C^dim -> C^{dim+1}, the transpose of the boundary of
+    dim + 1, as sparse columns with both simplex orders reversed: the
+    reference for the columns of `homology._pairs`.
+
+    Column j is the dim-simplex n_dim - 1 - j, and row i is the
+    (dim+1)-simplex n_{dim+1} - 1 - i: the face table of dim + 1 read
+    by faces, each column's entries in the order of their cofaces.
+    """
+    n, m = len(cx.simplices(dim)), len(cx.simplices(dim + 1))
+    out: list[dict] = [{} for _ in range(n)]
+    if not (n and m):
+        return out
+    cols = (n - 1 - cx.faces(dim + 1)).ravel().tolist()
+    rows = np.repeat(np.arange(m - 1, -1, -1), dim + 2).tolist()
+    signs = [(-1) ** i for i in range(dim + 2)] * m
+    for j, i, sign in zip(cols, rows, signs):
+        out[j][i] = sign
+    return out
+
+
+def cleared_pairs(cx: S.SimplicialComplex, k: int, p=None) -> tuple[list, ...]:
+    """The record (up, down, cleared, torsion) of `homology._pairs` from
+    every kept column of `coboundary_sparse`, reduced by `linalg.pivot_pairs`
+    mod p or `linalg.smith_pivots` over Z, with no elder rule, apparent
+    pair or seeded pivot."""
+    def flags(size, reversed_places):
+        mask = np.zeros(size, dtype=bool)
+        mask[[size - 1 - i for i in reversed_places]] = True
+        return mask
+
+    no_vertex = flags(len(cx.simplices(0)), ())
+    up, down, cleared, torsion = [], [no_vertex], [no_vertex], []
+    for d in range(k + 1):
+        n, m = len(cx.simplices(d)), len(cx.simplices(d + 1))
+        kept = np.flatnonzero(~cleared[d][::-1]).tolist()
+        cols = coboundary_sparse(cx, d)
+        cols = [cols[j] for j in kept]
+        if p is None:
+            invariants, pairs, unit_lows = L.smith_pivots(cols)
+            torsion.append([v for v in invariants if v > 1])
+        else:
+            pairs = L.pivot_pairs(cols, p)
+            unit_lows = pairs.values()
+            torsion.append([])
+        up.append(flags(n, [kept[j] for j in pairs]))
+        down.append(flags(m, pairs.values()))
+        cleared.append(flags(m, unit_lows))
+    return up, down, cleared, torsion
+
+
 def coboundary_columns(cx: S.SimplicialComplex, dim: int) -> list[dict]:
-    """coboundary_sparse(dim), one face lookup per face in a tuple dict,
-    with both simplex orders reversed."""
+    """`coboundary_sparse`, one face lookup per face in a tuple dict, with
+    both simplex orders reversed."""
     n, cofaces = len(cx.simplices(dim)), cx.simplices(dim + 1)
     out: list[dict] = [{} for _ in range(n)]
     ix, top = _places(cx), len(cofaces) - 1

@@ -175,7 +175,7 @@ def test_cleared_pairs_are_the_uncleared_pairs(make, p):
     up, down, cleared, torsion = H._pairs(cx, cx.dimension, p)
     for d in range(cx.dimension + 1):
         n, m = len(cx.simplices(d)), len(cx.simplices(d + 1))
-        pairs = L.pivot_pairs(cx.coboundary_sparse(d), p)
+        pairs = L.pivot_pairs(oracles.coboundary_sparse(cx, d), p)
         assert set(np.flatnonzero(up[d])) == {n - 1 - j for j in pairs}
         assert set(np.flatnonzero(down[d + 1])) == \
             {m - 1 - i for i in pairs.values()}
@@ -185,28 +185,84 @@ def test_cleared_pairs_are_the_uncleared_pairs(make, p):
     assert [t for t in torsion if t] == ([[2]] if p is None else [])
 
 
+# vertices stored out of id order: the elder rule pairs by places
+OUT_OF_ORDER = S.SimplicialComplex([(5, 6), (3, 4, 6), (0, 1, 3), (1, 2), (2, 5)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(FACE_COMPLEXES, lattice_rips()), st.sampled_from([None, 2, 3]))
+@example(OUT_OF_ORDER, None)
+@example(projective_plane(), None)
+@example(suspension(projective_plane()), None)
+@example(F.face_poset(projective_plane()).order_complex(), None)
+def test_pairs_are_those_of_every_kept_coboundary_column(cx, p):
+    # the elder rule, the apparent pairs and the pivots built on demand
+    # give the record of reducing every kept column of delta_0, delta_1,
+    # ... in order; the three examples over Z have one non-unit pivot each.
+    # A fresh copy, as an example's complex keeps the records of earlier runs
+    fresh = S.SimplicialComplex._closed([list(cx.simplices(d))
+                                         for d in range(cx.dimension + 1)])
+    record = H._pairs(fresh, cx.dimension, p)
+    want = oracles.cleared_pairs(cx, cx.dimension, p)
+    for got, ref in zip(record[:3], want[:3]):
+        assert [m.tolist() for m in got] == [m.tolist() for m in ref]
+    assert record[3] == want[3]
+    for d in range(cx.dimension + 1):
+        n, cofaces = len(cx.simplices(d)), H._cofaces(cx, d)
+        assert [H._coboundary_column(cofaces, n - 1 - j) for j in range(n)] \
+            == oracles.coboundary_sparse(cx, d)
+
+
+def test_negative_degrees_and_unmapped_vertices_are_refused():
+    tri = S.SimplicialComplex([(0, 1, 2)])
+    ident, no_2 = {0: 0, 1: 1, 2: 2}, {0: 0, 1: 1}
+    calls = {"degree -1 is negative": [
+        lambda: H.induced_rank(tri, tri, ident, -1),
+        lambda: H.induced_matrix(tri, tri, ident, -1),
+        lambda: H.chain_map(tri, tri, ident, -1),
+        lambda: H.betti_numbers(tri, -1)],
+        "vertex 2 of the source has no image under the vertex map": [
+        lambda: H.induced_rank(tri, tri, no_2, 1),
+        lambda: H.induced_matrix(tri, tri, no_2, 1),
+        lambda: H.chain_map(tri, tri, no_2, 0, [0])]}
+    for message, refused in calls.items():
+        for call in refused:
+            with pytest.raises(H.HomologyError, match=f"^{message}$"):
+                call()
+
+
 def test_integer_clearing_skips_non_unit_lows(monkeypatch):
-    # RP^2's one non-unit pivot is in d_1, and the columns of d_2 it could
-    # clear are zero, so no Betti number or torsion shows whether it clears
-    built, calls = {}, []
-    coboundary, smith = S.SimplicialComplex.coboundary_sparse, L.smith_pivots
+    # RP^2's one non-unit pivot over Z is in delta_1, at the triangle
+    # (1, 3, 4); a tetrahedron on that triangle gives it a nonzero column
+    # in delta_2, which the reduction over Z keeps: it is built or seeded,
+    # as is every kept column with a coface, and no cleared column is
+    cx = S.SimplicialComplex(RP2_TRIANGLES + [(1, 3, 4, 6)])
+    built, seeded = [], []
+    column, smith = H._coboundary_column, L.smith_pivots
 
-    def spy_coboundary(cx, d):
-        built[d] = coboundary(cx, d)
-        return built[d]
+    def spy_column(cofaces, s):
+        built.append((len(cofaces[0]) - 1, s))   # (n_d, d-simplex)
+        return column(cofaces, s)
 
-    def spy_smith(cols):
-        calls.append((cols, smith(cols)))
-        return calls[-1][1]
+    def spy_smith(cols, table):
+        seeded.append(set(table.seeds.values()))    # one set per degree
+        return smith(cols, table)
 
-    monkeypatch.setattr(S.SimplicialComplex, "coboundary_sparse", spy_coboundary)
+    monkeypatch.setattr(H, "_coboundary_column", spy_column)
     monkeypatch.setattr(L, "smith_pivots", spy_smith)
-    assert H.betti_numbers(projective_plane(), 2, "z").torsion == [[], [2], []]
-    (cols_1, (_, _, unit_lows)), (cols_2, _) = calls[1], calls[2]
-    assert len(set(L.pivot_pairs(cols_1).values()) - set(unit_lows)) == 1
-    kept = {id(col) for col in cols_2}
-    cleared = {j for j, col in enumerate(built[2]) if id(col) not in kept}
-    assert cleared == set(unit_lows)
+    assert H.betti_numbers(cx, 2, "z").torsion == [[], [2], []]
+    _, down, cleared, _ = H._pairs(cx, 2, None)
+    triangles = cx.simplices(2)
+    non_unit = triangles.index((1, 3, 4))
+    assert np.flatnonzero(down[2] & ~cleared[2]).tolist() == [non_unit]
+    n_2 = len(triangles)
+    reduced = {s for n, s in built if n == n_2} | seeded[1]
+    with_coface = {triangles.index(t) for t in itertools.combinations(
+        (1, 3, 4, 6), 3)}
+    assert non_unit in reduced
+    assert reduced == {s for s in with_coface if not cleared[2][s]}
+    for d, n in ((1, len(cx.simplices(1))), (2, n_2)):
+        assert not any(cleared[d][s] for m, s in built if m == n)
 
 
 def test_betti_cap():
@@ -438,17 +494,27 @@ def test_cached_pairs_give_the_numbers_of_fresh_complexes(monkeypatch):
     for cx in (src, dst):
         H.betti_numbers(cx, 1, "z")
     reduced = []
-    coboundary = S.SimplicialComplex.coboundary_sparse
+    column, elder_rule = H._coboundary_column, H._elder_rule
 
-    def spy(cx, d):
-        reduced.append((cx, d))
-        return coboundary(cx, d)
+    def spy_column(cofaces, s):
+        reduced.append(s)
+        return column(cofaces, s)
 
-    monkeypatch.setattr(S.SimplicialComplex, "coboundary_sparse", spy)
+    def spy_elder_rule(cx):
+        reduced.append(cx)
+        return elder_rule(cx)
+
+    monkeypatch.setattr(H, "_coboundary_column", spy_column)
+    monkeypatch.setattr(H, "_elder_rule", spy_elder_rule)
     assert H.induced_rank(src, dst, vertex_map, 1, "z") == want_rank[1, "q"]
     assert [H.betti_numbers(cx, 1, "q").betti for cx in (src, dst)] == \
         [want_betti[0, "q"], want_betti[1, "q"]]
     assert reduced == []
+    # the spies see the reduction of a fresh complex: delta_0, then the
+    # columns of delta_1
+    fresh = circle_bonding()[0]
+    assert H.betti_numbers(fresh, 1, "q").betti == want_betti[0, "q"]
+    assert reduced[0] is fresh and len(reduced) > 1
 
 
 # edges and triangles on 7 vertices give nonzero ranks on H_1; the examples

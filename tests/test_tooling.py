@@ -47,8 +47,9 @@ def test_every_library_definition_is_named_elsewhere():
 def test_coboundaries_are_reduced_only_by_pairs():
     # one homology path: Betti numbers, torsion and induced ranks all read
     # the cached reduction of homology._pairs, the one place in the
-    # library that names a coboundary or a Smith reduction with its pairs
-    names = {"coboundary_sparse", "smith_pivots"}
+    # library that builds a coboundary column or names a reduction with
+    # its pairs; the whole coboundary is a test oracle
+    names = {"_coboundary_column", "smith_pivots", "pivot_pairs"}
 
     def named(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -67,6 +68,9 @@ def test_coboundaries_are_reduced_only_by_pairs():
              for path, tree in _trees("src") for scope, name in named(tree, None)}
     assert found == {(os.path.join("src", "fintop", "homology.py"), "_pairs", name)
                      for name in names}
+    for path, _ in _trees("src"):
+        with open(path) as fh:
+            assert "coboundary_sparse" not in fh.read(), path
 
 
 def test_simplex_lookups_outside_simplicial_are_batched():
